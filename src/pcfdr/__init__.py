@@ -21,7 +21,7 @@ from .combine import (
     stouffer_combine,
 )
 from .numerics import chi_square_survival, std_normal_cdf, std_normal_quantile
-from .partial_conjunction import pc_pvalue, pc_pvalue_oracle, pc_storey_pvalue
+from .partial_conjunction import pc_path, pc_pvalue, pc_pvalue_oracle, pc_pvalues
 from .pc_testing import (
     GroupLayout,
     WeightScheme,

@@ -18,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
-from .combine import CombiningMethod, DEFAULT_LAMBDA
-from .partial_conjunction import pc_pvalue
+import numpy as np
+
+from .combine import DEFAULT_LAMBDA, CombiningMethod, DegenerateInputError
+from .partial_conjunction import pc_pvalues
 from .pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
 from .procedures import (
     IDENTITY,
@@ -51,48 +52,66 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _parse_number(token: str, path: str, line: int, col: int) -> float:
+def _is_number(token: str) -> bool:
     try:
-        return float(token)
+        float(token)
     except ValueError:
-        raise CliError(f"{path}:{line}:{col}: not a number: {token!r}") from None
+        return False
+    return True
 
 
-def read_matrix(path: str) -> tuple[list[str] | None, list[list[float]]]:
-    """Read a headerless CSV matrix; returns (ids or None, rows)."""
+def read_matrix(path: str, pvalues: bool = True) -> tuple[list[str] | None, np.ndarray]:
+    """Read a headerless CSV matrix; returns (ids or None, 2-d float array).
+
+    Blank lines are skipped. For a p-value matrix (``pvalues``) a leading
+    non-numeric column holds feature ids and every value must lie in
+    [0, 1]; otherwise every cell is a number.
+    """
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    if not lines:
+    body = [ln for ln in lines if ln.strip()]
+    if not body:
         raise CliError(f"{path}:1:1: empty input")
-    first = lines[0].split(",")[0].strip()
+    has_ids = pvalues and not _is_number(body[0].split(",")[0].strip())
+    commas = body[0].count(",")
     try:
-        float(first)
-        has_ids = False
-    except ValueError:
-        has_ids = True
-    ids: list[str] | None = [] if has_ids else None
-    rows: list[list[float]] = []
+        # usecols would silently drop the extra cells of a longer row.
+        if has_ids and any(ln.count(",") != commas for ln in body):
+            raise ValueError("rows of unequal length")
+        mat = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                         usecols=range(1, commas + 1) if has_ids else None)
+        if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
+            raise ValueError("p-value outside [0, 1]")
+    except ValueError as exc:
+        raise _bad_cell(path, lines, has_ids, pvalues) or CliError(f"{path}: {exc}") from None
+    ids = [ln.partition(",")[0].strip() for ln in body] if has_ids else None
+    return ids, mat
+
+
+def _bad_cell(path: str, lines: list[str], has_ids: bool,
+              pvalues: bool) -> CliError | None:
+    """The diagnostic for the first bad cell, numbered by physical line and
+    column: a row of another width, a token that is not a number, or (for
+    p-values) a value outside [0, 1]."""
     width = None
     for ln_no, line in enumerate(lines, start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if has_ids:
-            ids.append(cells[0])
-            cells = cells[1:]
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")][has_ids:]
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise CliError(f"{path}:{ln_no}:1: expected {width} values, got {len(cells)}")
-        row = [_parse_number(c, path, ln_no, col + 1 + has_ids)
-               for col, c in enumerate(cells)]
-        for col, x in enumerate(row):
-            if not 0.0 <= x <= 1.0:
-                raise CliError(f"{path}:{ln_no}:{col + 1 + has_ids}: "
-                               f"p-value {x} outside [0, 1]")
-        rows.append(row)
-    return ids, rows
+            return CliError(f"{path}:{ln_no}:1: expected {width} values, got {len(cells)}")
+        for col, cell in enumerate(cells, start=1 + has_ids):
+            if not _is_number(cell):
+                return CliError(f"{path}:{ln_no}:{col}: not a number: {cell!r}")
+        for col, cell in enumerate(cells, start=1 + has_ids):
+            if pvalues and not 0.0 <= float(cell) <= 1.0:
+                return CliError(f"{path}:{ln_no}:{col}: p-value {float(cell)} outside [0, 1]")
+    return None
 
 
 def write_matrix(path, ids: list[str] | None, rows: list[list[float]]) -> None:
@@ -110,31 +129,15 @@ def write_matrix(path, ids: list[str] | None, rows: list[list[float]]) -> None:
 
 def read_weights(path: str, m: int) -> WeightScheme:
     """Two-column CSV: prior weight w, penalty weight v."""
-    _, rows = read_matrix_raw(path)
-    if any(len(r) != 2 for r in rows):
+    _, rows = read_matrix(path, pvalues=False)
+    if rows.shape[1] != 2:
         raise CliError(f"{path}: weights file must have exactly two columns")
     if len(rows) != m:
         raise CliError(f"{path}: expected {m} weight rows, got {len(rows)}")
     try:
-        return WeightScheme(tuple(r[0] for r in rows), tuple(r[1] for r in rows))
+        return WeightScheme(tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist()))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-def read_matrix_raw(path: str) -> tuple[list[str] | None, list[list[float]]]:
-    # Like read_matrix but without the [0, 1] range check (weights files).
-    try:
-        with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
-    ids = None
-    rows = []
-    for ln_no, line in enumerate(lines, start=1):
-        cells = [c.strip() for c in line.split(",")]
-        rows.append([_parse_number(c, path, ln_no, col + 1)
-                     for col, c in enumerate(cells)])
-    return ids, rows
 
 
 def _method(args) -> CombiningMethod:
@@ -164,25 +167,32 @@ def _write_json(path, payload: dict) -> None:
             fh.write(text + "\n")
 
 
+def _row_line(path: str, row: int) -> int:
+    """Physical line number of 0-based matrix row ``row`` of ``path``."""
+    with open(path) as fh:
+        return [n for n, ln in enumerate(fh, start=1) if ln.strip()][row]
+
+
 def cmd_combine(args) -> int:
     method = _method(args)
-    ids, rows = read_matrix(args.input)
-    out_rows = []
-    for row in rows:
-        u = args.u if args.u is not None else 1
-        if not 1 <= u <= len(row):
-            raise CliError(f"--u {u} outside [1, {len(row)}]")
-        out_rows.append([pc_pvalue(row, u, method)])
-    write_matrix(args.out, ids, out_rows)
+    ids, mat = read_matrix(args.input)
+    u = args.u if args.u is not None else 1
+    if not 1 <= u <= mat.shape[1]:
+        raise CliError(f"--u {u} outside [1, {mat.shape[1]}]")
+    try:
+        pc = pc_pvalues(mat, u, method)
+    except DegenerateInputError as exc:
+        raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
+    write_matrix(args.out, ids, [[x] for x in pc.tolist()])
     return 0
 
 
 def cmd_pc_test(args) -> int:
     method = _method(args)
-    ids, rows = read_matrix(args.input)
-    if any(len(r) != 1 for r in rows):
+    ids, mat = read_matrix(args.input)
+    if mat.shape[1] != 1:
         raise CliError(f"{args.input}: pc-test expects a single column of p-values")
-    p = [r[0] for r in rows]
+    p = mat[:, 0]
     try:
         with open(args.groups) as fh:
             labels = [ln.strip() for ln in fh if ln.strip()]
@@ -199,10 +209,17 @@ def cmd_pc_test(args) -> int:
         layout = GroupLayout.from_proportion(groups, args.u_proportion)
     else:
         u = args.u if args.u is not None else 1
-        layout = GroupLayout(groups, tuple(min(u, len(g)) for g in groups))
+        for name, g in zip(names, groups):
+            if u > len(g):
+                raise CliError(f"{args.groups}: --u {u} exceeds the size "
+                               f"{len(g)} of group {name!r}")
+        layout = GroupLayout(groups, (u,) * len(groups))
     g = layout.n_groups
     ws = read_weights(args.weights, g) if args.weights else WeightScheme.unit(g)
-    pc = compute_pc_pvalues(p, layout, method)
+    try:
+        pc = compute_pc_pvalues(p, layout, method)
+    except DegenerateInputError as exc:
+        raise CliError(f"{args.groups}: group {names[exc.row]!r}: {exc}") from None
     tc = ThresholdCollection(alpha=args.alpha, m=g, prior_w=ws.prior_w,
                              shape=_shape(args.shape))
     rej = step_up(pc, tc, ws.penalty_v)
@@ -231,12 +248,15 @@ def _parse_rule(spec: str, q: float, shape: ShapeFunction) -> SelectionRule:
 def cmd_replicate(args) -> int:
     method = _method(args)
     shape = _shape(args.shape)
-    ids, rows = read_matrix(args.input)
-    m = len(rows)
+    ids, mat = read_matrix(args.input)
+    m = len(mat)
     ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
     rule = _parse_rule(args.rule, args.q, shape)
-    sel = select_features(rows, rule, method, ws)
-    report = khat_bounds(rows, sel, method, ws, args.q, shape)
+    try:
+        sel = select_features(mat, rule, method, ws)
+        report = khat_bounds(mat, sel, method, ws, args.q, shape)
+    except DegenerateInputError as exc:
+        raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
     name = (lambda i: ids[i]) if ids else (lambda i: str(i))
     _write_json(args.out, {
         "q": args.q,

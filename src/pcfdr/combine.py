@@ -6,15 +6,21 @@ coordinate. Fisher and Stouffer assume independence; Simes additionally
 tolerates positive dependence; Bonferroni and Hommel are valid under
 arbitrary dependence; Simes-Storey is the minimum adjusted p-value of the
 adaptive step-up procedure with the Storey plug-in and assumes independence.
+
+The combiners work on matrices whose rows are sorted ascending
+(:func:`sort_rows`, :func:`combine_sorted`); the scalar functions combine
+one row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numerics import chi_square_survival, std_normal_cdf, std_normal_quantile
+import numpy as np
+from scipy.special import chdtrc, ndtr, ndtri
 
 __all__ = [
     "CombiningMethod",
@@ -25,6 +31,8 @@ __all__ = [
     "BONFERRONI",
     "HOMMEL",
     "DegenerateInputError",
+    "sort_rows",
+    "combine_sorted",
     "fisher_combine",
     "stouffer_combine",
     "simes_combine",
@@ -42,12 +50,15 @@ DEFAULT_LAMBDA = 0.5
 # combined p-value of 0 instead of NaN.
 _LOG_FLOOR = 1e-300
 
-_KINDS = ("fisher", "stouffer", "simes", "bonferroni", "hommel", "simes_storey")
-
 
 class DegenerateInputError(ValueError):
     """Raised when a combiner receives an input it cannot order, e.g.
-    Stouffer with both a 0 and a 1 among the p-values."""
+    Stouffer with both a 0 and a 1 among the p-values. ``row`` is the
+    0-based index of the first such row."""
+
+    def __init__(self, row: int) -> None:
+        super().__init__("Stouffer combiner with both p=0 and p=1")
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -58,16 +69,102 @@ class CombiningMethod:
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _ROW_COMBINERS:
             raise ValueError(f"unknown combining method {self.kind!r}")
         if self.kind == "simes_storey":
             lam = DEFAULT_LAMBDA if self.lam is None else self.lam
-            if not 0.0 < lam < 1.0:
-                raise ValueError(f"lambda={lam} must lie in (0, 1)")
+            _check_lambda(lam)
             object.__setattr__(self, "lam", lam)
         elif self.lam is not None:
             raise ValueError(f"method {self.kind!r} takes no lambda")
 
+
+def simes_storey(lam: float = DEFAULT_LAMBDA) -> CombiningMethod:
+    return CombiningMethod("simes_storey", lam)
+
+
+def _check_lambda(lam: float) -> None:
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lambda={lam} must lie in (0, 1)")
+
+
+@functools.cache
+def _harmonic(m: int) -> float:
+    """H_m = 1 + 1/2 + ... + 1/m, summed in that order."""
+    return sum(1.0 / j for j in range(1, m + 1))
+
+
+def sort_rows(mat) -> np.ndarray:
+    """Validated p-values as a 2-d float array, each row sorted ascending."""
+    s = np.sort(np.asarray(mat, dtype=float), axis=-1)
+    if s.ndim != 2:
+        raise ValueError("p-values must form a 2-d array")
+    if s.shape[1] == 0:
+        raise ValueError("empty p-value list")
+    bad = ~((s[:, 0] >= 0.0) & (s[:, -1] <= 1.0))
+    if bad.any():
+        row = s[np.argmax(bad)]
+        x = row[0] if not row[0] >= 0.0 else row[-1]
+        raise ValueError(f"p-value {x} outside [0, 1]")
+    return s
+
+
+# Each row combiner takes a (rows, k) array sorted along axis 1, k >= 1.
+
+def _fisher_rows(s: np.ndarray) -> np.ndarray:
+    """Chi-square survival of -2 * sum(log p_i) with 2k degrees of freedom."""
+    stat = -2.0 * np.log(np.maximum(s, _LOG_FLOOR)).sum(axis=1)
+    return chdtrc(2 * s.shape[1], stat)
+
+
+def _stouffer_rows(s: np.ndarray) -> np.ndarray:
+    """1 - Phi(sum(Phi^{-1}(1 - p_i)) / sqrt(k)); 0 if a p_i is 0, 1 if a
+    p_i is 1."""
+    zero, one = s[:, 0] == 0.0, s[:, -1] == 1.0
+    both = zero & one
+    if both.any():
+        raise DegenerateInputError(int(np.argmax(both)))
+    with np.errstate(invalid="ignore"):  # inf - inf in rows overwritten below
+        z = ndtri(1.0 - s).sum(axis=1)
+    out = 1.0 - ndtr(z / math.sqrt(s.shape[1]))
+    out[zero] = 0.0
+    out[one] = 1.0
+    return out
+
+
+def _simes_rows(s: np.ndarray) -> np.ndarray:
+    """min_j k * p_(j) / j, capped at 1."""
+    k = s.shape[1]
+    return np.minimum(1.0, (k * s / np.arange(1, k + 1)).min(axis=1))
+
+
+def _bonferroni_rows(s: np.ndarray) -> np.ndarray:
+    """min(k * p_(1), 1)."""
+    return np.minimum(1.0, s.shape[1] * s[:, 0])
+
+
+def _hommel_rows(s: np.ndarray) -> np.ndarray:
+    """min(H_k * simes, 1) with H_k the k-th harmonic number."""
+    return np.minimum(1.0, _harmonic(s.shape[1]) * _simes_rows(s))
+
+
+def _simes_storey_rows(s: np.ndarray, lam: float) -> np.ndarray:
+    """1 where p_(1) > lam; otherwise the Simes minimum restricted to
+    {j: p_(j) <= lam}, inflated by k * pi0_hat(lam), capped at 1."""
+    k = s.shape[1]
+    pi0 = ((s > lam).sum(axis=1) + 1) / ((1.0 - lam) * k)
+    scaled = np.where(s <= lam, (k * pi0)[:, None] * s / np.arange(1, k + 1), np.inf)
+    return np.where(s[:, 0] > lam, 1.0, np.minimum(1.0, scaled.min(axis=1)))
+
+
+_ROW_COMBINERS = {
+    "fisher": _fisher_rows,
+    "stouffer": _stouffer_rows,
+    "simes": _simes_rows,
+    "bonferroni": _bonferroni_rows,
+    "hommel": _hommel_rows,
+    "simes_storey": _simes_storey_rows,
+}
 
 FISHER = CombiningMethod("fisher")
 STOUFFER = CombiningMethod("stouffer")
@@ -76,97 +173,46 @@ BONFERRONI = CombiningMethod("bonferroni")
 HOMMEL = CombiningMethod("hommel")
 
 
-def simes_storey(lam: float = DEFAULT_LAMBDA) -> CombiningMethod:
-    return CombiningMethod("simes_storey", lam)
+def combine_sorted(s: np.ndarray, method: CombiningMethod) -> np.ndarray:
+    """Combine each row of ``s``, validated and sorted ascending along
+    axis 1 (see :func:`sort_rows`)."""
+    if method.kind == "simes_storey":
+        return _simes_storey_rows(s, method.lam)
+    return _ROW_COMBINERS[method.kind](s)
 
 
-def _validate(p: Sequence[float]) -> list[float]:
-    if len(p) == 0:
-        raise ValueError("empty p-value list")
-    out = []
-    for x in p:
-        if math.isnan(x) or not 0.0 <= x <= 1.0:
-            raise ValueError(f"p-value {x} outside [0, 1]")
-        out.append(float(x))
-    return out
+def combine_pvalues(p: Sequence[float], method: CombiningMethod) -> float:
+    """Combine one vector of p-values with ``method``."""
+    return float(combine_sorted(sort_rows([p]), method)[0])
 
 
 def fisher_combine(p: Sequence[float]) -> float:
-    """Chi-square survival of -2 * sum(log p_i) with 2m degrees of freedom."""
-    p = _validate(p)
-    stat = -2.0 * sum(math.log(max(x, _LOG_FLOOR)) for x in p)
-    return chi_square_survival(stat, 2 * len(p))
+    return combine_pvalues(p, FISHER)
 
 
 def stouffer_combine(p: Sequence[float]) -> float:
-    """1 - Phi(sum(Phi^{-1}(1 - p_i)) / sqrt(m))."""
-    p = _validate(p)
-    if 0.0 in p and 1.0 in p:
-        raise DegenerateInputError("Stouffer combiner with both p=0 and p=1")
-    if 0.0 in p:
-        return 0.0
-    if 1.0 in p:
-        return 1.0
-    z = sum(std_normal_quantile(1.0 - x) for x in p)
-    return 1.0 - std_normal_cdf(z / math.sqrt(len(p)))
+    return combine_pvalues(p, STOUFFER)
 
 
 def simes_combine(p: Sequence[float]) -> float:
-    """min_k m * p_(k) / k, capped at 1."""
-    p = sorted(_validate(p))
-    m = len(p)
-    return min(1.0, min(m * pk / (k + 1) for k, pk in enumerate(p)))
+    return combine_pvalues(p, SIMES)
 
 
 def bonferroni_combine(p: Sequence[float]) -> float:
-    """min(m * p_(1), 1)."""
-    p = _validate(p)
-    return min(1.0, len(p) * min(p))
+    return combine_pvalues(p, BONFERRONI)
 
 
 def hommel_combine(p: Sequence[float]) -> float:
-    """min(H_m * simes, 1) with H_m the m-th harmonic number."""
-    p = _validate(p)
-    h = sum(1.0 / j for j in range(1, len(p) + 1))
-    return min(1.0, h * simes_combine(p))
+    return combine_pvalues(p, HOMMEL)
+
+
+def simes_storey_combine(p: Sequence[float], lam: float = DEFAULT_LAMBDA) -> float:
+    """Minimum adjusted p-value of the Storey-adaptive step-up procedure."""
+    return combine_pvalues(p, simes_storey(lam))
 
 
 def storey_pi0(p: Sequence[float], lam: float = DEFAULT_LAMBDA) -> float:
     """(W(lam) + 1) / ((1 - lam) * m) with W(lam) = #{i: p_i > lam}."""
-    p = _validate(p)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda={lam} must lie in (0, 1)")
-    w = sum(1 for x in p if x > lam)
-    return (w + 1) / ((1.0 - lam) * len(p))
-
-
-def simes_storey_combine(p: Sequence[float], lam: float = DEFAULT_LAMBDA) -> float:
-    """Minimum adjusted p-value of the Storey-adaptive step-up procedure.
-
-    Returns 1 when the smallest p-value exceeds lam; otherwise the Simes
-    minimum restricted to {k: p_(k) <= lam}, inflated by m * pi0_hat(lam).
-    """
-    ps = sorted(_validate(p))
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda={lam} must lie in (0, 1)")
-    if ps[0] > lam:
-        return 1.0
-    m = len(ps)
-    pi0 = storey_pi0(ps, lam)
-    best = min(m * pi0 * pk / (k + 1) for k, pk in enumerate(ps) if pk <= lam)
-    return min(1.0, best)
-
-
-def combine_pvalues(p: Sequence[float], method: CombiningMethod) -> float:
-    """Dispatch to the combiner named by ``method``."""
-    if method.kind == "fisher":
-        return fisher_combine(p)
-    if method.kind == "stouffer":
-        return stouffer_combine(p)
-    if method.kind == "simes":
-        return simes_combine(p)
-    if method.kind == "bonferroni":
-        return bonferroni_combine(p)
-    if method.kind == "hommel":
-        return hommel_combine(p)
-    return simes_storey_combine(p, method.lam)
+    s = sort_rows([p])
+    _check_lambda(lam)
+    return (int((s > lam).sum()) + 1) / ((1.0 - lam) * s.shape[1])

@@ -1,117 +1,28 @@
-"""Self-contained special functions: standard normal CDF/quantile and the
-chi-square survival function.
-
-Only these three functions are needed by the p-value combiners; they are
-implemented on top of the C library's erfc plus a series / continued-fraction
-evaluation of the regularized incomplete gamma function, so results are
-bit-reproducible across platforms with IEEE doubles.
-"""
+"""Standard normal CDF and quantile and the chi-square survival function:
+input-checked scalar wrappers over ``scipy.special``, which the combiners
+call directly on arrays."""
 
 from __future__ import annotations
 
 import math
 
+from scipy.special import chdtrc, ndtr, ndtri
+
 __all__ = ["std_normal_cdf", "std_normal_quantile", "chi_square_survival"]
-
-_SQRT2 = math.sqrt(2.0)
-
-# Coefficients of Acklam's rational approximation for the normal quantile,
-# used only as a Newton starting point.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
 
 
 def std_normal_cdf(x: float) -> float:
     """Return Phi(x), the standard normal CDF. Accepts +-inf."""
     if math.isnan(x):
         raise ValueError("std_normal_cdf: NaN input")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def _std_normal_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _quantile_seed(p: float) -> float:
-    # Acklam's approximation, ~1e-9 relative accuracy on its own.
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1))
-    if p > p_high:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                 / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1))
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1))
+    return float(ndtr(x))
 
 
 def std_normal_quantile(p: float) -> float:
     """Return Phi^{-1}(p). p=0 and p=1 map to -inf and +inf respectively."""
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"std_normal_quantile: p={p} outside [0, 1]")
-    if p == 0.0:
-        return -math.inf
-    if p == 1.0:
-        return math.inf
-    x = _quantile_seed(p)
-    # Two Halley steps pin the roundtrip error below 1e-9 over [1e-12, 1-1e-12].
-    for _ in range(2):
-        e = std_normal_cdf(x) - p
-        d = _std_normal_pdf(x)
-        if d == 0.0:
-            break
-        u = e / d
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # Regularized lower incomplete gamma P(a, x) by power series; x < a + 1.
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(1000):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # Regularized upper incomplete gamma Q(a, x) by Lentz's continued
-    # fraction; x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return float(ndtri(p))
 
 
 def chi_square_survival(x: float, df: int) -> float:
@@ -120,12 +31,4 @@ def chi_square_survival(x: float, df: int) -> float:
         raise ValueError(f"chi_square_survival: x={x} must be >= 0")
     if df < 1 or int(df) != df:
         raise ValueError(f"chi_square_survival: df={df} must be a positive integer")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    a = 0.5 * df
-    half_x = 0.5 * x
-    if half_x < a + 1.0:
-        return max(0.0, 1.0 - _lower_gamma_series(a, half_x))
-    return _upper_gamma_cf(a, half_x)
+    return float(chdtrc(df, x))

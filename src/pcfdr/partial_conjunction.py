@@ -1,25 +1,23 @@
 """Partial conjunction p-values.
 
-The p-value for "at least u of the m hypotheses are false nulls" is obtained
-by applying a monotone global-null combiner to the m-u+1 largest elementary
+The p-value for "at least u of the n hypotheses are false nulls" is obtained
+by applying a monotone global-null combiner to the n-u+1 largest elementary
 p-values; equivalently, by maximizing the combined p-value over all subsets
-of size m-u+1. Both routes are provided: the direct construction and a
-brute-force subset oracle used for cross-checking.
+of size n-u+1. Both routes are provided: the direct construction, one sort
+per row of an m x n matrix, and a brute-force subset oracle used for
+cross-checking.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Sequence
 
-from .combine import (
-    DEFAULT_LAMBDA,
-    CombiningMethod,
-    combine_pvalues,
-)
+import numpy as np
 
-__all__ = ["pc_pvalue", "pc_storey_pvalue", "pc_pvalue_oracle", "SizeLimitError"]
+from .combine import CombiningMethod, combine_sorted, sort_rows
+
+__all__ = ["pc_pvalues", "pc_path", "pc_pvalue", "pc_pvalue_oracle", "SizeLimitError"]
 
 _ORACLE_MAX_M = 20
 
@@ -34,42 +32,29 @@ def _check_u(u: int, m: int) -> None:
         raise ValueError(f"u={u} outside [1, {m}]")
 
 
+def pc_pvalues(mat, u: int, method: CombiningMethod) -> np.ndarray:
+    """Partial conjunction p-value P^{u/n} of each row of the m x n matrix
+    ``mat``: ``method`` applied to the n-u+1 largest entries of the row."""
+    s = sort_rows(mat)
+    _check_u(u, s.shape[1])
+    return combine_sorted(s[:, u - 1:], method)
+
+
+def pc_path(mat, method: CombiningMethod) -> np.ndarray:
+    """The m x n array whose column u-1 is :func:`pc_pvalues` at u, for
+    u = 1, ..., n, from one sort per row."""
+    s = sort_rows(mat)
+    n = s.shape[1]
+    return np.stack([combine_sorted(s[:, u - 1:], method)
+                     for u in range(1, n + 1)], axis=1)
+
+
 def pc_pvalue(p: Sequence[float], u: int, method: CombiningMethod) -> float:
     """Partial conjunction p-value for at least ``u`` signals among ``p``.
 
-    For u=1 this is the plain global-null combination; for the Simes-Storey
-    method the dedicated plug-in formula is used.
+    For u=1 this is the plain global-null combination.
     """
-    m = len(p)
-    _check_u(u, m)
-    if method.kind == "simes_storey":
-        return pc_storey_pvalue(p, u, method.lam)
-    largest = sorted(p)[u - 1:]
-    return combine_pvalues(largest, method)
-
-
-def pc_storey_pvalue(p: Sequence[float], u: int, lam: float = DEFAULT_LAMBDA) -> float:
-    """Simes-Storey partial conjunction p-value.
-
-    Returns 1 when p_(u) > lam; otherwise the Simes minimum over the
-    order statistics p_(u-1+k) <= lam, inflated by the tail-restricted
-    Storey estimator (1 + #{i >= u: p_(i) > lam}) / ((m-u+1)(1-lam)).
-    """
-    m = len(p)
-    _check_u(u, m)
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"lambda={lam} must lie in (0, 1)")
-    ps = sorted(float(x) for x in p)
-    for x in ps:
-        if math.isnan(x) or not 0.0 <= x <= 1.0:
-            raise ValueError(f"p-value {x} outside [0, 1]")
-    if ps[u - 1] > lam:
-        return 1.0
-    tail = ps[u - 1:]
-    n_tail = len(tail)  # m - u + 1
-    pi0 = (1 + sum(1 for x in tail if x > lam)) / (n_tail * (1.0 - lam))
-    best = min(n_tail * pi0 * pk / (k + 1) for k, pk in enumerate(tail) if pk <= lam)
-    return min(1.0, best)
+    return float(pc_pvalues([p], u, method)[0])
 
 
 def pc_pvalue_oracle(p: Sequence[float], u: int, method: CombiningMethod) -> float:
@@ -82,8 +67,5 @@ def pc_pvalue_oracle(p: Sequence[float], u: int, method: CombiningMethod) -> flo
     _check_u(u, m)
     if m > _ORACLE_MAX_M:
         raise SizeLimitError(f"oracle limited to m <= {_ORACLE_MAX_M}, got {m}")
-    size = m - u + 1
-    return max(
-        combine_pvalues(subset, method)
-        for subset in itertools.combinations(p, size)
-    )
+    subsets = list(itertools.combinations(p, m - u + 1))
+    return float(combine_sorted(sort_rows(subsets), method).max())

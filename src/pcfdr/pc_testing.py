@@ -9,9 +9,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .combine import CombiningMethod
-from .partial_conjunction import pc_pvalue
-from .procedures import RejectionSet, ThresholdCollection, step_up
+import numpy as np
+
+from .combine import CombiningMethod, DegenerateInputError
+from .partial_conjunction import pc_pvalues
+from .procedures import RejectionSet, ThresholdCollection, _volume, step_up
 
 __all__ = [
     "GroupLayout",
@@ -77,18 +79,17 @@ class WeightScheme:
     penalty_v: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.prior_w)
-        v = tuple(float(x) for x in self.penalty_v)
-        object.__setattr__(self, "prior_w", w)
-        object.__setattr__(self, "penalty_v", v)
-        if len(w) != len(v):
+        object.__setattr__(self, "prior_w", tuple(map(float, self.prior_w)))
+        object.__setattr__(self, "penalty_v", tuple(map(float, self.penalty_v)))
+        w, v = np.asarray(self.prior_w), np.asarray(self.penalty_v)
+        if w.shape != v.shape:
             raise ValueError("weight vectors must have equal length")
-        if any(x < 0 for x in w):
+        if (w < 0).any():
             raise ValueError("prior weights must be nonnegative")
-        if any(x <= 0 for x in v):
+        if (v <= 0).any():
             raise ValueError("penalty weights must be positive")
         g = len(w)
-        total = sum(wi * vi for wi, vi in zip(w, v))
+        total = _volume(w * v)
         if abs(total - g) > _NORM_RTOL * g:
             raise ValueError(f"sum(w_g * v_g) = {total}, expected G = {g}")
 
@@ -100,13 +101,21 @@ class WeightScheme:
 def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,
                        method: CombiningMethod) -> list[float]:
     """Per-group partial conjunction p-value; one method applies to all
-    groups."""
+    groups. Groups of equal size and u are combined as one matrix."""
     if len(p) != layout.total:
         raise ValueError(f"expected {layout.total} p-values, got {len(p)}")
-    return [
-        pc_pvalue([p[i] for i in members], layout.u[g], method)
-        for g, members in enumerate(layout.groups)
-    ]
+    p = np.asarray(p, dtype=float)
+    same_shape: dict[tuple[int, int], list[int]] = {}
+    for g, members in enumerate(layout.groups):
+        same_shape.setdefault((len(members), layout.u[g]), []).append(g)
+    out = np.empty(layout.n_groups)
+    for (_, u), gs in same_shape.items():
+        members = np.array([layout.groups[g] for g in gs])
+        try:
+            out[gs] = pc_pvalues(p[members], u, method)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(gs[exc.row]) from None
+    return out.tolist()
 
 
 def test_pc_family(p: Sequence[float], layout: GroupLayout,

@@ -12,11 +12,12 @@ estimate of the proportion of nulls.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .combine import DEFAULT_LAMBDA, storey_pi0
+import numpy as np
+
+from .combine import DEFAULT_LAMBDA, _harmonic, storey_pi0
 
 __all__ = [
     "ShapeFunction",
@@ -71,7 +72,7 @@ class ShapeFunction:
         if self.kind == "identity":
             return r
         if self.kind == "reciprocal_sum":
-            return r / sum(1.0 / j for j in range(1, m + 1))
+            return r / _harmonic(m)
         return sum(x * mass for x, mass in self.nu if x <= r)
 
 
@@ -99,32 +100,34 @@ class ThresholdCollection:
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.m < 1:
             raise ValueError("m must be positive")
-        w = self.prior_w
-        if w is None:
-            w = (1.0,) * self.m
-            object.__setattr__(self, "prior_w", w)
-        else:
-            w = tuple(float(x) for x in w)
-            object.__setattr__(self, "prior_w", w)
-        if len(w) != self.m:
+        w = (1.0,) * self.m if self.prior_w is None else tuple(map(float, self.prior_w))
+        object.__setattr__(self, "prior_w", w)
+        w = np.asarray(w)
+        if w.shape != (self.m,):
             raise ValueError("prior_w length mismatch")
-        if any(x < 0 for x in w):
+        if (w < 0).any():
             raise ValueError("prior weights must be nonnegative")
         if self.adaptive_lambda is not None:
             if not 0.0 < self.adaptive_lambda < 1.0:
                 raise ValueError("adaptive lambda must lie in (0, 1)")
-            if any(x != 1.0 for x in w):
+            if (w != 1.0).any():
                 raise ValueError("adaptive thresholds require unit prior weights")
 
-    def thresholds(self, p: Sequence[float]) -> Callable[[int, float], float]:
-        """Return Delta(i, r) as a function, binding the Storey plug-in to
-        the supplied p-values in adaptive mode."""
+    def threshold_array(self, p) -> Callable[[float], np.ndarray]:
+        """Return r -> (Delta(i, r))_i as an array, binding the Storey
+        plug-in to the supplied p-values in adaptive mode."""
+        alpha, m = self.alpha, self.m
         if self.adaptive_lambda is not None:
             pi0 = storey_pi0(p, self.adaptive_lambda)
-            alpha, m = self.alpha, self.m
-            return lambda i, r: alpha * r / (m * pi0)
-        alpha, m, w, shape = self.alpha, self.m, self.prior_w, self.shape
-        return lambda i, r: alpha * w[i] * shape(r, m) / m
+            return lambda r: np.full(m, alpha * r / (m * pi0))
+        aw, shape = alpha * np.asarray(self.prior_w), self.shape
+        return lambda r: aw * shape(r, m) / m
+
+    def thresholds(self, p: Sequence[float]) -> Callable[[int, float], float]:
+        """Return Delta(i, r) as a function of one hypothesis; see
+        :meth:`threshold_array`."""
+        level = self.threshold_array(p)
+        return lambda i, r: float(level(r)[i])
 
 
 @dataclass(frozen=True)
@@ -147,14 +150,19 @@ def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float])
     return total
 
 
-def _check_weights(tc: ThresholdCollection, penalty_v: Sequence[float],
-                   renormalize: bool) -> tuple[ThresholdCollection, tuple[float, ...]]:
-    v = tuple(float(x) for x in penalty_v)
-    if len(v) != tc.m:
+def _volume(v: np.ndarray) -> float:
+    """Sum of v, added in index order as Python's sum() adds."""
+    return float(np.cumsum(v)[-1]) if v.size else 0.0
+
+
+def _check_weights(tc: ThresholdCollection, penalty_v: Sequence[float] | None,
+                   renormalize: bool) -> tuple[ThresholdCollection, np.ndarray]:
+    v = np.ones(tc.m) if penalty_v is None else np.asarray(penalty_v, dtype=float)
+    if v.shape != (tc.m,):
         raise ValueError("penalty_v length mismatch")
-    if any(x < 0 for x in v):
+    if (v < 0).any():
         raise ValueError("penalty weights must be nonnegative")
-    total = sum(wi * vi for wi, vi in zip(tc.prior_w, v))
+    total = _volume(np.asarray(tc.prior_w) * v)
     if abs(total - tc.m) > _NORM_RTOL * tc.m:
         if not renormalize:
             raise WeightNormalizationError(
@@ -173,23 +181,23 @@ def step_up(p: Sequence[float], tc: ThresholdCollection,
 
     The iteration r -> |L(r)|_v starting from r0 = sum(v) is monotonically
     nonincreasing and reaches the greatest fixed point in at most m+1 steps.
+    Each level set L(r) = {i: p_i <= Delta(i, r)} is one array comparison.
     """
-    if len(p) != tc.m:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (tc.m,):
         raise ValueError(f"expected {tc.m} p-values, got {len(p)}")
-    if penalty_v is None:
-        penalty_v = (1.0,) * tc.m
     tc, v = _check_weights(tc, penalty_v, renormalize)
-    delta = tc.thresholds(p)
-    r = sum(v)
+    level = tc.threshold_array(p)
+    r = _volume(v)
     iterations = 0
     while True:
         iterations += 1
-        rejected = [i for i in range(tc.m) if p[i] <= delta(i, r)]
-        vol = sum(v[i] for i in rejected)
+        rejected = p <= level(r)
+        vol = _volume(v[rejected])
         if vol == r:
             break
         r = vol
-    return RejectionSet(frozenset(rejected), vol, iterations)
+    return RejectionSet(frozenset(np.flatnonzero(rejected).tolist()), vol, iterations)
 
 
 def adaptive_step_up_storey(p: Sequence[float], alpha: float,
@@ -253,9 +261,10 @@ def check_self_consistency(p: Sequence[float], tc: ThresholdCollection,
                            penalty_v: Sequence[float],
                            candidate: RejectionSet) -> bool:
     """True iff every candidate index i satisfies p_i <= Delta(i, |candidate|_v)."""
-    delta = tc.thresholds(p)
+    p = np.asarray(p, dtype=float)
+    idx = np.fromiter(candidate.indices, dtype=int, count=len(candidate.indices))
     vol = weighted_volume(candidate.indices, penalty_v)
-    return all(p[i] <= delta(i, vol) for i in candidate.indices)
+    return bool((p[idx] <= tc.threshold_array(p)(vol)[idx]).all())
 
 
 def check_stability(p: Sequence[float], tc: ThresholdCollection,

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import CombiningMethod, combine_pvalues
-from .partial_conjunction import pc_pvalue
+from .combine import CombiningMethod, DegenerateInputError
+from .partial_conjunction import pc_path, pc_pvalues
 from .pc_testing import WeightScheme
 from .procedures import IDENTITY, ShapeFunction, ThresholdCollection, step_up
 
@@ -87,14 +87,14 @@ def select_features(mat, rule: SelectionRule, method: CombiningMethod,
     if len(ws.prior_w) != m:
         raise ValueError("weight scheme sized for a different feature count")
     if rule.kind == "fixed_threshold_on_combined":
-        combined = [combine_pvalues(row, method) for row in mat]
-        return frozenset(i for i, c in enumerate(combined) if c <= rule.threshold)
+        combined = pc_pvalues(mat, 1, method)
+        return frozenset(np.flatnonzero(combined <= rule.threshold).tolist())
     if rule.kind == "step_up_on_column":
         if not 0 <= rule.column < n:
             raise ValueError(f"column {rule.column} outside [0, {n})")
-        values = list(mat[:, rule.column])
+        values = mat[:, rule.column]
     else:
-        values = [combine_pvalues(row, method) for row in mat]
+        values = pc_pvalues(mat, 1, method)
     tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
                              shape=rule.shape)
     return step_up(values, tc, ws.penalty_v).indices
@@ -107,7 +107,7 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
 
     k_hat(i) = max{u: max(P_i^{1/n}, ..., P_i^{u/n}) <= w_i beta(|S|_v) q / m},
     with the empty maximum defined as 0. The running maximum is monotone, so
-    the u loop exits at the first failure.
+    k_hat(i) is the number of u at which it stays under the threshold.
     """
     mat = validate_matrix(mat)
     m, n = mat.shape
@@ -117,19 +117,15 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
     if any(not 0 <= i < m for i in sel):
         raise IndexError("selected feature index out of range")
     vol = sum(ws.penalty_v[i] for i in sel)
-    khat: dict[int, int] = {}
-    thresholds: dict[int, float] = {}
-    for i in sorted(sel):
-        t = ws.prior_w[i] * beta(vol, m) * q / m
-        thresholds[i] = t
-        row = list(mat[i])
-        k = 0
-        for u in range(1, n + 1):
-            if pc_pvalue(row, u, method) > t:
-                break
-            k = u
-        khat[i] = k
-    return ReplicabilityReport(sel, khat, thresholds, vol)
+    rows = sorted(sel)
+    t = np.array([ws.prior_w[i] for i in rows], dtype=float) * beta(vol, m) * q / m
+    try:
+        path = pc_path(mat[rows], method)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(rows[exc.row]) from None
+    khat = (np.maximum.accumulate(path, axis=1) <= t[:, None]).sum(axis=1)
+    return ReplicabilityReport(sel, dict(zip(rows, khat.tolist())),
+                               dict(zip(rows, t.tolist())), vol)
 
 
 def realized_replicability_error(report: ReplicabilityReport,

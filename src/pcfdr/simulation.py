@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .combine import CombiningMethod
-from .partial_conjunction import pc_pvalue
+from .partial_conjunction import pc_pvalues
 from .pc_testing import WeightScheme, realized_weighted_fdp
 from .procedures import IDENTITY, ShapeFunction, ThresholdCollection, step_up
 from .replicability import (
@@ -142,8 +142,7 @@ def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
     nulls = s.true_null_features(u)
     fdps = []
     for rep in range(s.reps):
-        mat = gen_meta_matrix(s, rep)
-        pc = [pc_pvalue(row, u, method) for row in mat]
+        pc = pc_pvalues(gen_meta_matrix(s, rep), u, method)
         rej = step_up(pc, tc, ws.penalty_v)
         fdps.append(realized_weighted_fdp(rej.indices, nulls, ws.penalty_v))
     return _estimate(fdps)
@@ -192,9 +191,9 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     pairs: list[tuple[float, float]] = []
     for rep in range(s.reps):
         mat = gen_meta_matrix(s, rep)
-        p_u = pc_pvalue(list(mat[probe]), u, method)
+        pc = pc_pvalues(mat, u, method)
+        p_u = float(pc[probe])
         if statistic == "rejection_volume":
-            pc = [pc_pvalue(row, u, method) for row in mat]
             vol = step_up(pc, tc, ws.penalty_v).fixed_point_volume
         else:
             zeroed = mat.copy()

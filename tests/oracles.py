@@ -1,0 +1,118 @@
+"""Scalar reference implementations that the array code is tested against.
+
+These are the element-by-element loops the package used before its layers
+became array-native: the combiners on one Python list, the partial
+conjunction p-value of one row, the step-up fixed-point iteration over
+per-hypothesis thresholds Delta(i, r), and the break-at-first-failure k_hat
+loop. Simes, Bonferroni, Hommel and Simes-Storey use the same floating-point
+operations in the same order as the array code, so results must agree
+exactly; Fisher and Stouffer sum in another order.
+"""
+
+import math
+
+from scipy.special import chdtrc, ndtr, ndtri
+
+_LOG_FLOOR = 1e-300
+
+
+def harmonic(m):
+    return sum(1.0 / j for j in range(1, m + 1))
+
+
+def simes(p):
+    p = sorted(p)
+    m = len(p)
+    return min(1.0, min(m * pk / (k + 1) for k, pk in enumerate(p)))
+
+
+def simes_storey(p, lam):
+    ps = sorted(p)
+    if ps[0] > lam:
+        return 1.0
+    m = len(ps)
+    pi0 = (sum(1 for x in ps if x > lam) + 1) / ((1.0 - lam) * m)
+    return min(1.0, min(m * pi0 * pk / (k + 1) for k, pk in enumerate(ps) if pk <= lam))
+
+
+def combine(p, method):
+    """The global-null combination of the list ``p``."""
+    m = len(p)
+    if method.kind == "simes":
+        return simes(p)
+    if method.kind == "bonferroni":
+        return min(1.0, m * min(p))
+    if method.kind == "hommel":
+        return min(1.0, harmonic(m) * simes(p))
+    if method.kind == "simes_storey":
+        return simes_storey(p, method.lam)
+    if method.kind == "fisher":
+        stat = -2.0 * sum(math.log(max(x, _LOG_FLOOR)) for x in p)
+        return float(chdtrc(2 * m, stat))
+    if 0.0 in p and 1.0 in p:
+        raise ValueError("Stouffer combiner with both p=0 and p=1")
+    if 0.0 in p:
+        return 0.0
+    if 1.0 in p:
+        return 1.0
+    z = sum(float(ndtri(1.0 - x)) for x in p)
+    return 1.0 - float(ndtr(z / math.sqrt(m)))
+
+
+def pc_pvalue(p, u, method):
+    """``method`` applied to the len(p)-u+1 largest entries of ``p``."""
+    return combine(sorted(p)[u - 1:], method)
+
+
+def pc_storey_pvalue(p, u, lam):
+    """The dedicated Simes-Storey partial conjunction formula: 1 when
+    p_(u) > lam, else the Simes minimum over the tail entries <= lam,
+    inflated by the tail-restricted Storey estimator."""
+    ps = sorted(p)
+    if ps[u - 1] > lam:
+        return 1.0
+    tail = ps[u - 1:]
+    n_tail = len(tail)
+    pi0 = (1 + sum(1 for x in tail if x > lam)) / (n_tail * (1.0 - lam))
+    return min(1.0, min(n_tail * pi0 * pk / (k + 1) for k, pk in enumerate(tail) if pk <= lam))
+
+
+def step_up(p, tc, penalty_v=None):
+    """Greatest fixed point of r -> |{i: p_i <= Delta(i, r)}|_v by monotone
+    iteration from sum(v); returns (indices, volume, iterations)."""
+    m = tc.m
+    v = [1.0] * m if penalty_v is None else [float(x) for x in penalty_v]
+    if tc.adaptive_lambda is not None:
+        lam = tc.adaptive_lambda
+        pi0 = (sum(1 for x in p if x > lam) + 1) / ((1.0 - lam) * m)
+        delta = lambda i, r: tc.alpha * r / (m * pi0)
+    else:
+        w = tc.prior_w
+        delta = lambda i, r: tc.alpha * w[i] * tc.shape(r, m) / m
+    r = sum(v)
+    iterations = 0
+    while True:
+        iterations += 1
+        rejected = [i for i in range(m) if p[i] <= delta(i, r)]
+        vol = sum(v[i] for i in rejected)
+        if vol == r:
+            break
+        r = vol
+    return frozenset(rejected), vol, iterations
+
+
+def khat(mat, selected, method, ws, q, beta):
+    """k_hat per selected row: the leading u whose P^{u/n} stay under
+    w_i beta(|S|_v) q / m, stopping at the first that does not."""
+    m, n = len(mat), len(mat[0])
+    vol = sum(ws.penalty_v[i] for i in selected)
+    out = {}
+    for i in sorted(selected):
+        t = ws.prior_w[i] * beta(vol, m) * q / m
+        k = 0
+        for u in range(1, n + 1):
+            if pc_pvalue(list(mat[i]), u, method) > t:
+                break
+            k = u
+        out[i] = k
+    return out

@@ -20,20 +20,20 @@ class TestReadWriteMatrix:
         path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,0.4\n")
         ids, rows = read_matrix(path)
         assert ids is None
-        assert rows == [[0.1, 0.2], [0.3, 0.4]]
+        assert rows.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
     def test_id_column_detected(self, tmp_path):
         path = write(tmp_path, "m.csv", "geneA,0.1\ngeneB,0.2\n")
         ids, rows = read_matrix(path)
         assert ids == ["geneA", "geneB"]
-        assert rows == [[0.1], [0.2]]
+        assert rows.tolist() == [[0.1], [0.2]]
 
     def test_roundtrip_17_digits(self, tmp_path):
         values = [[1 / 3, math.pi / 4], [1e-17, 0.9999999999999999]]
         first = tmp_path / "a.csv"
         write_matrix(str(first), ["r1", "r2"], values)
         ids, rows = read_matrix(str(first))
-        assert rows == values  # .17g is lossless for doubles
+        assert rows.tolist() == values  # .17g is lossless for doubles
         second = tmp_path / "b.csv"
         write_matrix(str(second), ids, rows)
         assert first.read_text() == second.read_text()
@@ -42,6 +42,26 @@ class TestReadWriteMatrix:
         path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,oops\n")
         from pcfdr.cli import CliError
         with pytest.raises(CliError, match=r"m\.csv:2:2"):
+            read_matrix(path)
+
+    def test_diagnostics_count_blank_lines(self, tmp_path):
+        from pcfdr.cli import CliError
+        path = write(tmp_path, "m.csv", "0.1,0.2\n\n0.3,oops\n")
+        with pytest.raises(CliError, match=r"m\.csv:3:2: not a number: 'oops'"):
+            read_matrix(path)
+        path = write(tmp_path, "r.csv", "0.1,0.2\n  \n\n0.3,1.5\n")
+        with pytest.raises(CliError, match=r"r\.csv:4:2: p-value 1\.5 outside \[0, 1\]"):
+            read_matrix(path)
+        path = write(tmp_path, "w.csv", "a,0.1,0.2\n\nb,0.3\n")
+        with pytest.raises(CliError, match=r"w\.csv:3:1: expected 2 values, got 1"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("text", ["0.1,0.2\n0.3,0.4,0.5\n",
+                                      "a,0.1,0.2\nb,0.3,0.4,0.5\n"])
+    def test_longer_row_rejected(self, tmp_path, text):
+        from pcfdr.cli import CliError
+        path = write(tmp_path, "m.csv", text)
+        with pytest.raises(CliError, match=r"m\.csv:2:1: expected 2 values, got 3"):
             read_matrix(path)
 
 
@@ -81,6 +101,14 @@ class TestPcTest:
         report = json.loads(capsys.readouterr().out)
         assert report["rejected_groups"] == ["a"]
         assert report["u"] == [2, 2]
+
+    def test_u_larger_than_a_group_exits_2(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "0.001\n0.002\n0.003\n0.9\n")
+        g = write(tmp_path, "g.txt", "a\na\na\nsolo\n")
+        assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                    "--groups", g, "--u", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "--u 3 exceeds the size 1 of group 'solo'" in err
 
     def test_label_count_mismatch(self, tmp_path):
         p = write(tmp_path, "p.csv", "0.5\n0.5\n")
@@ -172,6 +200,13 @@ class TestSimulateVerify:
 
 
 class TestExitCodes:
+    def test_stouffer_degenerate_row_names_its_line(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "0.2,0.3\n\n0.0,1.0\n")
+        for cmd in (["combine", path], ["replicate", path, "--q", "0.1"]):
+            assert run([*cmd, "--method", "stouffer"]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}:3: Stouffer combiner with both p=0 and p=1" in err
+
     def test_out_of_range_pvalue(self, tmp_path):
         path = write(tmp_path, "m.csv", "0.5,1.5\n")
         assert run(["combine", path, "--method", "fisher"]) == 2

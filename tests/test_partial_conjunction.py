@@ -14,12 +14,9 @@ from pcfdr.combine import (
     simes_storey,
     simes_storey_combine,
 )
-from pcfdr.partial_conjunction import (
-    SizeLimitError,
-    pc_pvalue,
-    pc_pvalue_oracle,
-    pc_storey_pvalue,
-)
+from pcfdr.partial_conjunction import SizeLimitError, pc_pvalue, pc_pvalue_oracle
+
+import oracles
 
 NON_ADAPTIVE = [FISHER, STOUFFER, SIMES, BONFERRONI, HOMMEL]
 
@@ -46,33 +43,33 @@ class TestPcPvalue:
 
 class TestPcStorey:
     def test_example(self):
-        assert pc_storey_pvalue([0.01, 0.02, 0.6, 0.9], 2, 0.5) == pytest.approx(0.12)
+        assert pc_pvalue([0.01, 0.02, 0.6, 0.9], 2, simes_storey(0.5)) == pytest.approx(0.12)
 
     def test_u1_matches_global_simes_storey(self):
         rng = random.Random(3)
         for _ in range(200):
             p = [rng.random() for _ in range(rng.randint(1, 8))]
-            assert pc_storey_pvalue(p, 1, 0.5) == simes_storey_combine(p, 0.5)
+            assert pc_pvalue(p, 1, simes_storey(0.5)) == simes_storey_combine(p, 0.5)
 
     def test_above_lambda_branch(self):
-        assert pc_storey_pvalue([0.01, 0.6, 0.7], 2, 0.5) == 1.0
+        assert pc_pvalue([0.01, 0.6, 0.7], 2, simes_storey(0.5)) == 1.0
 
     def test_matches_combiner_on_largest_tail(self):
-        # Eq-by-construction: the dedicated formula equals applying the
-        # global Simes-Storey combiner to the m-u+1 largest p-values.
+        # The generic path applies the global Simes-Storey combiner to the
+        # m-u+1 largest p-values; it equals the dedicated formula exactly.
         rng = random.Random(17)
         for _ in range(500):
             m = rng.randint(1, 8)
             u = rng.randint(1, m)
             p = [rng.random() for _ in range(m)]
             tail = sorted(p)[u - 1:]
-            assert pc_storey_pvalue(p, u, 0.5) == pytest.approx(
-                simes_storey_combine(tail, 0.5), abs=1e-12)
+            got = pc_pvalue(p, u, simes_storey(0.5))
+            assert got == simes_storey_combine(tail, 0.5)
+            assert got == oracles.pc_storey_pvalue(p, u, 0.5)
 
     def test_via_pc_pvalue_dispatch(self):
-        method = simes_storey(0.4)
         p = [0.01, 0.02, 0.6, 0.9]
-        assert pc_pvalue(p, 2, method) == pc_storey_pvalue(p, 2, 0.4)
+        assert pc_pvalue(p, 2, simes_storey(0.4)) == oracles.pc_storey_pvalue(p, 2, 0.4)
 
 
 class TestOracle:
