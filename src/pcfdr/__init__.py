@@ -35,9 +35,7 @@ from .procedures import (
     RejectionSet,
     ShapeFunction,
     ThresholdCollection,
-    adaptive_step_up_storey,
     adjusted_pvalues,
-    check_self_consistency,
     check_stability,
     step_up,
     weighted_volume,

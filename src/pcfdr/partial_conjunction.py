@@ -17,14 +17,9 @@ import numpy as np
 
 from .combine import CombiningMethod, combine_sorted, sort_rows
 
-__all__ = ["pc_pvalues", "pc_path", "pc_pvalue", "pc_pvalue_oracle", "SizeLimitError"]
+__all__ = ["pc_pvalues", "pc_path", "pc_pvalue", "pc_pvalue_oracle"]
 
 _ORACLE_MAX_M = 20
-
-
-class SizeLimitError(ValueError):
-    """Raised when the subset oracle is asked for a combinatorially
-    infeasible enumeration."""
 
 
 def _check_u(u: int, m: int) -> None:
@@ -66,6 +61,6 @@ def pc_pvalue_oracle(p: Sequence[float], u: int, method: CombiningMethod) -> flo
     m = len(p)
     _check_u(u, m)
     if m > _ORACLE_MAX_M:
-        raise SizeLimitError(f"oracle limited to m <= {_ORACLE_MAX_M}, got {m}")
+        raise ValueError(f"oracle limited to m <= {_ORACLE_MAX_M}, got {m}")
     subsets = list(itertools.combinations(p, m - u + 1))
     return float(combine_sorted(sort_rows(subsets), method).max())

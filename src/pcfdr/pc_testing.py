@@ -13,7 +13,7 @@ import numpy as np
 
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
-from .procedures import RejectionSet, ThresholdCollection, _volume, step_up
+from .procedures import RejectionSet, ThresholdCollection, _unnormalized_total, step_up
 
 __all__ = [
     "GroupLayout",
@@ -22,9 +22,6 @@ __all__ = [
     "test_pc_family",
     "realized_weighted_fdp",
 ]
-
-_NORM_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GroupLayout:
@@ -88,10 +85,8 @@ class WeightScheme:
             raise ValueError("prior weights must be nonnegative")
         if (v <= 0).any():
             raise ValueError("penalty weights must be positive")
-        g = len(w)
-        total = _volume(w * v)
-        if abs(total - g) > _NORM_RTOL * g:
-            raise ValueError(f"sum(w_g * v_g) = {total}, expected G = {g}")
+        if (total := _unnormalized_total(w, v)) is not None:
+            raise ValueError(f"sum(w_g * v_g) = {total}, expected G = {len(w)}")
 
     @classmethod
     def unit(cls, g: int) -> "WeightScheme":

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combine import DEFAULT_LAMBDA, _harmonic, storey_pi0
+from .combine import _harmonic, storey_pi0
 
 __all__ = [
     "ShapeFunction",
@@ -28,9 +28,7 @@ __all__ = [
     "WeightNormalizationError",
     "weighted_volume",
     "step_up",
-    "adaptive_step_up_storey",
     "adjusted_pvalues",
-    "check_self_consistency",
     "check_stability",
 ]
 
@@ -68,12 +66,15 @@ class ShapeFunction:
         elif self.nu is not None:
             raise ValueError(f"shape {self.kind!r} takes no nu")
 
-    def __call__(self, r: float, m: int) -> float:
+    def __call__(self, r: float | np.ndarray, m: int) -> float | np.ndarray:
+        """beta(r) for a volume r, or elementwise for an array of volumes."""
         if self.kind == "identity":
             return r
         if self.kind == "reciprocal_sum":
             return r / _harmonic(m)
-        return sum(x * mass for x, mass in self.nu if x <= r)
+        # Excluded support points add an exact 0.0, so a scalar r gives the
+        # same sum as adding the included terms alone.
+        return sum(x * mass * (x <= r) for x, mass in self.nu)
 
 
 IDENTITY = ShapeFunction("identity")
@@ -113,15 +114,20 @@ class ThresholdCollection:
             if (w != 1.0).any():
                 raise ValueError("adaptive thresholds require unit prior weights")
 
+    def _factors(self, p) -> tuple[ShapeFunction, float]:
+        """(beta, scale) with Delta(i, r) = alpha * w_i * beta(r) / scale:
+        the collection's shape and m, or in adaptive mode the identity and
+        m * pi0_hat(lambda) of the supplied p-values."""
+        if self.adaptive_lambda is None:
+            return self.shape, self.m
+        return IDENTITY, self.m * storey_pi0(p, self.adaptive_lambda)
+
     def threshold_array(self, p) -> Callable[[float], np.ndarray]:
         """Return r -> (Delta(i, r))_i as an array, binding the Storey
         plug-in to the supplied p-values in adaptive mode."""
-        alpha, m = self.alpha, self.m
-        if self.adaptive_lambda is not None:
-            pi0 = storey_pi0(p, self.adaptive_lambda)
-            return lambda r: np.full(m, alpha * r / (m * pi0))
-        aw, shape = alpha * np.asarray(self.prior_w), self.shape
-        return lambda r: aw * shape(r, m) / m
+        (beta, scale), m = self._factors(p), self.m
+        aw = self.alpha * np.asarray(self.prior_w)
+        return lambda r: aw * beta(r, m) / scale
 
     def thresholds(self, p: Sequence[float]) -> Callable[[int, float], float]:
         """Return Delta(i, r) as a function of one hypothesis; see
@@ -139,54 +145,54 @@ class RejectionSet:
     iterations: int = 0
 
 
-def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float]) -> float:
-    """|A|_v = sum of penalty weights over the index set."""
-    m = len(v)
-    total = 0.0
-    for i in indices:
-        if not 0 <= i < m:
-            raise IndexError(f"index {i} outside [0, {m})")
-        total += v[i]
-    return total
-
-
 def _volume(v: np.ndarray) -> float:
     """Sum of v, added in index order as Python's sum() adds."""
     return float(np.cumsum(v)[-1]) if v.size else 0.0
 
 
-def _check_weights(tc: ThresholdCollection, penalty_v: Sequence[float] | None,
-                   renormalize: bool) -> tuple[ThresholdCollection, np.ndarray]:
+def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float]) -> float:
+    """|A|_v = sum of penalty weights over the index set, added in index
+    order, so a step-up's rejection set gives its fixed-point volume."""
+    v = np.asarray(v, dtype=float)
+    idx = np.sort(np.fromiter(indices, dtype=int, count=len(indices)))
+    if idx.size and (idx[0] < 0 or idx[-1] >= len(v)):
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise IndexError(f"index {bad} outside [0, {len(v)})")
+    return _volume(v[idx])
+
+
+def _unnormalized_total(w: np.ndarray, v: np.ndarray) -> float | None:
+    """sum(w * v), added in index order, if it is off len(w) beyond the
+    relative tolerance; None for normalized weights."""
+    total, n = _volume(w * v), len(w)
+    return total if abs(total - n) > _NORM_RTOL * n else None
+
+
+def _inputs(p: Sequence[float], tc: ThresholdCollection,
+            penalty_v: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """The p-values and penalty weights as arrays, checked against ``tc``."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (tc.m,):
+        raise ValueError(f"expected {tc.m} p-values, got {len(p)}")
     v = np.ones(tc.m) if penalty_v is None else np.asarray(penalty_v, dtype=float)
     if v.shape != (tc.m,):
         raise ValueError("penalty_v length mismatch")
     if (v < 0).any():
         raise ValueError("penalty weights must be nonnegative")
-    total = _volume(np.asarray(tc.prior_w) * v)
-    if abs(total - tc.m) > _NORM_RTOL * tc.m:
-        if not renormalize:
-            raise WeightNormalizationError(
-                f"sum(w_i * v_i) = {total}, expected m = {tc.m}")
-        scale = tc.m / total
-        tc = ThresholdCollection(tc.alpha, tc.m,
-                                 tuple(wi * scale for wi in tc.prior_w),
-                                 tc.shape, tc.adaptive_lambda)
-    return tc, v
+    if (total := _unnormalized_total(np.asarray(tc.prior_w), v)) is not None:
+        raise WeightNormalizationError(f"sum(w_i * v_i) = {total}, expected m = {tc.m}")
+    return p, v
 
 
 def step_up(p: Sequence[float], tc: ThresholdCollection,
-            penalty_v: Sequence[float] | None = None,
-            renormalize: bool = False) -> RejectionSet:
+            penalty_v: Sequence[float] | None = None) -> RejectionSet:
     """Step-up procedure: reject L(r_hat) at the greatest fixed point r_hat.
 
     The iteration r -> |L(r)|_v starting from r0 = sum(v) is monotonically
     nonincreasing and reaches the greatest fixed point in at most m+1 steps.
     Each level set L(r) = {i: p_i <= Delta(i, r)} is one array comparison.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (tc.m,):
-        raise ValueError(f"expected {tc.m} p-values, got {len(p)}")
-    tc, v = _check_weights(tc, penalty_v, renormalize)
+    p, v = _inputs(p, tc, penalty_v)
     level = tc.threshold_array(p)
     r = _volume(v)
     iterations = 0
@@ -200,71 +206,29 @@ def step_up(p: Sequence[float], tc: ThresholdCollection,
     return RejectionSet(frozenset(np.flatnonzero(rejected).tolist()), vol, iterations)
 
 
-def adaptive_step_up_storey(p: Sequence[float], alpha: float,
-                            lam: float = DEFAULT_LAMBDA) -> RejectionSet:
-    """One-stage adaptive step-up with the Storey plug-in: BH at effective
-    level alpha / pi0_hat(lambda)."""
-    tc = ThresholdCollection(alpha=alpha, m=len(p), adaptive_lambda=lam)
-    return step_up(p, tc)
-
-
 def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
-                     penalty_v: Sequence[float] | None = None,
-                     tol: float = 1e-10) -> list[float]:
-    """Per-hypothesis minimum rejecting level, capped at 1.
+                     penalty_v: Sequence[float] | None = None) -> list[float]:
+    """Per-hypothesis minimum rejecting level alpha of ``step_up``, capped
+    at 1; ``tc.alpha`` is not used.
 
-    Closed form (running minimum of m * p_(k) / k from the top) for the
-    plain unit-weight identity-shape case; bisection over alpha otherwise.
+    With q = p / w sorted ascending and V_k the v-volume of the first k,
+    level alpha rejects the first k* for the largest k* with
+    q_(k*) <= alpha * beta(V_k*) / scale (Blanchard & Roquain 2008). So the
+    adjusted p-value at sorted place k is the running minimum, from the top
+    down to k, of scale * q_(j) / beta(V_j); scale is m, or m * pi0_hat in
+    adaptive mode. p = 0 gives q = 0 (rejected at every level) and
+    w = 0 < p gives q = inf (never rejected).
     """
-    m = tc.m
-    if len(p) != m:
-        raise ValueError(f"expected {m} p-values, got {len(p)}")
-    if penalty_v is None:
-        penalty_v = (1.0,) * m
-    plain = (tc.adaptive_lambda is None and tc.shape.kind == "identity"
-             and all(w == 1.0 for w in tc.prior_w)
-             and all(v == 1.0 for v in penalty_v))
-    if plain:
-        order = sorted(range(m), key=lambda i: p[i])
-        adj = [0.0] * m
-        running = 1.0
-        for rank in range(m, 0, -1):
-            i = order[rank - 1]
-            running = min(running, m * p[i] / rank)
-            adj[i] = running
-        return adj
-
-    def rejected_at(alpha: float) -> frozenset[int]:
-        tc_a = ThresholdCollection(alpha, m, tc.prior_w, tc.shape, tc.adaptive_lambda)
-        return step_up(p, tc_a, penalty_v).indices
-
-    adj = []
-    top = rejected_at(1.0)
-    for i in range(m):
-        if i not in top:
-            adj.append(1.0)
-            continue
-        lo, hi = 0.0, 1.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid <= 0.0:
-                break
-            if i in rejected_at(mid):
-                hi = mid
-            else:
-                lo = mid
-        adj.append(hi)
-    return adj
-
-
-def check_self_consistency(p: Sequence[float], tc: ThresholdCollection,
-                           penalty_v: Sequence[float],
-                           candidate: RejectionSet) -> bool:
-    """True iff every candidate index i satisfies p_i <= Delta(i, |candidate|_v)."""
-    p = np.asarray(p, dtype=float)
-    idx = np.fromiter(candidate.indices, dtype=int, count=len(candidate.indices))
-    vol = weighted_volume(candidate.indices, penalty_v)
-    return bool((p[idx] <= tc.threshold_array(p)(vol)[idx]).all())
+    p, v = _inputs(p, tc, penalty_v)
+    beta, scale = tc._factors(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(p == 0.0, 0.0, p / np.asarray(tc.prior_w))
+        order = np.argsort(q, kind="stable")
+        q = q[order]
+        ratio = np.where(q == 0.0, 0.0, scale * q / beta(np.cumsum(v[order]), tc.m))
+    adj = np.empty(tc.m)
+    adj[order] = np.minimum(1.0, np.minimum.accumulate(ratio[::-1])[::-1])
+    return adj.tolist()
 
 
 def check_stability(p: Sequence[float], tc: ThresholdCollection,

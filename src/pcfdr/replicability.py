@@ -18,7 +18,13 @@ import numpy as np
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_path, pc_pvalues
 from .pc_testing import WeightScheme
-from .procedures import IDENTITY, ShapeFunction, ThresholdCollection, step_up
+from .procedures import (
+    IDENTITY,
+    ShapeFunction,
+    ThresholdCollection,
+    step_up,
+    weighted_volume,
+)
 
 __all__ = [
     "SelectionRule",
@@ -116,7 +122,7 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
     sel = frozenset(selected)
     if any(not 0 <= i < m for i in sel):
         raise IndexError("selected feature index out of range")
-    vol = sum(ws.penalty_v[i] for i in sel)
+    vol = weighted_volume(sel, ws.penalty_v)
     rows = sorted(sel)
     t = np.array([ws.prior_w[i] for i in rows], dtype=float) * beta(vol, m) * q / m
     try:

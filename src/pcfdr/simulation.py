@@ -20,7 +20,13 @@ from scipy.special import ndtr
 from .combine import CombiningMethod
 from .partial_conjunction import pc_pvalues
 from .pc_testing import WeightScheme, realized_weighted_fdp
-from .procedures import IDENTITY, ShapeFunction, ThresholdCollection, step_up
+from .procedures import (
+    IDENTITY,
+    ShapeFunction,
+    ThresholdCollection,
+    step_up,
+    weighted_volume,
+)
 from .replicability import (
     SelectionRule,
     khat_bounds,
@@ -165,8 +171,7 @@ def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
 def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
               c_grid: Sequence[float],
               statistic: str = "rejection_volume",
-              alpha: float = 0.05,
-              selection_method: CombiningMethod | None = None) -> list[tuple[float, McEstimate]]:
+              alpha: float = 0.05) -> list[tuple[float, McEstimate]]:
     """Probe the dependency control condition E[1(U <= c V)/V] <= c.
 
     U is the partial conjunction p-value of a fixed true-null feature; V is a
@@ -186,7 +191,6 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     probe = nulls[0]
     ws = WeightScheme.unit(s.m)
     tc = ThresholdCollection(alpha=alpha, m=s.m)
-    sel_method = selection_method or method
     rule = SelectionRule("step_up_on_combined", alpha=alpha)
     pairs: list[tuple[float, float]] = []
     for rep in range(s.reps):
@@ -198,8 +202,8 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
         else:
             zeroed = mat.copy()
             zeroed[probe] = 0.0
-            sel = select_features(zeroed, rule, sel_method, ws)
-            vol = sum(ws.penalty_v[i] for i in sel)
+            sel = select_features(zeroed, rule, method, ws)
+            vol = weighted_volume(sel, ws.penalty_v)
         pairs.append((p_u, vol))
     results = []
     for c in c_grid:

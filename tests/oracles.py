@@ -3,10 +3,12 @@
 These are the element-by-element loops the package used before its layers
 became array-native: the combiners on one Python list, the partial
 conjunction p-value of one row, the step-up fixed-point iteration over
-per-hypothesis thresholds Delta(i, r), and the break-at-first-failure k_hat
-loop. Simes, Bonferroni, Hommel and Simes-Storey use the same floating-point
-operations in the same order as the array code, so results must agree
-exactly; Fisher and Stouffer sum in another order.
+per-hypothesis thresholds Delta(i, r), the break-at-first-failure k_hat
+loop, the bisection over alpha for adjusted p-values, and the
+self-consistency check of a candidate rejection set. Simes, Bonferroni,
+Hommel and Simes-Storey use the same floating-point operations in the same
+order as the array code, so results must agree exactly; Fisher and Stouffer
+sum in another order.
 """
 
 import math
@@ -116,3 +118,35 @@ def khat(mat, selected, method, ws, q, beta):
             k = u
         out[i] = k
     return out
+
+
+def adjusted_pvalues(p, tc, penalty_v=None, tol=1e-10):
+    """Per-hypothesis minimum rejecting level by bisection over alpha, each
+    probe one run of the fixed-point ``step_up``; 1.0 for hypotheses not
+    rejected at alpha = 1."""
+    def rejected_at(alpha):
+        tc_a = type(tc)(alpha, tc.m, tc.prior_w, tc.shape, tc.adaptive_lambda)
+        return step_up(p, tc_a, penalty_v)[0]
+
+    adj = []
+    top = rejected_at(1.0)
+    for i in range(tc.m):
+        if i not in top:
+            adj.append(1.0)
+            continue
+        lo, hi = 0.0, 1.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if i in rejected_at(mid):
+                hi = mid
+            else:
+                lo = mid
+        adj.append(hi)
+    return adj
+
+
+def check_self_consistency(p, tc, penalty_v, candidate):
+    """True iff every candidate index i satisfies p_i <= Delta(i, |candidate|_v)."""
+    delta = tc.thresholds(p)
+    vol = sum(penalty_v[i] for i in sorted(candidate.indices))
+    return all(p[i] <= delta(i, vol) for i in candidate.indices)

@@ -2,8 +2,9 @@
 
 Partial conjunction p-values and paths are compared with the subset oracle
 and with the scalar combiners of ``oracles``; the array step-up with the
-fixed-point iteration of ``oracles``; a ``replicate`` run with the
-reciprocal-sum shape end to end with both.
+fixed-point iteration of ``oracles``; the closed-form adjusted p-values with
+the bisection of ``oracles`` and with the step-up's rejection sets; a
+``replicate`` run with the reciprocal-sum shape end to end with both.
 """
 
 import json
@@ -30,6 +31,7 @@ from pcfdr.procedures import (
     RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
+    adjusted_pvalues,
     step_up,
 )
 
@@ -87,6 +89,9 @@ def test_stouffer_degenerate_row_is_named():
     assert err.value.row == 2
 
 
+NU = ShapeFunction("discrete_nu", nu=((1.0, 0.25), (4.0, 0.5), (9.0, 0.25)))
+
+
 @st.composite
 def step_up_cases(draw):
     m = draw(st.integers(1, 25))
@@ -97,7 +102,7 @@ def step_up_cases(draw):
     if kind == "adaptive":
         lam = draw(st.sampled_from([0.25, 0.5]))
         return p, ThresholdCollection(alpha=alpha, m=m, adaptive_lambda=lam), None
-    shape = draw(st.sampled_from([IDENTITY, RECIPROCAL_SUM]))
+    shape = draw(st.sampled_from([IDENTITY, RECIPROCAL_SUM, NU]))
     if kind == "unit":
         return p, ThresholdCollection(alpha=alpha, m=m, shape=shape), None
     v = draw(st.lists(st.floats(0.1, 3.0), min_size=m, max_size=m))
@@ -123,14 +128,44 @@ def test_step_up_matches_fixed_point_oracle(case):
 
 def test_step_up_discrete_nu_shape_matches_oracle():
     rng = np.random.default_rng(5)
-    beta = ShapeFunction("discrete_nu", nu=((1.0, 0.25), (4.0, 0.5), (9.0, 0.25)))
     for _ in range(200):
         m = int(rng.integers(1, 30))
         p = (rng.random(m) ** 3).tolist()
-        tc = ThresholdCollection(alpha=0.3, m=m, shape=beta)
+        tc = ThresholdCollection(alpha=0.3, m=m, shape=NU)
         got = step_up(p, tc)
         assert (got.indices, got.fixed_point_volume, got.iterations) == \
             oracles.step_up(p, tc)
+
+
+@given(case=step_up_cases())
+@settings(max_examples=200, deadline=None)
+def test_adjusted_pvalues_match_bisection_and_step_up(case):
+    p, tc, v = case
+    adj = adjusted_pvalues(p, tc, v)
+    assert max(abs(a - b) for a, b in zip(adj, oracles.adjusted_pvalues(p, tc, v))) <= 1e-10
+    for alpha in (0.01, 0.05, 0.2, 0.5, 1.0):
+        if any(abs(a - alpha) <= 1e-9 for a in adj):
+            continue  # a boundary: rounding decides either way
+        tc_a = ThresholdCollection(alpha, tc.m, tc.prior_w, tc.shape, tc.adaptive_lambda)
+        rejected = frozenset(i for i, a in enumerate(adj) if a <= alpha)
+        assert rejected == step_up(p, tc_a, v).indices
+
+
+@pytest.mark.parametrize("tc, v", [
+    (ThresholdCollection(alpha=0.05, m=4), None),
+    (ThresholdCollection(alpha=0.05, m=4, shape=RECIPROCAL_SUM), None),
+    # beta(V) = 0 below the first support point of nu
+    (ThresholdCollection(alpha=0.05, m=4, shape=NU), [0.5, 0.5, 1.5, 1.5]),
+    (ThresholdCollection(alpha=0.05, m=4, prior_w=(0.0, 0.5, 2.0, 1.0)),
+     [1.0, 2.0, 1.0, 1.0]),
+    (ThresholdCollection(alpha=0.05, m=4, adaptive_lambda=0.5), None),
+], ids=["bh", "by", "nu", "zero-weight", "adaptive"])
+def test_adjusted_pvalue_of_zero_is_zero(tc, v):
+    # p = 0 is rejected at every level; the bisection can only get within
+    # its tolerance of 0.
+    p = [0.0, 0.3, 0.02, 0.9]
+    assert adjusted_pvalues(p, tc, v)[0] == 0.0
+    assert 0.0 < oracles.adjusted_pvalues(p, tc, v)[0] <= 1e-10
 
 
 def test_replicate_reciprocal_sum_matches_oracle(tmp_path):

@@ -14,7 +14,7 @@ from pcfdr.combine import (
     simes_storey,
     simes_storey_combine,
 )
-from pcfdr.partial_conjunction import SizeLimitError, pc_pvalue, pc_pvalue_oracle
+from pcfdr.partial_conjunction import pc_pvalue, pc_pvalue_oracle
 
 import oracles
 
@@ -81,7 +81,7 @@ class TestOracle:
         assert pc_pvalue_oracle([0.01, 0.02, 0.5], 2, BONFERRONI) == pytest.approx(0.04)
 
     def test_size_guard(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(ValueError, match="oracle limited to m <= 20, got 21"):
             pc_pvalue_oracle([0.5] * 21, 2, SIMES)
 
     @pytest.mark.parametrize("method", NON_ADAPTIVE, ids=lambda m: m.kind)

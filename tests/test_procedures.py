@@ -10,13 +10,13 @@ from pcfdr.procedures import (
     ShapeFunction,
     ThresholdCollection,
     WeightNormalizationError,
-    adaptive_step_up_storey,
     adjusted_pvalues,
-    check_self_consistency,
     check_stability,
     step_up,
     weighted_volume,
 )
+
+from oracles import check_self_consistency
 
 
 def brute_force_bh(p, alpha):
@@ -120,9 +120,6 @@ class TestStepUp:
         tc = ThresholdCollection(alpha=0.05, m=2, prior_w=(3.0, 3.0))
         with pytest.raises(WeightNormalizationError):
             step_up([0.01, 0.5], tc)
-        # renormalization scales w back to sum(w v) = m
-        r = step_up([0.01, 0.5], tc, renormalize=True)
-        assert r == step_up([0.01, 0.5], ThresholdCollection(alpha=0.05, m=2))
 
     def test_zero_weight_zero_pvalue_edge(self):
         # Delta(i, r) = 0 for w_i = 0; weak inequality rejects p_i = 0.
@@ -142,12 +139,13 @@ class TestAdaptive:
             m = rng.randint(1, 20)
             p = [rng.random() for _ in range(m)]
             pi0 = storey_pi0(p, 0.5)
-            adaptive = adaptive_step_up_storey(p, 0.05, 0.5)
+            adaptive = step_up(p, ThresholdCollection(alpha=0.05, m=m, adaptive_lambda=0.5))
             plain = step_up(p, ThresholdCollection(alpha=min(1.0, 0.05 / pi0), m=m))
             assert adaptive.indices == plain.indices
 
     def test_all_above_lambda_rejects_nothing(self):
-        assert adaptive_step_up_storey([0.6, 0.7, 0.8], 0.05, 0.5).indices == frozenset()
+        tc = ThresholdCollection(alpha=0.05, m=3, adaptive_lambda=0.5)
+        assert step_up([0.6, 0.7, 0.8], tc).indices == frozenset()
 
     def test_requires_unit_prior_weights(self):
         with pytest.raises(ValueError):
@@ -184,7 +182,7 @@ class TestAdjustedPvalues:
             adj = adjusted_pvalues(p, tc, v)
             for alpha in (0.03, 0.1, 0.33, 0.8):
                 if any(abs(a - alpha) < 1e-7 for a in adj):
-                    continue  # inside bisection tolerance of a boundary
+                    continue  # too close to a boundary to compare
                 tc_a = ThresholdCollection(alpha=alpha, m=m, prior_w=tuple(w))
                 expected = step_up(p, tc_a, v).indices
                 assert frozenset(i for i, a in enumerate(adj) if a <= alpha) == expected

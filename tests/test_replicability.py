@@ -109,6 +109,22 @@ class TestKhatBounds:
         with pytest.raises(ValueError):
             khat_bounds([[0.5]], set(), SIMES, WeightScheme.unit(1), q=0.0)
 
+    def test_selection_volume_is_step_up_volume(self):
+        # The set {3, 9, 10} iterates as [9, 10, 3]; 0.2 + 0.3 + 0.1 and
+        # 0.1 + 0.2 + 0.3 differ in the last bit, and the step-up adds in
+        # index order.
+        v = [1.0] * 12
+        v[3], v[9], v[10] = 0.1, 0.2, 0.3
+        ws = WeightScheme(tuple(1.0 / x for x in v), tuple(v))
+        mat = [[1e-6] * 3 if i in (3, 9, 10) else [0.9] * 3 for i in range(12)]
+        rule = SelectionRule("step_up_on_combined", alpha=0.1)
+        sel = select_features(mat, rule, SIMES, ws)
+        assert sel == {3, 9, 10} and list(sel) != sorted(sel)
+        combined = [combine_pvalues(row, SIMES) for row in mat]
+        tc = ThresholdCollection(alpha=0.1, m=12, prior_w=ws.prior_w)
+        report = khat_bounds(mat, sel, SIMES, ws, q=0.1)
+        assert report.selection_volume == step_up(combined, tc, v).fixed_point_volume
+
 
 class TestRealizedError:
     def test_empty_selection(self):
