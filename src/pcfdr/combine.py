@@ -9,7 +9,8 @@ adaptive step-up procedure with the Storey plug-in and assumes independence.
 
 The combiners work on matrices whose rows are sorted ascending
 (:func:`sort_rows`, :func:`combine_sorted`); the scalar functions combine
-one row.
+one row. Only Fisher and Stouffer need ``scipy.special``, and they import
+it when called, so the other methods run without loading scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 __all__ = [
     "CombiningMethod",
@@ -113,6 +113,7 @@ def sort_rows(mat) -> np.ndarray:
 
 def _fisher_rows(s: np.ndarray) -> np.ndarray:
     """Chi-square survival of -2 * sum(log p_i) with 2k degrees of freedom."""
+    from scipy.special import chdtrc
     stat = -2.0 * np.log(np.maximum(s, _LOG_FLOOR)).sum(axis=1)
     return chdtrc(2 * s.shape[1], stat)
 
@@ -120,6 +121,7 @@ def _fisher_rows(s: np.ndarray) -> np.ndarray:
 def _stouffer_rows(s: np.ndarray) -> np.ndarray:
     """1 - Phi(sum(Phi^{-1}(1 - p_i)) / sqrt(k)); 0 if a p_i is 0, 1 if a
     p_i is 1."""
+    from scipy.special import ndtr, ndtri
     zero, one = s[:, 0] == 0.0, s[:, -1] == 1.0
     both = zero & one
     if both.any():

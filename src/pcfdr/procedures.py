@@ -87,7 +87,7 @@ class ThresholdCollection:
 
     Non-adaptive: Delta(i, r) = alpha * w_i * beta(r) / m.
     Adaptive:     Delta(r) = alpha * r / (m * pi0_hat(lambda)), with unit
-    prior weights required.
+    prior weights and the identity shape required.
     """
 
     alpha: float
@@ -113,19 +113,20 @@ class ThresholdCollection:
                 raise ValueError("adaptive lambda must lie in (0, 1)")
             if (w != 1.0).any():
                 raise ValueError("adaptive thresholds require unit prior weights")
+            if self.shape.kind != "identity":
+                raise ValueError("adaptive thresholds require the identity shape")
 
-    def _factors(self, p) -> tuple[ShapeFunction, float]:
-        """(beta, scale) with Delta(i, r) = alpha * w_i * beta(r) / scale:
-        the collection's shape and m, or in adaptive mode the identity and
-        m * pi0_hat(lambda) of the supplied p-values."""
+    def _scale(self, p) -> float:
+        """scale with Delta(i, r) = alpha * w_i * beta(r) / scale: m, or in
+        adaptive mode m * pi0_hat(lambda) of the supplied p-values."""
         if self.adaptive_lambda is None:
-            return self.shape, self.m
-        return IDENTITY, self.m * storey_pi0(p, self.adaptive_lambda)
+            return self.m
+        return self.m * storey_pi0(p, self.adaptive_lambda)
 
     def threshold_array(self, p) -> Callable[[float], np.ndarray]:
         """Return r -> (Delta(i, r))_i as an array, binding the Storey
         plug-in to the supplied p-values in adaptive mode."""
-        (beta, scale), m = self._factors(p), self.m
+        beta, scale, m = self.shape, self._scale(p), self.m
         aw = self.alpha * np.asarray(self.prior_w)
         return lambda r: aw * beta(r, m) / scale
 
@@ -220,7 +221,7 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
     w = 0 < p gives q = inf (never rejected).
     """
     p, v = _inputs(p, tc, penalty_v)
-    beta, scale = tc._factors(p)
+    beta, scale = tc.shape, tc._scale(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(p == 0.0, 0.0, p / np.asarray(tc.prior_w))
         order = np.argsort(q, kind="stable")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .combine import CombiningMethod
 from .partial_conjunction import pc_pvalues
@@ -114,6 +113,7 @@ def _estimate(values: Sequence[float]) -> McEstimate:
 def gen_meta_matrix(s: SimulationScenario, rep_index: int) -> np.ndarray:
     """Draw one m x n p-value matrix, deterministically keyed by
     (scenario seed, rep_index)."""
+    from scipy.special import ndtr
     key = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     m, n = s.m, s.n

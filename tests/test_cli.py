@@ -110,6 +110,15 @@ class TestPcTest:
         err = capsys.readouterr().err
         assert "--u 3 exceeds the size 1 of group 'solo'" in err
 
+    def test_u_and_u_proportion_together_exit_2(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "0.001\n0.002\n0.9\n0.8\n")
+        g = write(tmp_path, "g.txt", "a\na\nb\nb\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                 "--groups", g, "--u", "2", "--u-proportion", "0.5"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_label_count_mismatch(self, tmp_path):
         p = write(tmp_path, "p.csv", "0.5\n0.5\n")
         g = write(tmp_path, "g.txt", "a\n")
@@ -188,6 +197,17 @@ class TestSimulateVerify:
         assert run(["verify", "--scenario", path]) == 2
         missing = self.scenario_file(tmp_path, [{"check": "fdr_pc", "scenario": {}}])
         assert run(["verify", "--scenario", missing]) == 2
+
+    def test_adaptive_with_non_identity_shape_exits_2(self, tmp_path, capsys):
+        path = self.scenario_file(tmp_path, [{
+            "check": "fdr_pc",
+            "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1},
+            "method": "simes", "u": 1, "shape": "reciprocal_sum",
+            "adaptive_lambda": 0.5,
+        }])
+        assert run(["verify", "--scenario", path]) == 2
+        err = capsys.readouterr().err
+        assert "bad check spec: adaptive thresholds require the identity shape" in err
 
     def test_shipped_reference_scenario_passes(self, tmp_path):
         out = tmp_path / "ref.json"

@@ -152,6 +152,12 @@ class TestAdaptive:
             ThresholdCollection(alpha=0.05, m=2, prior_w=(1.5, 0.5),
                                 adaptive_lambda=0.5)
 
+    @pytest.mark.parametrize("shape", [RECIPROCAL_SUM,
+                                       ShapeFunction("discrete_nu", ((1.0, 1.0),))])
+    def test_requires_identity_shape(self, shape):
+        with pytest.raises(ValueError, match="require the identity shape"):
+            ThresholdCollection(alpha=0.05, m=2, shape=shape, adaptive_lambda=0.5)
+
 
 class TestAdjustedPvalues:
     def test_single_hypothesis(self):
