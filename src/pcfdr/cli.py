@@ -148,7 +148,7 @@ def read_weights(path: str, m: int) -> WeightScheme:
     if len(rows) != m:
         raise CliError(f"{path}: expected {m} weight rows, got {len(rows)}")
     try:
-        return WeightScheme(tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist()))
+        return WeightScheme(rows[:, 0], rows[:, 1])
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
 

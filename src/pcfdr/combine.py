@@ -150,11 +150,16 @@ def _hommel_rows(s: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, _harmonic(s.shape[1]) * _simes_rows(s))
 
 
+def _storey_pi0_rows(s: np.ndarray, lam: float) -> np.ndarray:
+    """(W(lam) + 1) / ((1 - lam) * k) of each row, W(lam) = #{j: p_j > lam}."""
+    return ((s > lam).sum(axis=1) + 1) / ((1.0 - lam) * s.shape[1])
+
+
 def _simes_storey_rows(s: np.ndarray, lam: float) -> np.ndarray:
     """1 where p_(1) > lam; otherwise the Simes minimum restricted to
     {j: p_(j) <= lam}, inflated by k * pi0_hat(lam), capped at 1."""
     k = s.shape[1]
-    pi0 = ((s > lam).sum(axis=1) + 1) / ((1.0 - lam) * k)
+    pi0 = _storey_pi0_rows(s, lam)
     scaled = np.where(s <= lam, (k * pi0)[:, None] * s / np.arange(1, k + 1), np.inf)
     return np.where(s[:, 0] > lam, 1.0, np.minimum(1.0, scaled.min(axis=1)))
 
@@ -217,4 +222,4 @@ def storey_pi0(p: Sequence[float], lam: float = DEFAULT_LAMBDA) -> float:
     """(W(lam) + 1) / ((1 - lam) * m) with W(lam) = #{i: p_i > lam}."""
     s = sort_rows([p])
     _check_lambda(lam)
-    return (int((s > lam).sum()) + 1) / ((1.0 - lam) * s.shape[1])
+    return float(_storey_pi0_rows(s, lam)[0])

@@ -13,7 +13,15 @@ import numpy as np
 
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
-from .procedures import RejectionSet, ThresholdCollection, _unnormalized_total, step_up
+from .procedures import (
+    RejectionSet,
+    ThresholdCollection,
+    _index_mask,
+    _readonly,
+    _unnormalized_total,
+    _volume_share,
+    step_up,
+)
 
 __all__ = [
     "GroupLayout",
@@ -68,18 +76,22 @@ class GroupLayout:
         return cls(tuple(tuple(g) for g in groups), u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightScheme:
-    """Prior weights w and penalty weights v with sum(w_g * v_g) = G."""
+    """Prior weights w and penalty weights v with sum(w_g * v_g) = G.
 
-    prior_w: tuple[float, ...]
-    penalty_v: tuple[float, ...]
+    Both are held as read-only float64 arrays, so schemes compare and hash
+    by identity.
+    """
+
+    prior_w: np.ndarray
+    penalty_v: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prior_w", tuple(map(float, self.prior_w)))
-        object.__setattr__(self, "penalty_v", tuple(map(float, self.penalty_v)))
-        w, v = np.asarray(self.prior_w), np.asarray(self.penalty_v)
-        if w.shape != v.shape:
+        w, v = _readonly(self.prior_w), _readonly(self.penalty_v)
+        object.__setattr__(self, "prior_w", w)
+        object.__setattr__(self, "penalty_v", v)
+        if w.ndim != 1 or w.shape != v.shape:
             raise ValueError("weight vectors must have equal length")
         if (w < 0).any():
             raise ValueError("prior weights must be nonnegative")
@@ -90,7 +102,7 @@ class WeightScheme:
 
     @classmethod
     def unit(cls, g: int) -> "WeightScheme":
-        return cls((1.0,) * g, (1.0,) * g)
+        return cls(np.ones(g), np.ones(g))
 
 
 def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,
@@ -128,13 +140,7 @@ def realized_weighted_fdp(rejected: Sequence[int] | frozenset[int],
                           true_null_groups: Sequence[int] | frozenset[int],
                           penalty_v: Sequence[float]) -> float:
     """Weighted false discovery proportion, with the 0/0 = 0 convention."""
-    rej = set(rejected)
-    nulls = set(true_null_groups)
-    g = len(penalty_v)
-    if any(not 0 <= i < g for i in rej | nulls):
-        raise IndexError("group index out of range")
-    total = sum(penalty_v[i] for i in rej)
-    if total == 0.0:
-        return 0.0
-    false = sum(penalty_v[i] for i in rej & nulls)
-    return false / total
+    v = np.asarray(penalty_v, dtype=float)
+    rejected = _index_mask(rejected, len(v))
+    nulls = _index_mask(true_null_groups, len(v))
+    return float(_volume_share((rejected & nulls)[None], rejected[None], v)[0])

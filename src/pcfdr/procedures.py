@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combine import _harmonic, storey_pi0
+from .combine import _harmonic, _storey_pi0_rows, sort_rows
 
 __all__ = [
     "ShapeFunction",
@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _NORM_RTOL = 1e-9
+# Stacked computations (Monte Carlo replicates, stability copies) work on
+# chunks of about this many rows of m entries each, which keeps every
+# chunk array near _CHUNK_ROWS * n floats.
+_CHUNK_ROWS = 4096
 
 
 class WeightNormalizationError(ValueError):
@@ -81,18 +85,35 @@ IDENTITY = ShapeFunction("identity")
 RECIPROCAL_SUM = ShapeFunction("reciprocal_sum")
 
 
-@dataclass(frozen=True)
+def _readonly(x) -> np.ndarray:
+    """A read-only float64 copy of ``x``."""
+    a = np.array(x, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+def _row_chunks(count: int, m: int) -> list[tuple[int, int]]:
+    """[r0, r1) ranges covering range(count) in chunks of about _CHUNK_ROWS
+    rows of m entries, at least one row each."""
+    step = max(1, _CHUNK_ROWS // m)
+    return [(r0, min(count, r0 + step)) for r0 in range(0, count, step)]
+
+
+@dataclass(frozen=True, eq=False)
 class ThresholdCollection:
     """Parameters of a factorized threshold collection.
 
     Non-adaptive: Delta(i, r) = alpha * w_i * beta(r) / m.
     Adaptive:     Delta(r) = alpha * r / (m * pi0_hat(lambda)), with unit
     prior weights and the identity shape required.
+
+    ``prior_w`` is held as a read-only float64 array, so collections
+    compare and hash by identity.
     """
 
     alpha: float
     m: int
-    prior_w: tuple[float, ...] | None = None
+    prior_w: np.ndarray | None = None
     shape: ShapeFunction = IDENTITY
     adaptive_lambda: float | None = None
 
@@ -101,9 +122,8 @@ class ThresholdCollection:
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.m < 1:
             raise ValueError("m must be positive")
-        w = (1.0,) * self.m if self.prior_w is None else tuple(map(float, self.prior_w))
+        w = _readonly(np.ones(self.m) if self.prior_w is None else self.prior_w)
         object.__setattr__(self, "prior_w", w)
-        w = np.asarray(w)
         if w.shape != (self.m,):
             raise ValueError("prior_w length mismatch")
         if (w < 0).any():
@@ -116,25 +136,23 @@ class ThresholdCollection:
             if self.shape.kind != "identity":
                 raise ValueError("adaptive thresholds require the identity shape")
 
-    def _scale(self, p) -> float:
-        """scale with Delta(i, r) = alpha * w_i * beta(r) / scale: m, or in
-        adaptive mode m * pi0_hat(lambda) of the supplied p-values."""
+    def _scales(self, P: np.ndarray) -> np.ndarray:
+        """For each row of the (R, m) p-value array P, the scale with
+        Delta(i, r) = alpha * w_i * beta(r) / scale: m, or in adaptive mode
+        m * pi0_hat(lambda) of that row."""
         if self.adaptive_lambda is None:
-            return self.m
-        return self.m * storey_pi0(p, self.adaptive_lambda)
+            return np.full(len(P), float(self.m))
+        return self.m * _storey_pi0_rows(sort_rows(P), self.adaptive_lambda)
 
-    def threshold_array(self, p) -> Callable[[float], np.ndarray]:
-        """Return r -> (Delta(i, r))_i as an array, binding the Storey
-        plug-in to the supplied p-values in adaptive mode."""
-        beta, scale, m = self.shape, self._scale(p), self.m
-        aw = self.alpha * np.asarray(self.prior_w)
-        return lambda r: aw * beta(r, m) / scale
+    def _levels(self, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """The (R, m) array of Delta(i, r) at the (R,) volumes r and scales."""
+        return self.alpha * self.prior_w * self.shape(r, self.m)[:, None] / scale[:, None]
 
     def thresholds(self, p: Sequence[float]) -> Callable[[int, float], float]:
-        """Return Delta(i, r) as a function of one hypothesis; see
-        :meth:`threshold_array`."""
-        level = self.threshold_array(p)
-        return lambda i, r: float(level(r)[i])
+        """Return Delta(i, r) as a function of one hypothesis, binding the
+        Storey plug-in to the supplied p-values in adaptive mode."""
+        scale = self._scales(np.asarray(p, dtype=float)[None])
+        return lambda i, r: float(self._levels(np.array([r]), scale)[0, i])
 
 
 @dataclass(frozen=True)
@@ -148,18 +166,39 @@ class RejectionSet:
 
 def _volume(v: np.ndarray) -> float:
     """Sum of v, added in index order as Python's sum() adds."""
-    return float(np.cumsum(v)[-1]) if v.size else 0.0
+    return float(v.cumsum()[-1]) if v.size else 0.0
+
+
+def _volumes(mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row of the (R, m) boolean mask, the sum of v over the row's set,
+    added in index order: each excluded entry adds an exact 0.0, so the
+    sums equal ``_volume`` of the selected entries."""
+    return np.where(mask, v, 0.0).cumsum(axis=1)[:, -1]
+
+
+def _volume_share(part: np.ndarray, whole: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per row, the v-volume of the ``part`` mask over that of the ``whole``
+    mask, with 0/0 = 0: the weighted error proportions of the scorers."""
+    total = _volumes(whole, v)
+    return np.divide(_volumes(part, v), total, out=np.zeros(len(total)), where=total != 0.0)
+
+
+def _index_mask(indices, m: int) -> np.ndarray:
+    """The (m,) boolean mask of an index set; IndexError outside [0, m)."""
+    idx = np.fromiter(indices, dtype=int)
+    bad = idx[(idx < 0) | (idx >= m)]
+    if bad.size:
+        raise IndexError(f"index {bad[0]} outside [0, {m})")
+    mask = np.zeros(m, dtype=bool)
+    mask[idx] = True
+    return mask
 
 
 def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float]) -> float:
     """|A|_v = sum of penalty weights over the index set, added in index
     order, so a step-up's rejection set gives its fixed-point volume."""
     v = np.asarray(v, dtype=float)
-    idx = np.sort(np.fromiter(indices, dtype=int, count=len(indices)))
-    if idx.size and (idx[0] < 0 or idx[-1] >= len(v)):
-        bad = idx[0] if idx[0] < 0 else idx[-1]
-        raise IndexError(f"index {bad} outside [0, {len(v)})")
-    return _volume(v[idx])
+    return float(_volumes(_index_mask(indices, len(v))[None], v)[0])
 
 
 def _unnormalized_total(w: np.ndarray, v: np.ndarray) -> float | None:
@@ -180,9 +219,35 @@ def _inputs(p: Sequence[float], tc: ThresholdCollection,
         raise ValueError("penalty_v length mismatch")
     if (v < 0).any():
         raise ValueError("penalty weights must be nonnegative")
-    if (total := _unnormalized_total(np.asarray(tc.prior_w), v)) is not None:
+    if (total := _unnormalized_total(tc.prior_w, v)) is not None:
         raise WeightNormalizationError(f"sum(w_i * v_i) = {total}, expected m = {tc.m}")
     return p, v
+
+
+def _step_up_rows(P: np.ndarray, tc: ThresholdCollection,
+                  penalty_v: Sequence[float] | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step-up procedure on each row of the (R, m) array P, R >= 1, all
+    rows with the same penalty weights: the (R, m) rejection masks, the
+    (R,) fixed-point volumes and the (R,) iteration counts.
+
+    Each row iterates r -> |L(r)|_v from r0 = sum(v) until r is fixed. All
+    rows take every step as one array comparison: a row at its fixed point
+    gives the same level set again, and only its moving steps are counted.
+    """
+    v = _inputs(P[0], tc, penalty_v)[1]
+    scale = tc._scales(P)
+    r = np.full(len(P), _volume(v))
+    iterations = np.zeros(len(P), dtype=int)
+    moving = np.ones(len(P), dtype=bool)
+    while True:
+        iterations += moving
+        rejected = P <= tc._levels(r, scale)
+        vol = _volumes(rejected, v)
+        moving = vol != r
+        if not moving.any():
+            return rejected, r, iterations
+        r = vol
 
 
 def step_up(p: Sequence[float], tc: ThresholdCollection,
@@ -193,18 +258,10 @@ def step_up(p: Sequence[float], tc: ThresholdCollection,
     nonincreasing and reaches the greatest fixed point in at most m+1 steps.
     Each level set L(r) = {i: p_i <= Delta(i, r)} is one array comparison.
     """
-    p, v = _inputs(p, tc, penalty_v)
-    level = tc.threshold_array(p)
-    r = _volume(v)
-    iterations = 0
-    while True:
-        iterations += 1
-        rejected = p <= level(r)
-        vol = _volume(v[rejected])
-        if vol == r:
-            break
-        r = vol
-    return RejectionSet(frozenset(np.flatnonzero(rejected).tolist()), vol, iterations)
+    rejected, vol, iterations = _step_up_rows(np.asarray(p, dtype=float)[None],
+                                              tc, penalty_v)
+    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()),
+                        float(vol[0]), int(iterations[0]))
 
 
 def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
@@ -221,9 +278,9 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
     w = 0 < p gives q = inf (never rejected).
     """
     p, v = _inputs(p, tc, penalty_v)
-    beta, scale = tc.shape, tc._scale(p)
+    beta, scale = tc.shape, tc._scales(p[None])[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(p == 0.0, 0.0, p / np.asarray(tc.prior_w))
+        q = np.where(p == 0.0, 0.0, p / tc.prior_w)
         order = np.argsort(q, kind="stable")
         q = q[order]
         ratio = np.where(q == 0.0, 0.0, scale * q / beta(np.cumsum(v[order]), tc.m))
@@ -235,13 +292,14 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
 def check_stability(p: Sequence[float], tc: ThresholdCollection,
                     penalty_v: Sequence[float] | None = None) -> bool:
     """Witness check: zeroing any rejected p-value reproduces the identical
-    rejection set."""
-    if penalty_v is None:
-        penalty_v = (1.0,) * tc.m
-    base = step_up(p, tc, penalty_v)
-    for i in base.indices:
-        q = list(p)
-        q[i] = 0.0
-        if step_up(q, tc, penalty_v).indices != base.indices:
+    rejection set. The copies of p, each with one rejected entry zeroed,
+    are stepped up as stacked rows."""
+    p, v = _inputs(p, tc, penalty_v)
+    base = _step_up_rows(p[None], tc, v)[0]
+    rejected = np.flatnonzero(base[0])
+    for r0, r1 in _row_chunks(rejected.size, tc.m):
+        copies = np.tile(p, (r1 - r0, 1))
+        copies[np.arange(r1 - r0), rejected[r0:r1]] = 0.0
+        if not (_step_up_rows(copies, tc, v)[0] == base).all():
             return False
     return True

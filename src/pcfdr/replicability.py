@@ -22,8 +22,10 @@ from .procedures import (
     IDENTITY,
     ShapeFunction,
     ThresholdCollection,
-    step_up,
-    weighted_volume,
+    _index_mask,
+    _step_up_rows,
+    _volume_share,
+    _volumes,
 )
 
 __all__ = [
@@ -85,25 +87,53 @@ def validate_matrix(mat) -> np.ndarray:
     return mat
 
 
+def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
+                 ws: WeightScheme) -> np.ndarray:
+    """The Step-1 selection rule applied to each matrix of the validated
+    (R, m, n) stack: the (R, m) selection masks."""
+    r, m, n = mats.shape
+    if len(ws.prior_w) != m:
+        raise ValueError("weight scheme sized for a different feature count")
+    if rule.kind == "step_up_on_column":
+        if not 0 <= rule.column < n:
+            raise ValueError(f"column {rule.column} outside [0, {n})")
+        values = mats[:, :, rule.column]
+    else:
+        values = pc_pvalues(mats.reshape(r * m, n), 1, method).reshape(r, m)
+        if rule.kind == "fixed_threshold_on_combined":
+            return values <= rule.threshold
+    tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
+                             shape=rule.shape)
+    return _step_up_rows(values, tc, ws.penalty_v)[0]
+
+
 def select_features(mat, rule: SelectionRule, method: CombiningMethod,
                     ws: WeightScheme) -> frozenset[int]:
     """Apply the Step-1 selection rule; returns 0-based row indices."""
     mat = validate_matrix(mat)
-    m, n = mat.shape
-    if len(ws.prior_w) != m:
-        raise ValueError("weight scheme sized for a different feature count")
-    if rule.kind == "fixed_threshold_on_combined":
-        combined = pc_pvalues(mat, 1, method)
-        return frozenset(np.flatnonzero(combined <= rule.threshold).tolist())
-    if rule.kind == "step_up_on_column":
-        if not 0 <= rule.column < n:
-            raise ValueError(f"column {rule.column} outside [0, {n})")
-        values = mat[:, rule.column]
-    else:
-        values = pc_pvalues(mat, 1, method)
-    tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
-                             shape=rule.shape)
-    return step_up(values, tc, ws.penalty_v).indices
+    selected = _select_rows(mat[None], rule, method, ws)[0]
+    return frozenset(np.flatnonzero(selected).tolist())
+
+
+def _khat_rows(mats: np.ndarray, selected: np.ndarray, method: CombiningMethod,
+               ws: WeightScheme, q: float,
+               beta: ShapeFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step 2 on each matrix of the (R, m, n) stack with its row of the
+    (R, m) selection masks: the (R, m) k_hat (0 off the selection) and
+    thresholds, and the (R,) selection volumes |S|_v, added in index order.
+    A ``DegenerateInputError`` names the flat index r * m + i."""
+    r, m, n = mats.shape
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q={q} outside (0, 1]")
+    vol = _volumes(selected, ws.penalty_v)
+    t = ws.prior_w * beta(vol, m)[:, None] * q / m
+    try:
+        path = pc_path(mats[selected], method)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(int(np.flatnonzero(selected)[exc.row])) from None
+    khat = np.zeros((r, m), dtype=int)
+    khat[selected] = (np.maximum.accumulate(path, axis=1) <= t[selected][:, None]).sum(axis=1)
+    return khat, t, vol
 
 
 def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
@@ -116,22 +146,12 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
     k_hat(i) is the number of u at which it stays under the threshold.
     """
     mat = validate_matrix(mat)
-    m, n = mat.shape
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q={q} outside (0, 1]")
     sel = frozenset(selected)
-    if any(not 0 <= i < m for i in sel):
-        raise IndexError("selected feature index out of range")
-    vol = weighted_volume(sel, ws.penalty_v)
+    mask = _index_mask(sel, mat.shape[0])[None]
     rows = sorted(sel)
-    t = np.array([ws.prior_w[i] for i in rows], dtype=float) * beta(vol, m) * q / m
-    try:
-        path = pc_path(mat[rows], method)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(rows[exc.row]) from None
-    khat = (np.maximum.accumulate(path, axis=1) <= t[:, None]).sum(axis=1)
-    return ReplicabilityReport(sel, dict(zip(rows, khat.tolist())),
-                               dict(zip(rows, t.tolist())), vol)
+    khat, t, vol = _khat_rows(mat[None], mask, method, ws, q, beta)
+    return ReplicabilityReport(sel, dict(zip(rows, khat[0, rows].tolist())),
+                               dict(zip(rows, t[0, rows].tolist())), float(vol[0]))
 
 
 def realized_replicability_error(report: ReplicabilityReport,
@@ -139,9 +159,9 @@ def realized_replicability_error(report: ReplicabilityReport,
                                  penalty_v: Sequence[float]) -> float:
     """Weighted proportion of selected features with k_hat(i) > k(i),
     with the 0/0 = 0 convention."""
-    total = sum(penalty_v[i] for i in report.selected)
-    if total == 0.0:
-        return 0.0
-    bad = sum(penalty_v[i] for i in report.selected
-              if report.khat[i] > true_k[i])
-    return bad / total
+    v = np.asarray(penalty_v, dtype=float)
+    khat = np.zeros(len(v), dtype=int)
+    khat[list(report.khat)] = list(report.khat.values())
+    selected = _index_mask(report.selected, len(v))
+    return float(_volume_share((selected & (khat > np.asarray(true_k)))[None],
+                               selected[None], v)[0])

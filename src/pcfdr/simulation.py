@@ -4,33 +4,39 @@ Scenarios draw an m x n matrix of one-sided p-values from a Gaussian model:
 within each study a one-factor equicorrelation structure (PRDS for rho >= 0),
 independent entries, or negatively correlated exchangeable blocks as an
 arbitrary-dependence stressor. Studies are mutually independent. Replicates
-are keyed by (seed, rep_index) through a counter-based Philox stream, so
-parallel and serial execution agree bitwise.
+are keyed by (seed, rep_index) through a counter-based Philox stream.
+
+The Monte Carlo functions draw, combine, step up and score chunks of
+replicates stacked as (R, m, n) arrays, about 4,096 rows of m features per
+chunk. Every step works row by row with the same floating-point operations
+as on one matrix, so stacked and one-at-a-time draws, and the estimates
+built from them, agree bitwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Sequence
 
 import numpy as np
 
 from .combine import CombiningMethod
 from .partial_conjunction import pc_pvalues
-from .pc_testing import WeightScheme, realized_weighted_fdp
+from .pc_testing import WeightScheme
 from .procedures import (
     IDENTITY,
     ShapeFunction,
     ThresholdCollection,
-    step_up,
-    weighted_volume,
+    _row_chunks,
+    _step_up_rows,
+    _volume_share,
+    _volumes,
 )
 from .replicability import (
     SelectionRule,
-    khat_bounds,
-    realized_replicability_error,
-    select_features,
+    _khat_rows,
+    _select_rows,
 )
 
 __all__ = [
@@ -110,33 +116,59 @@ def _estimate(values: Sequence[float]) -> McEstimate:
     return McEstimate(float(arr.mean()), se, n)
 
 
-def gen_meta_matrix(s: SimulationScenario, rep_index: int) -> np.ndarray:
-    """Draw one m x n p-value matrix, deterministically keyed by
-    (scenario seed, rep_index)."""
+def _draw(s: SimulationScenario, r0: int, r1: int) -> np.ndarray:
+    """The p-value matrices of replicates r0, ..., r1 - 1, stacked as an
+    (r1 - r0, m, n) array. Replicate r comes from its own Philox stream
+    keyed by (scenario seed, r)."""
     from scipy.special import ndtr
-    key = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     m, n = s.m, s.n
-    z = rng.standard_normal((m, n))
-    if s.dependence == "equicorrelated_prds" and s.rho > 0.0:
-        z0 = rng.standard_normal(n)
-        x = math.sqrt(s.rho) * z0[None, :] + math.sqrt(1.0 - s.rho) * z
+    prds = s.dependence == "equicorrelated_prds" and s.rho > 0.0
+    z = np.empty((r1 - r0, m, n))
+    z0 = np.empty((r1 - r0, 1, n))
+    for j, rep in enumerate(range(r0, r1)):
+        key = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        rng.standard_normal(out=z[j])
+        if prds:
+            rng.standard_normal(out=z0[j, 0])
+    if prds:
+        x = math.sqrt(s.rho) * z0 + math.sqrt(1.0 - s.rho) * z
     elif s.dependence == "block_arbitrary":
-        x = np.empty_like(z)
-        b = s.block_size
-        for start in range(0, m, b):
-            block = z[start:start + b]
-            k = block.shape[0]
-            if k == 1:
-                x[start:start + b] = block
-            else:
-                centered = block - block.mean(axis=0, keepdims=True)
-                x[start:start + b] = centered / math.sqrt(1.0 - 1.0 / k)
+        x = _centre_blocks(z, s.block_size)
     else:
         x = z
     signal = np.arange(n)[None, :] < np.asarray(s.true_k)[:, None]
     x = x + s.mu * signal
     return ndtr(-x)  # one-sided upper-tail p-values
+
+
+def _centre_blocks(z: np.ndarray, b: int) -> np.ndarray:
+    """Centre each run of b consecutive features of every matrix in the
+    (R, m, n) stack on its own mean and rescale to unit variance, which
+    makes the features of a block exchangeable with correlation -1/(k-1).
+    A short last block of k < b features is centred on its own; a block of
+    one is left as it is."""
+    r, m, n = z.shape
+    x = z.copy()
+    full = m - m % b
+    for lo, hi, k in ((0, full, b), (full, m, m - full)):
+        if k > 1 and hi > lo:
+            blocks = z[:, lo:hi].reshape(r, -1, k, n)
+            centred = blocks - blocks.mean(axis=2, keepdims=True)
+            x[:, lo:hi] = (centred / math.sqrt(1.0 - 1.0 / k)).reshape(r, hi - lo, n)
+    return x
+
+
+def gen_meta_matrix(s: SimulationScenario, rep_index: int) -> np.ndarray:
+    """Draw one m x n p-value matrix, deterministically keyed by
+    (scenario seed, rep_index)."""
+    return _draw(s, rep_index, rep_index + 1)[0]
+
+
+def _chunks(s: SimulationScenario):
+    """The stacked draws of all replicates, one chunk at a time."""
+    for r0, r1 in _row_chunks(s.reps, s.m):
+        yield _draw(s, r0, r1)
 
 
 def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
@@ -145,13 +177,14 @@ def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
     per-feature partial conjunction hypotheses at parameter u."""
     if not 1 <= u <= s.n:
         raise ValueError(f"u={u} outside [1, {s.n}]")
-    nulls = s.true_null_features(u)
+    nulls = np.zeros(s.m, dtype=bool)
+    nulls[sorted(s.true_null_features(u))] = True
     fdps = []
-    for rep in range(s.reps):
-        pc = pc_pvalues(gen_meta_matrix(s, rep), u, method)
-        rej = step_up(pc, tc, ws.penalty_v)
-        fdps.append(realized_weighted_fdp(rej.indices, nulls, ws.penalty_v))
-    return _estimate(fdps)
+    for mats in _chunks(s):
+        pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
+        rejected = _step_up_rows(pc, tc, ws.penalty_v)[0]
+        fdps.append(_volume_share(rejected & nulls, rejected, ws.penalty_v))
+    return _estimate(np.concatenate(fdps))
 
 
 def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
@@ -159,13 +192,13 @@ def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
                            q: float, beta: ShapeFunction = IDENTITY) -> McEstimate:
     """Monte Carlo estimate of the weighted proportion of selected features
     with an erroneous replicability lower bound."""
+    true_k = np.asarray(s.true_k)
     errors = []
-    for rep in range(s.reps):
-        mat = gen_meta_matrix(s, rep)
-        sel = select_features(mat, rule, method, ws)
-        report = khat_bounds(mat, sel, method, ws, q, beta)
-        errors.append(realized_replicability_error(report, s.true_k, ws.penalty_v))
-    return _estimate(errors)
+    for mats in _chunks(s):
+        selected = _select_rows(mats, rule, method, ws)
+        wrong = selected & (_khat_rows(mats, selected, method, ws, q, beta)[0] > true_k)
+        errors.append(_volume_share(wrong, selected, ws.penalty_v))
+    return _estimate(np.concatenate(errors))
 
 
 def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
@@ -192,22 +225,17 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     ws = WeightScheme.unit(s.m)
     tc = ThresholdCollection(alpha=alpha, m=s.m)
     rule = SelectionRule("step_up_on_combined", alpha=alpha)
-    pairs: list[tuple[float, float]] = []
-    for rep in range(s.reps):
-        mat = gen_meta_matrix(s, rep)
-        pc = pc_pvalues(mat, u, method)
-        p_u = float(pc[probe])
+    p_u, vol = [], []
+    for mats in _chunks(s):
+        pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
+        p_u.append(pc[:, probe])
         if statistic == "rejection_volume":
-            vol = step_up(pc, tc, ws.penalty_v).fixed_point_volume
+            vol.append(_step_up_rows(pc, tc, ws.penalty_v)[1])
         else:
-            zeroed = mat.copy()
-            zeroed[probe] = 0.0
-            sel = select_features(zeroed, rule, method, ws)
-            vol = weighted_volume(sel, ws.penalty_v)
-        pairs.append((p_u, vol))
-    results = []
-    for c in c_grid:
-        terms = [(1.0 / v if p <= c * v else 0.0) if v > 0 else 0.0
-                 for p, v in pairs]
-        results.append((float(c), _estimate(terms)))
-    return results
+            mats[:, probe] = 0.0
+            vol.append(_volumes(_select_rows(mats, rule, method, ws), ws.penalty_v))
+    p_u, vol = np.concatenate(p_u), np.concatenate(vol)
+    positive = vol > 0
+    inverse = np.divide(1.0, vol, out=np.zeros(len(vol)), where=positive)
+    return [(float(c), _estimate(np.where(positive & (p_u <= c * vol), inverse, 0.0)))
+            for c in c_grid]

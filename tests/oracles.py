@@ -4,16 +4,26 @@ These are the element-by-element loops the package used before its layers
 became array-native: the combiners on one Python list, the partial
 conjunction p-value of one row, the step-up fixed-point iteration over
 per-hypothesis thresholds Delta(i, r), the break-at-first-failure k_hat
-loop, the bisection over alpha for adjusted p-values, and the
-self-consistency check of a candidate rejection set. Simes, Bonferroni,
-Hommel and Simes-Storey use the same floating-point operations in the same
-order as the array code, so results must agree exactly; Fisher and Stouffer
-sum in another order.
+loop, the bisection over alpha for adjusted p-values, the
+self-consistency check of a candidate rejection set, and the Monte Carlo
+functions drawing, testing and scoring one replicate at a time. Simes,
+Bonferroni, Hommel and Simes-Storey use the same floating-point operations
+in the same order as the array code, so results must agree exactly; Fisher
+and Stouffer sum in another order. The Monte Carlo loops combine with the
+array combiners, so their estimates must equal the stacked ones for every
+method.
 """
 
 import math
 
+import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri
+
+from pcfdr.partial_conjunction import pc_path, pc_pvalues
+from pcfdr.pc_testing import WeightScheme
+from pcfdr.procedures import ThresholdCollection
+from pcfdr.replicability import SelectionRule
+from pcfdr.simulation import _estimate
 
 _LOG_FLOOR = 1e-300
 
@@ -150,3 +160,113 @@ def check_self_consistency(p, tc, penalty_v, candidate):
     delta = tc.thresholds(p)
     vol = sum(penalty_v[i] for i in sorted(candidate.indices))
     return all(p[i] <= delta(i, vol) for i in candidate.indices)
+
+
+def gen_meta_matrix(s, rep_index):
+    """One replicate's m x n p-value matrix from its own Philox stream
+    keyed by (seed, rep_index), block by block for block_arbitrary."""
+    key = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    m, n = s.m, s.n
+    z = rng.standard_normal((m, n))
+    if s.dependence == "equicorrelated_prds" and s.rho > 0.0:
+        z0 = rng.standard_normal(n)
+        x = math.sqrt(s.rho) * z0[None, :] + math.sqrt(1.0 - s.rho) * z
+    elif s.dependence == "block_arbitrary":
+        x = np.empty_like(z)
+        b = s.block_size
+        for start in range(0, m, b):
+            block = z[start:start + b]
+            k = block.shape[0]
+            if k == 1:
+                x[start:start + b] = block
+            else:
+                centered = block - block.mean(axis=0, keepdims=True)
+                x[start:start + b] = centered / math.sqrt(1.0 - 1.0 / k)
+    else:
+        x = z
+    signal = np.arange(n)[None, :] < np.asarray(s.true_k)[:, None]
+    x = x + s.mu * signal
+    return ndtr(-x)
+
+
+def weighted_fdp(rejected, nulls, v):
+    """Weighted FDP, sums of v added in index order, 0/0 = 0."""
+    total = sum(v[i] for i in sorted(rejected))
+    if total == 0.0:
+        return 0.0
+    return sum(v[i] for i in sorted(set(rejected) & set(nulls))) / total
+
+
+def select(mat, rule, method, ws):
+    """Step-1 selection of one matrix, with the fixed-point step-up."""
+    m = len(mat)
+    if rule.kind == "fixed_threshold_on_combined":
+        combined = pc_pvalues(mat, 1, method)
+        return frozenset(i for i in range(m) if combined[i] <= rule.threshold)
+    if rule.kind == "step_up_on_column":
+        values = mat[:, rule.column]
+    else:
+        values = pc_pvalues(mat, 1, method)
+    tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
+                             shape=rule.shape)
+    return step_up(values, tc, ws.penalty_v)[0]
+
+
+def replicability_error(mat, selected, method, ws, q, beta, true_k):
+    """k_hat of each selected row, with the leading u whose running maximum
+    of P^{u/n} stays under w_i beta(|S|_v) q / m, scored against true_k."""
+    m, n = mat.shape
+    v = ws.penalty_v
+    vol = sum(v[i] for i in sorted(selected))
+    path = np.maximum.accumulate(pc_path(mat, method), axis=1)
+    bad = []
+    for i in sorted(selected):
+        t = ws.prior_w[i] * beta(vol, m) * q / m
+        k = 0
+        while k < n and path[i, k] <= t:
+            k += 1
+        if k > true_k[i]:
+            bad.append(i)
+    if vol == 0.0:
+        return 0.0
+    return sum(v[i] for i in bad) / vol
+
+
+def mc_fdr_pc(s, u, method, ws, tc):
+    nulls = s.true_null_features(u)
+    fdps = []
+    for rep in range(s.reps):
+        pc = pc_pvalues(gen_meta_matrix(s, rep), u, method)
+        rejected = step_up(pc, tc, ws.penalty_v)[0]
+        fdps.append(weighted_fdp(rejected, nulls, ws.penalty_v))
+    return _estimate(fdps)
+
+
+def mc_replicability_error(s, rule, method, ws, q, beta):
+    errors = []
+    for rep in range(s.reps):
+        mat = gen_meta_matrix(s, rep)
+        selected = select(mat, rule, method, ws)
+        errors.append(replicability_error(mat, selected, method, ws, q, beta, s.true_k))
+    return _estimate(errors)
+
+
+def dcc_probe(s, u, method, c_grid, statistic, alpha):
+    probe = min(s.true_null_features(u))
+    ws = WeightScheme.unit(s.m)
+    tc = ThresholdCollection(alpha=alpha, m=s.m)
+    rule = SelectionRule("step_up_on_combined", alpha=alpha)
+    pairs = []
+    for rep in range(s.reps):
+        mat = gen_meta_matrix(s, rep)
+        p_u = float(pc_pvalues(mat, u, method)[probe])
+        if statistic == "rejection_volume":
+            vol = step_up(pc_pvalues(mat, u, method), tc)[1]
+        else:
+            mat[probe] = 0.0
+            vol = sum(ws.penalty_v[i] for i in sorted(select(mat, rule, method, ws)))
+        pairs.append((p_u, vol))
+    return [(float(c), _estimate([(1.0 / v if p <= c * v else 0.0) if v > 0 else 0.0
+                                  for p, v in pairs]))
+            for c in c_grid]

@@ -7,6 +7,10 @@ import pytest
 from pcfdr.cli import read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
+# The verify report on REFERENCE as the one-replicate-at-a-time Monte Carlo
+# loops (now in oracles.py) wrote it; stacked replicates must reproduce it
+# byte for byte.
+GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden" / "reference_verify.json"
 
 
 def write(tmp_path, name, text):
@@ -161,6 +165,11 @@ class TestSimulateVerify:
         assert run(["simulate", "--scenario", path, "--out", str(out1)]) == 0
         assert run(["simulate", "--scenario", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_reference_verify_report_matches_golden_file(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--scenario", str(REFERENCE), "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
 
     def test_reps_and_seed_overrides(self, tmp_path):
         path = self.scenario_file(tmp_path, [{

@@ -4,7 +4,9 @@ Partial conjunction p-values and paths are compared with the subset oracle
 and with the scalar combiners of ``oracles``; the array step-up with the
 fixed-point iteration of ``oracles``; the closed-form adjusted p-values with
 the bisection of ``oracles`` and with the step-up's rejection sets; a
-``replicate`` run with the reciprocal-sum shape end to end with both.
+``replicate`` run with the reciprocal-sum shape end to end with both; the
+stacked Monte Carlo functions with the one-replicate-at-a-time loops of
+``oracles``, estimate for estimate.
 """
 
 import json
@@ -31,8 +33,19 @@ from pcfdr.procedures import (
     RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
+    _step_up_rows,
     adjusted_pvalues,
+    check_stability,
     step_up,
+)
+from pcfdr.replicability import SelectionRule
+from pcfdr.simulation import (
+    SimulationScenario,
+    _draw,
+    dcc_probe,
+    gen_meta_matrix,
+    mc_fdr_pc,
+    mc_replicability_error,
 )
 
 import oracles
@@ -192,3 +205,136 @@ def test_replicate_reciprocal_sum_matches_oracle(tmp_path):
     assert report["selected"] == sorted(str(i) for i in selected)
     assert report["selection_volume"] == volume
     assert report["khat"] == {str(i): k for i, k in khat.items()}
+
+
+def test_stacked_step_up_rows_match_fixed_point_oracle():
+    # Rows of one stack reach their fixed points after different numbers
+    # of steps; each row's set, volume and count must be its own.
+    rng = np.random.default_rng(11)
+    m = 40
+    v = np.where(np.arange(m) % 2, 0.5, 2.0)
+    w = np.where(np.arange(m) % 2, 1.0, 0.75)
+    collections = [
+        (ThresholdCollection(alpha=0.3, m=m), None),
+        (ThresholdCollection(alpha=0.3, m=m, shape=RECIPROCAL_SUM), None),
+        (ThresholdCollection(alpha=0.3, m=m, shape=NU), None),
+        (ThresholdCollection(alpha=0.3, m=m, adaptive_lambda=0.5), None),
+        (ThresholdCollection(alpha=0.3, m=m, prior_w=w), v),
+    ]
+    P = rng.random((60, m)) ** rng.integers(1, 6, size=(60, 1))
+    for tc, pv in collections:
+        rejected, volumes, iterations = _step_up_rows(P, tc, pv)
+        assert len(set(iterations.tolist())) > 1
+        for row, rej, vol, it in zip(P.tolist(), rejected, volumes.tolist(),
+                                     iterations.tolist()):
+            assert (frozenset(np.flatnonzero(rej).tolist()), vol, it) == \
+                oracles.step_up(row, tc, pv)
+
+
+def test_check_stability_in_chunks_matches_per_copy_loop():
+    # m = 5000 puts one copy in each chunk.
+    rng = np.random.default_rng(12)
+    for m in (30, 5000):
+        p = rng.random(m)
+        p[:12] *= 1e-5
+        tc = ThresholdCollection(alpha=0.2, m=m)
+        base = step_up(p, tc).indices
+        assert len(base) > 1
+        expected = True
+        for i in base:
+            q = p.copy()
+            q[i] = 0.0
+            expected = expected and step_up(q, tc).indices == base
+        assert check_stability(p, tc) == expected
+
+
+# Monte Carlo: m = 100 puts 40 replicates in a chunk, so 45 replicates
+# straddle a chunk boundary; m = 2500 puts one replicate in each chunk.
+def scenario(dependence, m=100, n=4, reps=45, seed=5, **kw):
+    rho = 0.5 if dependence == "equicorrelated_prds" else 0.0
+    return SimulationScenario(m=m, n=n, true_k=tuple(i % (n + 1) for i in range(m)),
+                              mu=3.0, rho=rho, dependence=dependence, reps=reps,
+                              seed=seed, **kw)
+
+
+# Penalty weights that are not all 1 but add up exactly in any order,
+# with sum(w * v) = m.
+def dyadic_weights(m):
+    odd = np.arange(m) % 2 == 1
+    return WeightScheme(np.where(odd, 1.0, 0.75), np.where(odd, 0.5, 2.0))
+
+
+SCENARIOS = [
+    scenario("independent"),
+    scenario("equicorrelated_prds"),
+    # m % block_size != 0: a short last block of 2
+    scenario("block_arbitrary", m=102, block_size=4),
+    # one study and blocks of 8: the block means sum along a contiguous axis
+    scenario("block_arbitrary", m=102, n=1, block_size=8),
+    scenario("equicorrelated_prds", m=2500, reps=3),
+]
+
+
+@pytest.mark.parametrize("s", SCENARIOS, ids=lambda s: f"{s.dependence}-m{s.m}-n{s.n}")
+def test_stacked_draw_matches_one_at_a_time(s):
+    stack = _draw(s, 0, s.reps)
+    assert stack.shape == (s.reps, s.m, s.n)
+    for r in range(s.reps):
+        one = gen_meta_matrix(s, r)
+        assert np.array_equal(one, oracles.gen_meta_matrix(s, r))
+        assert np.array_equal(one, stack[r])
+    assert np.array_equal(_draw(s, 2, 3), stack[2:3])
+
+
+FDR_CASES = [
+    ("independent", SIMES, {}),
+    ("equicorrelated_prds", FISHER, {}),
+    ("block_arbitrary", STOUFFER, {"shape": RECIPROCAL_SUM}),
+    ("equicorrelated_prds", simes_storey(0.5), {"adaptive_lambda": 0.5}),
+    ("independent", HOMMEL, {"shape": NU}),
+    ("equicorrelated_prds", BONFERRONI, {"weighted": True}),
+]
+
+
+@pytest.mark.parametrize("dependence, method, opts", FDR_CASES,
+                         ids=[f"{d}-{m.kind}-{'-'.join(o) or 'bh'}" for d, m, o in FDR_CASES])
+def test_mc_fdr_pc_matches_per_replicate_loop(dependence, method, opts):
+    opts = dict(opts)
+    weighted = opts.pop("weighted", False)
+    for s in (scenario(dependence, block_size=3), scenario(dependence, m=2500, reps=3)):
+        ws = dyadic_weights(s.m) if weighted else WeightScheme.unit(s.m)
+        tc = ThresholdCollection(alpha=0.2, m=s.m, prior_w=ws.prior_w, **opts)
+        est = mc_fdr_pc(s, 2, method, ws, tc)
+        assert est == oracles.mc_fdr_pc(s, 2, method, ws, tc)
+        assert est.reps == s.reps
+
+
+REP_CASES = [
+    ("equicorrelated_prds", SIMES, SelectionRule("step_up_on_combined", alpha=0.2), False),
+    ("block_arbitrary", FISHER, SelectionRule("fixed_threshold_on_combined", threshold=0.01), False),
+    ("independent", simes_storey(0.5),
+     SelectionRule("step_up_on_column", alpha=0.2, shape=RECIPROCAL_SUM, column=1), False),
+    ("equicorrelated_prds", STOUFFER, SelectionRule("step_up_on_combined", alpha=0.2), True),
+]
+
+
+@pytest.mark.parametrize("dependence, method, rule, weighted", REP_CASES,
+                         ids=[f"{d}-{m.kind}-{r.kind}{'-weighted' * w}"
+                              for d, m, r, w in REP_CASES])
+def test_mc_replicability_error_matches_per_replicate_loop(dependence, method, rule, weighted):
+    for s in (scenario(dependence, block_size=3), scenario(dependence, m=2500, reps=3)):
+        ws = dyadic_weights(s.m) if weighted else WeightScheme.unit(s.m)
+        est = mc_replicability_error(s, rule, method, ws, 0.2, rule.shape)
+        assert est == oracles.mc_replicability_error(s, rule, method, ws, 0.2, rule.shape)
+        assert est.reps == s.reps
+
+
+@pytest.mark.parametrize("statistic", ["rejection_volume", "selection_volume_minus_row"])
+@pytest.mark.parametrize("method", [FISHER, simes_storey(0.5)], ids=lambda m: m.kind)
+def test_dcc_probe_matches_per_replicate_loop(statistic, method):
+    # m = 20 puts 204 replicates in a chunk.
+    s = scenario("equicorrelated_prds", m=20, reps=300)
+    grid = [0.02, 0.1, 0.5]
+    got = dcc_probe(s, 2, method, grid, statistic=statistic, alpha=0.2)
+    assert got == oracles.dcc_probe(s, 2, method, grid, statistic, 0.2)
+    assert any(est.mean > 0 for _, est in got)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from pcfdr.combine import SIMES, combine_pvalues
@@ -40,11 +41,22 @@ class TestWeightScheme:
         with pytest.raises(ValueError):
             WeightScheme((2.0, 2.0), (1.0, 1.0))
         ws = WeightScheme((1.5, 0.5), (1.0, 1.0))
-        assert ws.prior_w == (1.5, 0.5)
+        assert ws.prior_w.tolist() == [1.5, 0.5]
 
     def test_unit(self):
         ws = WeightScheme.unit(3)
-        assert ws.prior_w == (1.0, 1.0, 1.0)
+        assert ws.prior_w.tolist() == [1.0, 1.0, 1.0]
+
+    def test_weights_are_read_only_copies(self):
+        w = np.array([1.5, 0.5])
+        ws = WeightScheme(w, [1.0, 1.0])
+        w[0] = 9.0
+        assert ws.prior_w.tolist() == [1.5, 0.5]
+        for arr in (ws.prior_w, ws.penalty_v):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        # equality and hashing do not compare the arrays
+        assert ws == ws and ws != WeightScheme.unit(2)
+        assert len({ws, WeightScheme.unit(2)}) == 2
 
 
 class TestComputePcPvalues:
