@@ -16,6 +16,8 @@ a schema_version field. Exit status: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import sys
 
@@ -31,7 +33,7 @@ from .procedures import (
     ThresholdCollection,
     step_up,
 )
-from .replicability import SelectionRule, khat_bounds, select_features
+from .replicability import SelectionRule, replicability_analysis
 from .simulation import (
     SimulationScenario,
     dcc_probe,
@@ -53,6 +55,12 @@ def _fmt(x: float) -> str:
 
 
 def _is_number(token: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``token`` as a float: ``float()`` syntax
+    once surrounding whitespace is stripped, without the underscores and
+    non-ASCII digits that only ``float()`` accepts."""
+    token = token.strip()
+    if not token.isascii() or "_" in token:
+        return False
     try:
         float(token)
     except ValueError:
@@ -60,59 +68,156 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def read_matrix(path: str, pvalues: bool = True) -> tuple[list[str] | None, np.ndarray]:
+# The scan reads the file in blocks of about this many bytes, so its memory
+# stays flat whatever the size of the file.
+_BLOCK_BYTES = 1 << 18
+_NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
+# Bytes a whitespace-only line can start with: ASCII whitespace and the
+# first byte of any non-ASCII character.
+_MAYBE_SPACE = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
+
+
+class FeatureIds:
+    """The id column of a matrix, kept as UTF-8 bytes with a newline after
+    each id. ``ids[i]`` decodes the id of row i, stripped of surrounding
+    whitespace, so a report that names a few rows turns only those into
+    strings; iterating decodes them a block at a time."""
+
+    def __init__(self, buf: bytes) -> None:
+        self._buf = buf
+        self._ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == _NL)
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def _start(self, i: int) -> int:
+        return self._ends[i - 1] + 1 if i > 0 else 0
+
+    def __getitem__(self, i: int) -> str:
+        return self._buf[self._start(i):self._ends[i]].decode().strip()
+
+    def __iter__(self):
+        # A few thousand ids at a time, so that they never all exist as
+        # strings at once.
+        for lo in range(0, len(self), 4096):
+            hi = min(lo + 4096, len(self))
+            for name in self._buf[self._start(lo):self._ends[hi - 1]].decode().split("\n"):
+                yield name.strip()
+
+
+def _line_blocks(fh):
+    """The binary file ``fh``, a leading UTF-8 byte-order mark dropped, as
+    blocks of whole lines: per block the uint8 array of its bytes and the
+    start and end offsets of its lines. Lines end as in text mode, at an
+    LF, a CRLF or a lone CR; a CRLF line keeps its CR. A last line without
+    an end gets one."""
+    tail = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+    while chunk := fh.read(_BLOCK_BYTES) or tail and b"\n":
+        block = tail + chunk
+        a = np.frombuffer(block, dtype=np.uint8)
+        end = a == _NL
+        if b"\r" in block:
+            # A CR at the end of a block counts as lone: an LF opening the
+            # next block then ends an empty line, which is skipped.
+            end |= (a == _CR) & ~np.append(end[1:], False)
+        ends = np.flatnonzero(end)
+        if ends.size:
+            tail = block[ends[-1] + 1:]
+            yield a[:ends[-1] + 1], np.concatenate(([0], ends[:-1] + 1)), ends
+        else:
+            tail = block
+
+
+def _scan(fh, pvalues: bool) -> tuple[int | None, FeatureIds | None, bool]:
+    """One pass over the binary file ``fh`` in blocks of whole lines. The
+    first nonblank line fixes the width, and (for ``pvalues``) whether a
+    non-numeric first column holds ids; the nonblank lines must hold as
+    many commas each, as far as their count shows (ValueError if not).
+    Returns the commas per line (None if every line is blank), the ids
+    (None if there are none), and whether a nonempty line is all
+    whitespace."""
+    has_ids, commas, padded = False, None, False
+    id_bytes = []
+    for a, starts, ends in _line_blocks(fh):
+        blank = starts == ends
+        spaces = [i for i in np.flatnonzero(~blank & _MAYBE_SPACE[a[starts]]).tolist()
+                  if not a[starts[i]:ends[i]].tobytes().decode().strip()]
+        blank[spaces] = True
+        padded = padded or bool(spaces)
+        lo = starts[~blank]
+        if commas is None:
+            if not lo.size:
+                continue
+            head = a[lo[0]:ends[~blank][0]].tobytes().decode()
+            commas = head.count(",")
+            has_ids = pvalues and not _is_number(head.split(",", 1)[0])
+        is_comma = a == _COMMA
+        # A line with fewer commas than the first fails np.loadtxt, so the
+        # block's count of commas leaves no line room for more.
+        if np.count_nonzero(is_comma) != commas * lo.size:
+            raise ValueError("rows of unequal length")
+        if has_ids:
+            # Each id with the byte after it (its comma or line end), which
+            # becomes the id's newline.
+            n = (np.flatnonzero(is_comma)[::commas] if commas else ends[~blank]) - lo + 1
+            at = np.cumsum(n)
+            taken = a[np.repeat(lo - (at - n), n) + np.arange(n.sum())]
+            taken[at - 1] = _NL
+            id_bytes.append(taken)
+    ids = FeatureIds(np.concatenate(id_bytes).tobytes()) if has_ids else None
+    return commas, ids, padded
+
+
+def read_matrix(path: str, pvalues: bool = True) -> tuple[FeatureIds | None, np.ndarray]:
     """Read a headerless CSV matrix; returns (ids or None, 2-d float array).
 
-    Blank lines are skipped. For a p-value matrix (``pvalues``) a leading
-    non-numeric column holds feature ids and every value must lie in
-    [0, 1]; otherwise every cell is a number. The file is parsed as it is
-    read; only on failure is it read again to locate the bad cell.
+    The text is UTF-8; a leading byte-order mark is dropped. Blank and
+    whitespace-only lines are skipped. For a p-value matrix (``pvalues``) a
+    leading non-numeric column holds feature ids and every value must lie
+    in [0, 1]; otherwise every cell is a number.
+
+    One streaming pass over the bytes checks the row widths and keeps the
+    ids (:func:`_scan`); ``np.loadtxt`` parses the values from the path,
+    or, if a whitespace-only line is present (loadtxt cannot skip one),
+    from the nonblank lines. Only on failure is the file read again to
+    locate the bad cell.
     """
     try:
-        fh = open(path)
+        fh = open(path, "rb")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     with fh:
-        first = next((ln for ln in fh if ln.strip()), None)
-        if first is None:
-            raise CliError(f"{path}:1:1: empty input")
-        has_ids = pvalues and not _is_number(first.split(",")[0].strip())
-        commas = first.count(",")
-        ids: list[str] = []
-
-        def rows():
-            # Lines are filtered and checked in blocks: a Python step per
-            # line made the parse of a 10^5-row matrix 10-16 % slower.
-            block = [first]
-            while block:
-                block = [ln for ln in block if ln.strip()]
-                if has_ids:
-                    # usecols would silently drop the extra cells of a longer row.
-                    if any(ln.count(",") != commas for ln in block):
-                        raise ValueError("rows of unequal length")
-                    ids.extend([ln.partition(",")[0].strip() for ln in block])
-                yield from block
-                block = fh.readlines(1 << 16)
-
         try:
-            mat = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2,
-                             usecols=range(1, commas + 1) if has_ids else None)
+            commas, ids, padded = _scan(fh, pvalues)
+            if commas is None:
+                raise CliError(f"{path}:1:1: empty input")
+            source = path
+            if padded:
+                fh.seek(0)
+                source = filter(str.strip, io.TextIOWrapper(fh, encoding="utf-8-sig"))
+            # usecols would silently drop the extra cells of a longer row,
+            # which the scan has ruled out.
+            mat = np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                             encoding="utf-8-sig",
+                             usecols=None if ids is None else range(1, commas + 1))
             if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
                 raise ValueError("p-value outside [0, 1]")
         except ValueError as exc:
-            raise _bad_cell(path, has_ids, pvalues) or CliError(f"{path}: {exc}") from None
-    return (ids if has_ids else None), mat
+            raise _bad_cell(path, pvalues) or CliError(f"{path}: {exc}") from None
+    return ids, mat
 
 
-def _bad_cell(path: str, has_ids: bool, pvalues: bool) -> CliError | None:
+def _bad_cell(path: str, pvalues: bool) -> CliError | None:
     """The diagnostic for the first bad cell, numbered by physical line and
     column: a row of another width, a token that is not a number, or (for
     p-values) a value outside [0, 1]."""
-    width = None
-    with open(path) as fh:
+    width = has_ids = None
+    with open(path, encoding="utf-8-sig") as fh:
         for ln_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            if has_ids is None:
+                has_ids = pvalues and not _is_number(line.split(",", 1)[0])
             cells = [c.strip() for c in line.split(",")][has_ids:]
             if width is None:
                 width = len(cells)
@@ -127,13 +232,14 @@ def _bad_cell(path: str, has_ids: bool, pvalues: bool) -> CliError | None:
     return None
 
 
-def write_matrix(path, ids: list[str] | None, rows: list[list[float]]) -> None:
+def write_matrix(path, ids: FeatureIds | list[str] | None,
+                 rows: list[list[float]]) -> None:
     out = sys.stdout if path is None else open(path, "w")
     try:
-        for i, row in enumerate(rows):
+        for name, row in zip(ids if ids is not None else [None] * len(rows), rows):
             cells = [_fmt(x) for x in row]
-            if ids is not None:
-                cells.insert(0, ids[i])
+            if name is not None:
+                cells.insert(0, name)
             out.write(",".join(cells) + "\n")
     finally:
         if path is not None:
@@ -182,7 +288,7 @@ def _write_json(path, payload: dict) -> None:
 
 def _row_line(path: str, row: int) -> int:
     """Physical line number of 0-based matrix row ``row`` of ``path``."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return [n for n, ln in enumerate(fh, start=1) if ln.strip()][row]
 
 
@@ -266,17 +372,17 @@ def cmd_replicate(args) -> int:
     ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
     rule = _parse_rule(args.rule, args.q, shape)
     try:
-        sel = select_features(mat, rule, method, ws)
-        report = khat_bounds(mat, sel, method, ws, args.q, shape)
+        report = replicability_analysis(mat, rule, method, ws, args.q, shape)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    name = (lambda i: ids[i]) if ids else (lambda i: str(i))
+    del mat  # the report holds all the JSON needs; this lowers its peak
+    rows = sorted(report.selected)
+    names = [ids[i] if ids is not None else str(i) for i in rows]
     _write_json(args.out, {
         "q": args.q,
-        "selected": sorted(name(i) for i in report.selected),
-        "khat": {name(i): report.khat[i] for i in sorted(report.selected)},
-        "threshold_used": {name(i): report.threshold_used[i]
-                           for i in sorted(report.selected)},
+        "selected": sorted(names),
+        "khat": {name: report.khat[i] for i, name in zip(rows, names)},
+        "threshold_used": {name: report.threshold_used[i] for i, name in zip(rows, names)},
         "selection_volume": report.selection_volume,
     })
     return 0

@@ -135,9 +135,13 @@ def _stouffer_rows(s: np.ndarray) -> np.ndarray:
 
 
 def _simes_rows(s: np.ndarray) -> np.ndarray:
-    """min_j k * p_(j) / j, capped at 1."""
+    """min_j k * p_(j) / j, capped at 1. One column at a time, so that no
+    temporary is larger than a column."""
     k = s.shape[1]
-    return np.minimum(1.0, (k * s / np.arange(1, k + 1)).min(axis=1))
+    out = np.ones(len(s))
+    for j in range(k):
+        np.minimum(out, k * s[:, j] / (j + 1), out=out)
+    return out
 
 
 def _bonferroni_rows(s: np.ndarray) -> np.ndarray:

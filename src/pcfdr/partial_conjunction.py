@@ -17,7 +17,7 @@ import numpy as np
 
 from .combine import CombiningMethod, combine_sorted, sort_rows
 
-__all__ = ["pc_pvalues", "pc_path", "pc_pvalue", "pc_pvalue_oracle"]
+__all__ = ["pc_pvalues", "pc_path", "pc_path_sorted", "pc_pvalue", "pc_pvalue_oracle"]
 
 _ORACLE_MAX_M = 20
 
@@ -38,10 +38,14 @@ def pc_pvalues(mat, u: int, method: CombiningMethod) -> np.ndarray:
 def pc_path(mat, method: CombiningMethod) -> np.ndarray:
     """The m x n array whose column u-1 is :func:`pc_pvalues` at u, for
     u = 1, ..., n, from one sort per row."""
-    s = sort_rows(mat)
-    n = s.shape[1]
+    return pc_path_sorted(sort_rows(mat), method)
+
+
+def pc_path_sorted(s: np.ndarray, method: CombiningMethod) -> np.ndarray:
+    """:func:`pc_path` of rows already validated and sorted ascending
+    (see :func:`sort_rows`)."""
     return np.stack([combine_sorted(s[:, u - 1:], method)
-                     for u in range(1, n + 1)], axis=1)
+                     for u in range(1, s.shape[1] + 1)], axis=1)
 
 
 def pc_pvalue(p: Sequence[float], u: int, method: CombiningMethod) -> float:

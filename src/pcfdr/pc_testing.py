@@ -102,7 +102,14 @@ class WeightScheme:
 
     @classmethod
     def unit(cls, g: int) -> "WeightScheme":
-        return cls(np.ones(g), np.ones(g))
+        """w = v = 1: one read-only array of ones serves as both, and, valid
+        by construction, is neither copied nor checked."""
+        ones = np.ones(g)
+        ones.setflags(write=False)
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "prior_w", ones)
+        object.__setattr__(scheme, "penalty_v", ones)
+        return scheme
 
 
 def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,

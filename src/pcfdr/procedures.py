@@ -275,12 +275,14 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
     adjusted p-value at sorted place k is the running minimum, from the top
     down to k, of scale * q_(j) / beta(V_j); scale is m, or m * pi0_hat in
     adaptive mode. p = 0 gives q = 0 (rejected at every level) and
-    w = 0 < p gives q = inf (never rejected).
+    w = 0 < p gives q = inf (never rejected), and a p > 0 whose p / w
+    underflows keeps the least positive q, as it is not rejected where
+    beta is 0.
     """
     p, v = _inputs(p, tc, penalty_v)
     beta, scale = tc.shape, tc._scales(p[None])[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(p == 0.0, 0.0, p / tc.prior_w)
+        q = np.where(p == 0.0, 0.0, np.maximum(p / tc.prior_w, np.nextafter(0.0, 1.0)))
         order = np.argsort(q, kind="stable")
         q = q[order]
         ratio = np.where(q == 0.0, 0.0, scale * q / beta(np.cumsum(v[order]), tc.m))

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import CombiningMethod, DegenerateInputError
-from .partial_conjunction import pc_path, pc_pvalues
+from .combine import CombiningMethod, DegenerateInputError, combine_sorted, sort_rows
+from .partial_conjunction import pc_path_sorted
 from .pc_testing import WeightScheme
 from .procedures import (
     IDENTITY,
@@ -31,9 +31,9 @@ from .procedures import (
 __all__ = [
     "SelectionRule",
     "ReplicabilityReport",
-    "validate_matrix",
     "select_features",
     "khat_bounds",
+    "replicability_analysis",
     "realized_replicability_error",
 ]
 
@@ -78,20 +78,27 @@ class ReplicabilityReport:
     selection_volume: float
 
 
-def validate_matrix(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise ValueError("p-value matrix must be 2-dimensional and nonempty")
-    if np.isnan(mat).any() or (mat < 0).any() or (mat > 1).any():
-        raise ValueError("matrix entries must lie in [0, 1]")
-    return mat
-
-
-def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
-                 ws: WeightScheme) -> np.ndarray:
-    """The Step-1 selection rule applied to each matrix of the validated
-    (R, m, n) stack: the (R, m) selection masks."""
+def _sorted_rows(mats: np.ndarray) -> np.ndarray:
+    """The (R, m, n) stack of p-value matrices, validated, with each row
+    sorted ascending: the one form Step 1 and Step 2 both read."""
     r, m, n = mats.shape
+    return sort_rows(mats.reshape(r * m, n)).reshape(r, m, n)
+
+
+def _one_matrix(mat) -> tuple[np.ndarray, np.ndarray]:
+    """``mat`` as a one-matrix stack, and that stack row-sorted."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] < 1:
+        raise ValueError("p-value matrix must be 2-dimensional and nonempty")
+    return mat[None], _sorted_rows(mat[None])
+
+
+def _select_rows(mats: np.ndarray, s: np.ndarray, rule: SelectionRule,
+                 method: CombiningMethod, ws: WeightScheme) -> np.ndarray:
+    """The Step-1 selection rule applied to each matrix of the (R, m, n)
+    stack ``mats``, given ``s``, the stack row-sorted by
+    :func:`_sorted_rows`: the (R, m) selection masks."""
+    r, m, n = s.shape
     if len(ws.prior_w) != m:
         raise ValueError("weight scheme sized for a different feature count")
     if rule.kind == "step_up_on_column":
@@ -99,7 +106,7 @@ def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
             raise ValueError(f"column {rule.column} outside [0, {n})")
         values = mats[:, :, rule.column]
     else:
-        values = pc_pvalues(mats.reshape(r * m, n), 1, method).reshape(r, m)
+        values = combine_sorted(s.reshape(r * m, n), method).reshape(r, m)
         if rule.kind == "fixed_threshold_on_combined":
             return values <= rule.threshold
     tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
@@ -110,30 +117,40 @@ def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
 def select_features(mat, rule: SelectionRule, method: CombiningMethod,
                     ws: WeightScheme) -> frozenset[int]:
     """Apply the Step-1 selection rule; returns 0-based row indices."""
-    mat = validate_matrix(mat)
-    selected = _select_rows(mat[None], rule, method, ws)[0]
+    selected = _select_rows(*_one_matrix(mat), rule, method, ws)[0]
     return frozenset(np.flatnonzero(selected).tolist())
 
 
-def _khat_rows(mats: np.ndarray, selected: np.ndarray, method: CombiningMethod,
+def _khat_rows(s: np.ndarray, selected: np.ndarray, method: CombiningMethod,
                ws: WeightScheme, q: float,
                beta: ShapeFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step 2 on each matrix of the (R, m, n) stack with its row of the
-    (R, m) selection masks: the (R, m) k_hat (0 off the selection) and
-    thresholds, and the (R,) selection volumes |S|_v, added in index order.
-    A ``DegenerateInputError`` names the flat index r * m + i."""
-    r, m, n = mats.shape
+    """Step 2 on each matrix of the row-sorted (R, m, n) stack ``s`` with its
+    row of the (R, m) selection masks: the (R, m) k_hat (0 off the
+    selection) and thresholds, and the (R,) selection volumes |S|_v, added
+    in index order. A ``DegenerateInputError`` names the flat index
+    r * m + i."""
+    r, m, n = s.shape
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q={q} outside (0, 1]")
     vol = _volumes(selected, ws.penalty_v)
     t = ws.prior_w * beta(vol, m)[:, None] * q / m
     try:
-        path = pc_path(mats[selected], method)
+        path = pc_path_sorted(s[selected], method)
     except DegenerateInputError as exc:
         raise DegenerateInputError(int(np.flatnonzero(selected)[exc.row])) from None
     khat = np.zeros((r, m), dtype=int)
     khat[selected] = (np.maximum.accumulate(path, axis=1) <= t[selected][:, None]).sum(axis=1)
     return khat, t, vol
+
+
+def _report(s: np.ndarray, mask: np.ndarray, method: CombiningMethod,
+            ws: WeightScheme, q: float, beta: ShapeFunction) -> ReplicabilityReport:
+    """Step 2 on the one-matrix row-sorted stack ``s`` with the (1, m)
+    selection mask, as a report."""
+    rows = np.flatnonzero(mask[0]).tolist()
+    khat, t, vol = _khat_rows(s, mask, method, ws, q, beta)
+    return ReplicabilityReport(frozenset(rows), dict(zip(rows, khat[0, rows].tolist())),
+                               dict(zip(rows, t[0, rows].tolist())), float(vol[0]))
 
 
 def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
@@ -145,13 +162,18 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
     with the empty maximum defined as 0. The running maximum is monotone, so
     k_hat(i) is the number of u at which it stays under the threshold.
     """
-    mat = validate_matrix(mat)
-    sel = frozenset(selected)
-    mask = _index_mask(sel, mat.shape[0])[None]
-    rows = sorted(sel)
-    khat, t, vol = _khat_rows(mat[None], mask, method, ws, q, beta)
-    return ReplicabilityReport(sel, dict(zip(rows, khat[0, rows].tolist())),
-                               dict(zip(rows, t[0, rows].tolist())), float(vol[0]))
+    s = _one_matrix(mat)[1]
+    return _report(s, _index_mask(selected, s.shape[1])[None], method, ws, q, beta)
+
+
+def replicability_analysis(mat, rule: SelectionRule, method: CombiningMethod,
+                           ws: WeightScheme, q: float,
+                           beta: ShapeFunction = IDENTITY) -> ReplicabilityReport:
+    """Steps 1 and 2 on one matrix: :func:`khat_bounds` of the rows that
+    :func:`select_features` selects, with the matrix validated and its rows
+    sorted once for both steps."""
+    mats, s = _one_matrix(mat)
+    return _report(s, _select_rows(mats, s, rule, method, ws), method, ws, q, beta)
 
 
 def realized_replicability_error(report: ReplicabilityReport,

@@ -37,6 +37,7 @@ from .replicability import (
     SelectionRule,
     _khat_rows,
     _select_rows,
+    _sorted_rows,
 )
 
 __all__ = [
@@ -119,15 +120,22 @@ def _estimate(values: Sequence[float]) -> McEstimate:
 def _draw(s: SimulationScenario, r0: int, r1: int) -> np.ndarray:
     """The p-value matrices of replicates r0, ..., r1 - 1, stacked as an
     (r1 - r0, m, n) array. Replicate r comes from its own Philox stream
-    keyed by (scenario seed, r)."""
+    keyed by (scenario seed, r): one generator serves the chunk, its state
+    reset to that key and counter 0 for each replicate, as a new
+    ``Philox(key=...)`` would start."""
     from scipy.special import ndtr
     m, n = s.m, s.n
     prds = s.dependence == "equicorrelated_prds" and s.rho > 0.0
     z = np.empty((r1 - r0, m, n))
     z0 = np.empty((r1 - r0, 1, n))
+    # A fixed seed, unlike Philox(key=...), draws no OS entropy. Its fresh
+    # state (counter 0, nothing buffered) takes each replicate's key.
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state
     for j, rep in enumerate(range(r0, r1)):
-        key = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        fresh["state"]["key"] = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep], dtype=np.uint64)
+        bits.state = fresh
         rng.standard_normal(out=z[j])
         if prds:
             rng.standard_normal(out=z0[j, 0])
@@ -195,8 +203,9 @@ def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
     true_k = np.asarray(s.true_k)
     errors = []
     for mats in _chunks(s):
-        selected = _select_rows(mats, rule, method, ws)
-        wrong = selected & (_khat_rows(mats, selected, method, ws, q, beta)[0] > true_k)
+        s_rows = _sorted_rows(mats)
+        selected = _select_rows(mats, s_rows, rule, method, ws)
+        wrong = selected & (_khat_rows(s_rows, selected, method, ws, q, beta)[0] > true_k)
         errors.append(_volume_share(wrong, selected, ws.penalty_v))
     return _estimate(np.concatenate(errors))
 
@@ -233,7 +242,8 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
             vol.append(_step_up_rows(pc, tc, ws.penalty_v)[1])
         else:
             mats[:, probe] = 0.0
-            vol.append(_volumes(_select_rows(mats, rule, method, ws), ws.penalty_v))
+            selected = _select_rows(mats, _sorted_rows(mats), rule, method, ws)
+            vol.append(_volumes(selected, ws.penalty_v))
     p_u, vol = np.concatenate(p_u), np.concatenate(vol)
     positive = vol > 0
     inverse = np.divide(1.0, vol, out=np.zeros(len(vol)), where=positive)

@@ -5,13 +5,15 @@ became array-native: the combiners on one Python list, the partial
 conjunction p-value of one row, the step-up fixed-point iteration over
 per-hypothesis thresholds Delta(i, r), the break-at-first-failure k_hat
 loop, the bisection over alpha for adjusted p-values, the
-self-consistency check of a candidate rejection set, and the Monte Carlo
-functions drawing, testing and scoring one replicate at a time. Simes,
-Bonferroni, Hommel and Simes-Storey use the same floating-point operations
-in the same order as the array code, so results must agree exactly; Fisher
-and Stouffer sum in another order. The Monte Carlo loops combine with the
-array combiners, so their estimates must equal the stacked ones for every
-method.
+self-consistency check of a candidate rejection set, the Monte Carlo
+functions drawing, testing and scoring one replicate at a time, and the
+CLI's per-line CSV reader. Simes, Bonferroni, Hommel and Simes-Storey use
+the same floating-point operations in the same order as the array code,
+so results must agree exactly; Fisher and Stouffer sum in another order.
+The Monte Carlo loops combine with the array combiners, so their
+estimates must equal the stacked ones for every method. The per-line
+reader must give the streaming reader's values and ids on well-formed
+text without a byte-order mark.
 """
 
 import math
@@ -19,6 +21,7 @@ import math
 import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri
 
+from pcfdr.cli import CliError
 from pcfdr.partial_conjunction import pc_path, pc_pvalues
 from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import ThresholdCollection
@@ -270,3 +273,69 @@ def dcc_probe(s, u, method, c_grid, statistic, alpha):
     return [(float(c), _estimate([(1.0 / v if p <= c * v else 0.0) if v > 0 else 0.0
                                   for p, v in pairs]))
             for c in c_grid]
+
+
+def _is_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def read_matrix(path, pvalues=True):
+    """The CLI's reader before the streaming one: blank lines filtered, ids
+    split off and row widths checked line by line in Python, and
+    ``np.loadtxt`` fed the lines through a generator. Returns (list of ids
+    or None, 2-d float array)."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+    with fh:
+        first = next((ln for ln in fh if ln.strip()), None)
+        if first is None:
+            raise CliError(f"{path}:1:1: empty input")
+        has_ids = pvalues and not _is_number(first.split(",")[0].strip())
+        commas = first.count(",")
+        ids = []
+
+        def rows():
+            block = [first]
+            while block:
+                block = [ln for ln in block if ln.strip()]
+                if has_ids:
+                    if any(ln.count(",") != commas for ln in block):
+                        raise ValueError("rows of unequal length")
+                    ids.extend([ln.partition(",")[0].strip() for ln in block])
+                yield from block
+                block = fh.readlines(1 << 16)
+
+        try:
+            mat = np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2,
+                             usecols=range(1, commas + 1) if has_ids else None)
+            if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
+                raise ValueError("p-value outside [0, 1]")
+        except ValueError as exc:
+            raise _bad_cell(path, has_ids, pvalues) or CliError(f"{path}: {exc}") from None
+    return (ids if has_ids else None), mat
+
+
+def _bad_cell(path, has_ids, pvalues):
+    width = None
+    with open(path) as fh:
+        for ln_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            cells = [c.strip() for c in line.split(",")][has_ids:]
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                return CliError(f"{path}:{ln_no}:1: expected {width} values, got {len(cells)}")
+            for col, cell in enumerate(cells, start=1 + has_ids):
+                if not _is_number(cell):
+                    return CliError(f"{path}:{ln_no}:{col}: not a number: {cell!r}")
+            for col, cell in enumerate(cells, start=1 + has_ids):
+                if pvalues and not 0.0 <= float(cell) <= 1.0:
+                    return CliError(f"{path}:{ln_no}:{col}: p-value {float(cell)} outside [0, 1]")
+    return None

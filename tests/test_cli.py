@@ -4,13 +4,31 @@ from pathlib import Path
 
 import pytest
 
-from pcfdr.cli import read_matrix, run, write_matrix
+from pcfdr.cli import CliError, FeatureIds, read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
 # The verify report on REFERENCE as the one-replicate-at-a-time Monte Carlo
 # loops (now in oracles.py) wrote it; stacked replicates must reproduce it
 # byte for byte.
 GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden" / "reference_verify.json"
+# A matrix with ids (one of them non-ASCII, one padded with spaces), CRLF
+# line ends, blank and whitespace-only lines and no newline after the last
+# line. Its replicate reports, as the per-line reader (now in oracles.py)
+# gave them, are pinned byte for byte in tests/golden.
+GOLDEN_MATRIX = ("gene_a,0.0001,0.0004,0.02\r\n"
+                 "gene_b,0.3,0.5,0.9\r\n"
+                 "\r\n"
+                 "g\u00e8ne_c,0.00002,0.00003,0.00001\r\n"
+                 "   \r\n"
+                 "gene_d,0.04,0.001,0.7\r\n"
+                 "\t\r\n"
+                 "gene_e,0.0005,0.2,0.0009\r\n"
+                 "gene_f,0.6,0.01,0.03\r\n"
+                 "gene_g,0.000001,0.9,0.5\r\n"
+                 "\r\n"
+                 " gene_h ,0.002,0.003,0.004\r\n"
+                 "gene_i,1,0.0,0.5")
+GOLDEN_REPLICATE = {"threshold=0.01": "replicate.json", "column=1": "replicate_column.json"}
 
 
 def write(tmp_path, name, text):
@@ -29,8 +47,38 @@ class TestReadWriteMatrix:
     def test_id_column_detected(self, tmp_path):
         path = write(tmp_path, "m.csv", "geneA,0.1\ngeneB,0.2\n")
         ids, rows = read_matrix(path)
-        assert ids == ["geneA", "geneB"]
+        assert isinstance(ids, FeatureIds)
+        assert list(ids) == ["geneA", "geneB"]
         assert rows.tolist() == [[0.1], [0.2]]
+
+    def test_ids_decode_alike_one_by_one_and_in_blocks(self, tmp_path):
+        names = [f" g\u00e8ne{i} " if i % 7 else f"g{i}" for i in range(9000)]
+        path = write(tmp_path, "m.csv", "".join(f"{name},0.5\n" for name in names))
+        ids, rows = read_matrix(path)
+        assert list(ids) == [ids[i] for i in range(len(ids))] == [n.strip() for n in names]
+        assert rows.shape == (9000, 1)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = write(tmp_path, "m.csv", "\ufeff0.01,0.2\n0.3,0.4\n")
+        ids, rows = read_matrix(path)
+        assert ids is None
+        assert rows.tolist() == [[0.01, 0.2], [0.3, 0.4]]
+        path = write(tmp_path, "i.csv", "\ufeffgeneA,0.1\r\ngeneB,0.2\r\n")
+        ids, rows = read_matrix(path)
+        assert list(ids) == ["geneA", "geneB"]
+        assert rows.tolist() == [[0.1], [0.2]]
+
+    def test_byte_order_mark_keeps_combined_values(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "\ufeff0.01,0.2\n0.3,0.4\n")
+        assert run(["combine", path, "--method", "simes"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["0.02", "0.40000000000000002"]
+
+    def test_token_only_float_accepts_is_not_a_number(self, tmp_path):
+        # float() takes underscores and non-ASCII digits; np.loadtxt does not.
+        for token in ("0.0_1", "\u0660.5"):
+            path = write(tmp_path, "u.csv", f"0.1,{token}\n")
+            with pytest.raises(CliError, match=rf"u\.csv:1:2: not a number: '{token}'"):
+                read_matrix(path)
 
     def test_roundtrip_17_digits(self, tmp_path):
         values = [[1 / 3, math.pi / 4], [1e-17, 0.9999999999999999]]
@@ -67,6 +115,21 @@ class TestReadWriteMatrix:
         path = write(tmp_path, "m.csv", text)
         with pytest.raises(CliError, match=r"m\.csv:2:1: expected 2 values, got 3"):
             read_matrix(path)
+
+    @pytest.mark.parametrize("text, where", [
+        ("0.1,0.2\n0.3\n", "2:1: expected 2 values, got 1"),
+        ("0.1,0.2\n\n0.3,0.4,0.5\n", "3:1: expected 2 values, got 3"),
+        ("a,0.1\nb,0.2,0.3\n", "2:1: expected 1 values, got 2"),
+        ("0.1,0.2\n0.3,x\n", "2:2: not a number: 'x'"),
+        ("0.1,0.2\n0.3,1.5\n", "2:2: p-value 1.5 outside [0, 1]"),
+        ("0.1,0.0_1\n", "1:2: not a number: '0.0_1'"),
+        ("", "1:1: empty input"),
+        (" \n\n", "1:1: empty input"),
+    ])
+    def test_bad_input_exits_2_with_line_and_column(self, tmp_path, capsys, text, where):
+        path = write(tmp_path, "m.csv", text)
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        assert capsys.readouterr().err == f"error: {path}:{where}\n"
 
 
 class TestCombine:
@@ -144,6 +207,16 @@ class TestReplicate:
         report = json.loads(capsys.readouterr().out)
         assert report["selected"] == ["hit"]
         assert report["khat"]["hit"] >= 1
+
+    @pytest.mark.parametrize("rule", sorted(GOLDEN_REPLICATE))
+    def test_report_matches_golden_file(self, tmp_path, rule):
+        path = tmp_path / "m.csv"
+        path.write_bytes(GOLDEN_MATRIX.encode())
+        out = tmp_path / "r.json"
+        assert run(["replicate", str(path), "--q", "0.1", "--method", "simes",
+                    "--rule", rule, "--out", str(out)]) == 0
+        golden = GOLDEN_VERIFY.parent / GOLDEN_REPLICATE[rule]
+        assert out.read_bytes() == golden.read_bytes()
 
     def test_unknown_rule(self, tmp_path):
         path = write(tmp_path, "m.csv", "0.5\n")

@@ -6,7 +6,9 @@ fixed-point iteration of ``oracles``; the closed-form adjusted p-values with
 the bisection of ``oracles`` and with the step-up's rejection sets; a
 ``replicate`` run with the reciprocal-sum shape end to end with both; the
 stacked Monte Carlo functions with the one-replicate-at-a-time loops of
-``oracles``, estimate for estimate.
+``oracles``, estimate for estimate; the streaming CSV reader with the
+per-line reader of ``oracles`` on random text, and its number test with
+``np.loadtxt`` itself.
 """
 
 import json
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfdr.cli import run
+from pcfdr.cli import CliError, _is_number, read_matrix, run
 from pcfdr.combine import (
     BONFERRONI,
     FISHER,
@@ -181,6 +183,18 @@ def test_adjusted_pvalue_of_zero_is_zero(tc, v):
     assert 0.0 < oracles.adjusted_pvalues(p, tc, v)[0] <= 1e-10
 
 
+def test_adjusted_pvalue_of_underflowing_ratio_is_not_zero():
+    # p / w underflows to 0 at hypothesis 13, but unlike p = 0 it is not
+    # rejected while beta(V) is 0: here never, as the volume it can join,
+    # 0.125 + 0.5 + 0.25, stays under nu's first support point.
+    p = [0.0] + [0.001] * 5 + [0.0] + [0.001] * 6 + [5e-324] + [0.001] * 4
+    v = [0.125] + [1.0] * 5 + [0.5] + [1.0] * 6 + [0.25] + [1.0] * 4
+    w = [0.0] * 18
+    w[13] = 72.0
+    tc = ThresholdCollection(alpha=0.05, m=18, prior_w=w, shape=NU)
+    assert adjusted_pvalues(p, tc, v)[13] == 1.0 == oracles.adjusted_pvalues(p, tc, v)[13]
+
+
 def test_replicate_reciprocal_sum_matches_oracle(tmp_path):
     # With the reciprocal-sum shape every threshold needs H_m; at m = 2e4
     # this run must finish and give the oracle's selection and k_hat.
@@ -338,3 +352,69 @@ def test_dcc_probe_matches_per_replicate_loop(statistic, method):
     got = dcc_probe(s, 2, method, grid, statistic=statistic, alpha=0.2)
     assert got == oracles.dcc_probe(s, 2, method, grid, statistic, 0.2)
     assert any(est.mean > 0 for _, est in got)
+
+
+# Random CSV text: blank and whitespace-only lines (ASCII and not), ids
+# with padding and non-ASCII letters, numbers in several spellings with
+# padding, LF, CRLF and CR line ends, with or without a last newline, and
+# now and then a row of another width or a value outside [0, 1].
+PAD = st.sampled_from(["", "", " ", "\t", "\u00a0"])
+SPACE_LINE = st.text(st.sampled_from([" ", "\t", "\u3000"]), max_size=3)
+NUMBER = st.one_of(st.floats(0.0, 1.0).map(repr),
+                   st.floats(0.0, 1.0).map(lambda x: "%.17g" % x),
+                   st.sampled_from(["0", "1", "1.0", ".5", "5e-1", "1E-3", "0.000"]))
+IDENT = st.text(st.sampled_from("ab_- \u00e8\u00df0"), max_size=4)
+
+
+@st.composite
+def csv_texts(draw):
+    n = draw(st.integers(1, 3))
+    has_ids = draw(st.booleans())
+    fault = draw(st.sampled_from([None] * 4 + ["width", "range"]))
+    m = draw(st.integers(1, 6))
+    bad = draw(st.integers(0, m - 1))
+    lines = []
+    for i in range(m):
+        lines += draw(st.lists(SPACE_LINE, max_size=2))
+        cells = [draw(PAD) + draw(NUMBER) + draw(PAD) for _ in range(n)]
+        if has_ids:
+            # A letter first keeps the first id a non-number to both readers.
+            cells.insert(0, ("g" if i == 0 else "") + draw(IDENT))
+        if i == bad and fault == "width":
+            cells.append("0.5")
+        elif i == bad and fault == "range":
+            cells[-1] = "1.5"
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def read_outcome(reader, path):
+    try:
+        ids, mat = reader(path)
+    except CliError as exc:
+        return str(exc)
+    names = None if ids is None else list(ids)
+    assert names is None or names == [ids[i] for i in range(len(ids))]
+    return names, mat.shape, mat.tolist()
+
+
+@given(text=csv_texts())
+@settings(max_examples=150, deadline=None)
+def test_streaming_reader_matches_per_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "random.csv"
+    path.write_bytes(text.encode())
+    assert read_outcome(read_matrix, str(path)) == read_outcome(oracles.read_matrix, str(path))
+
+
+@given(token=st.text(st.sampled_from("0123456789.eE+-_ \t\u00a0\u0660inf"), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_number_test_accepts_what_loadtxt_parses(token):
+    try:
+        np.loadtxt([f"0,{token}"], delimiter=",", comments=None)
+    except ValueError:
+        parsed = False
+    else:
+        parsed = True
+    assert _is_number(token) == parsed

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from pcfdr.combine import SIMES, combine_pvalues
+from pcfdr.combine import BONFERRONI, SIMES, combine_pvalues
 from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import RECIPROCAL_SUM, ThresholdCollection, step_up
 from pcfdr.replicability import (
@@ -11,8 +11,8 @@ from pcfdr.replicability import (
     SelectionRule,
     khat_bounds,
     realized_replicability_error,
+    replicability_analysis,
     select_features,
-    validate_matrix,
 )
 
 
@@ -26,15 +26,28 @@ def random_matrix(rng, m, n, signal_frac=0.4):
 
 
 class TestValidateMatrix:
+    """The matrix checks that Steps 1 and 2 share: each entry point
+    validates the matrix once, while sorting its rows."""
+
+    RULE = SelectionRule("step_up_on_combined", alpha=0.05)
+
+    def steps(self, mat):
+        ws = WeightScheme.unit(1)
+        return [lambda: select_features(mat, self.RULE, SIMES, ws),
+                lambda: khat_bounds(mat, {0}, SIMES, ws, q=0.1),
+                lambda: replicability_analysis(mat, self.RULE, SIMES, ws, q=0.1)]
+
     def test_rejects_bad_entries(self):
-        with pytest.raises(ValueError):
-            validate_matrix([[0.5, 1.2]])
-        with pytest.raises(ValueError):
-            validate_matrix([0.5, 0.2])  # 1-d
+        for mat in ([[0.5, 1.2]], [[0.5, float("nan")]], [0.5, 0.2], [[]]):
+            for step in self.steps(mat):
+                with pytest.raises(ValueError):
+                    step()
 
     def test_accepts_lists(self):
-        out = validate_matrix([[0.5, 0.2]])
-        assert out.shape == (1, 2)
+        select, khat, both = (step() for step in self.steps([[0.5, 0.2]]))
+        assert select == frozenset()
+        assert khat.khat == {0: 0}
+        assert both.selected == frozenset()
 
 
 class TestSelectFeatures:
@@ -83,7 +96,6 @@ class TestKhatBounds:
         # (0.001, 0.01, 0.2) with t=0.05 give khat=2
         mat = [[0.001, 0.005, 0.2]]
         # Bonferroni PC p-values: u=1: 3*0.001=0.003; u=2: 2*0.005=0.01; u=3: 0.2
-        from pcfdr.combine import BONFERRONI
         report = khat_bounds(mat, {0}, BONFERRONI, WeightScheme.unit(1), q=0.05)
         assert report.khat[0] == 2
         assert report.threshold_used[0] == pytest.approx(0.05)
@@ -104,6 +116,23 @@ class TestKhatBounds:
             sel = select_features(mat, rule, SIMES, ws)
             report = khat_bounds(mat, sel, SIMES, ws, q=0.1)
             assert all(report.khat[i] >= 1 for i in sel)
+
+    @pytest.mark.parametrize("rule", [
+        SelectionRule("step_up_on_combined", alpha=0.1),
+        SelectionRule("step_up_on_combined", alpha=0.1, shape=RECIPROCAL_SUM),
+        SelectionRule("fixed_threshold_on_combined", threshold=0.01),
+        SelectionRule("step_up_on_column", alpha=0.2, column=1),
+    ], ids=["step-up", "step-up-by", "threshold", "column"])
+    def test_analysis_sorts_once_for_both_steps_with_equal_results(self, rule):
+        rng = np.random.default_rng(4)
+        for method in (SIMES, BONFERRONI):
+            for _ in range(40):
+                m, n = int(rng.integers(1, 12)), int(rng.integers(2, 5))
+                mat = random_matrix(rng, m, n)
+                ws = WeightScheme.unit(m)
+                report = replicability_analysis(mat, rule, method, ws, 0.1, RECIPROCAL_SUM)
+                sel = select_features(mat, rule, method, ws)
+                assert report == khat_bounds(mat, sel, method, ws, 0.1, RECIPROCAL_SUM)
 
     def test_q_validation(self):
         with pytest.raises(ValueError):
