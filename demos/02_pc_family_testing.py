@@ -16,7 +16,7 @@ from pcfdr import (
     WeightScheme,
     compute_pc_pvalues,
     realized_weighted_fdp,
-    test_pc_family,
+    step_up,
 )
 
 rng = np.random.default_rng(1)
@@ -35,7 +35,7 @@ for g, value in enumerate(pc):
 
 ws = WeightScheme.unit(layout.n_groups)
 tc = ThresholdCollection(alpha=0.05, m=layout.n_groups)
-result = test_pc_family(p, layout, SIMES, ws, tc)
+result = step_up(pc, tc, ws.penalty_v)
 print(f"\nrejected groups at alpha=0.05: {sorted(result.indices)}")
 
 # Scoring against the ground truth (groups 2..5 have fewer than u=2

@@ -10,24 +10,17 @@ from .combine import (
     SIMES,
     STOUFFER,
     CombiningMethod,
-    bonferroni_combine,
     combine_pvalues,
-    fisher_combine,
-    hommel_combine,
-    simes_combine,
     simes_storey,
-    simes_storey_combine,
     storey_pi0,
-    stouffer_combine,
 )
 from .numerics import chi_square_survival, std_normal_cdf, std_normal_quantile
-from .partial_conjunction import pc_path, pc_pvalue, pc_pvalue_oracle, pc_pvalues
+from .partial_conjunction import pc_path, pc_pvalue, pc_pvalues
 from .pc_testing import (
     GroupLayout,
     WeightScheme,
     compute_pc_pvalues,
     realized_weighted_fdp,
-    test_pc_family,
 )
 from .procedures import (
     IDENTITY,
@@ -36,7 +29,6 @@ from .procedures import (
     ShapeFunction,
     ThresholdCollection,
     adjusted_pvalues,
-    check_stability,
     step_up,
     weighted_volume,
 )

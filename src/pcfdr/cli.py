@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .combine import DEFAULT_LAMBDA, CombiningMethod, DegenerateInputError
+from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
 from .pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
 from .procedures import (
@@ -209,11 +209,17 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[FeatureIds | None, np.
 
 def _bad_cell(path: str, pvalues: bool) -> CliError | None:
     """The diagnostic for the first bad cell, numbered by physical line and
-    column: a row of another width, a token that is not a number, or (for
-    p-values) a value outside [0, 1]."""
+    column: bytes that are not UTF-8 (read as lone surrogates, which
+    ``str.encode`` rejects), a row of another width, a token that is not a
+    number, or (for p-values) a value outside [0, 1]."""
     width = has_ids = None
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for ln_no, line in enumerate(fh, start=1):
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:
+                col = line.count(",", 0, exc.start) + 1
+                return CliError(f"{path}:{ln_no}:{col}: not valid UTF-8")
             if not line.strip():
                 continue
             if has_ids is None:
@@ -233,14 +239,12 @@ def _bad_cell(path: str, pvalues: bool) -> CliError | None:
 
 
 def write_matrix(path, ids: FeatureIds | list[str] | None,
-                 rows: list[list[float]]) -> None:
+                 values: list[float]) -> None:
+    """One line per value, after its id if there are ids."""
     out = sys.stdout if path is None else open(path, "w")
     try:
-        for name, row in zip(ids if ids is not None else [None] * len(rows), rows):
-            cells = [_fmt(x) for x in row]
-            if name is not None:
-                cells.insert(0, name)
-            out.write(",".join(cells) + "\n")
+        for name, x in zip(ids if ids is not None else [None] * len(values), values):
+            out.write(f"{_fmt(x)}\n" if name is None else f"{name},{_fmt(x)}\n")
     finally:
         if path is not None:
             out.close()
@@ -260,20 +264,18 @@ def read_weights(path: str, m: int) -> WeightScheme:
 
 
 def _method(args) -> CombiningMethod:
-    lam = getattr(args, "lam", None)
-    if args.method == "simes_storey":
-        return CombiningMethod("simes_storey", lam if lam is not None else DEFAULT_LAMBDA)
-    if lam is not None:
+    if args.lam is not None and args.method != "simes_storey":
         raise CliError("--lambda only applies to simes_storey")
-    return CombiningMethod(args.method)
+    return CombiningMethod(args.method, args.lam)
+
+
+_SHAPES = {"identity": IDENTITY, "reciprocal_sum": RECIPROCAL_SUM}
 
 
 def _shape(name: str) -> ShapeFunction:
-    if name == "identity":
-        return IDENTITY
-    if name == "reciprocal_sum":
-        return RECIPROCAL_SUM
-    raise CliError(f"unknown shape {name!r}")
+    if name not in _SHAPES:
+        raise CliError(f"unknown shape {name!r}")
+    return _SHAPES[name]
 
 
 def _write_json(path, payload: dict) -> None:
@@ -295,14 +297,13 @@ def _row_line(path: str, row: int) -> int:
 def cmd_combine(args) -> int:
     method = _method(args)
     ids, mat = read_matrix(args.input)
-    u = args.u if args.u is not None else 1
-    if not 1 <= u <= mat.shape[1]:
-        raise CliError(f"--u {u} outside [1, {mat.shape[1]}]")
+    if not 1 <= args.u <= mat.shape[1]:
+        raise CliError(f"--u {args.u} outside [1, {mat.shape[1]}]")
     try:
-        pc = pc_pvalues(mat, u, method)
+        pc = pc_pvalues(mat, args.u, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    write_matrix(args.out, ids, [[x] for x in pc.tolist()])
+    write_matrix(args.out, ids, pc.tolist())
     return 0
 
 
@@ -388,6 +389,44 @@ def cmd_replicate(args) -> int:
     return 0
 
 
+def _fdr_pc_check(chk, scenario, method, shape, ws):
+    """Weighted FDR of the PC family against alpha times the PC-null share."""
+    u, alpha = int(chk["u"]), float(chk.get("alpha", 0.05))
+    tc = ThresholdCollection(alpha=alpha, m=scenario.m, shape=shape,
+                             adaptive_lambda=chk.get("adaptive_lambda"))
+    est = mc_fdr_pc(scenario, u, method, ws, tc)
+    return [({}, est, alpha * len(scenario.true_null_features(u)) / scenario.m)]
+
+
+def _replicability_check(chk, scenario, method, shape, ws):
+    """Replicability error of the two-step procedure against q."""
+    q = float(chk.get("q", 0.05))
+    rule = _parse_rule(chk.get("rule", "step-up"), q, shape)
+    return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
+
+
+def _dcc_check(chk, scenario, method, shape, ws):
+    """The dependency control condition against each c of the grid."""
+    grid = [float(c) for c in chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5])]
+    out = dcc_probe(scenario, int(chk["u"]), method, grid,
+                    statistic=chk.get("statistic", "rejection_volume"),
+                    alpha=float(chk.get("alpha", 0.05)))
+    return [({"c": c}, est, c) for c, est in out]
+
+
+# Each check kind returns, per result, its extra report fields, the Monte
+# Carlo estimate and the base of its bound.
+_CHECKS = {"fdr_pc": _fdr_pc_check, "replicability": _replicability_check,
+           "dcc": _dcc_check}
+
+
+def _result(extra: dict, est, base: float) -> dict:
+    """One result record: the estimate passes at most 3 SE above the base."""
+    bound = base + 3 * est.se
+    return {**extra, "estimate": est.mean, "se": est.se, "bound": bound,
+            "pass": est.mean <= bound}
+
+
 def _run_scenario_file(args, enforce: bool) -> int:
     try:
         with open(args.scenario) as fh:
@@ -410,41 +449,15 @@ def _run_scenario_file(args, enforce: bool) -> int:
             kind = chk["check"]
             method = CombiningMethod(chk["method"], chk.get("lambda"))
             shape = _shape(chk.get("shape", "identity"))
-            ws = WeightScheme.unit(scenario.m)
-            if kind == "fdr_pc":
-                u = int(chk["u"])
-                alpha = float(chk.get("alpha", 0.05))
-                adaptive = chk.get("adaptive_lambda")
-                tc = ThresholdCollection(alpha=alpha, m=scenario.m, shape=shape,
-                                         adaptive_lambda=adaptive)
-                est = mc_fdr_pc(scenario, u, method, ws, tc)
-                n_null = len(scenario.true_null_features(u))
-                bound = alpha * n_null / scenario.m + 3 * est.se
-                sub = [{"estimate": est.mean, "se": est.se, "bound": bound,
-                        "pass": est.mean <= bound}]
-            elif kind == "replicability":
-                q = float(chk.get("q", 0.05))
-                rule = _parse_rule(chk.get("rule", "step-up"), q, shape)
-                est = mc_replicability_error(scenario, rule, method, ws, q, shape)
-                bound = q + 3 * est.se
-                sub = [{"estimate": est.mean, "se": est.se, "bound": bound,
-                        "pass": est.mean <= bound}]
-            elif kind == "dcc":
-                u = int(chk["u"])
-                grid = [float(c) for c in chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5])]
-                stat = chk.get("statistic", "rejection_volume")
-                out = dcc_probe(scenario, u, method, grid, statistic=stat,
-                                alpha=float(chk.get("alpha", 0.05)))
-                sub = [{"c": c, "estimate": e.mean, "se": e.se,
-                        "bound": c + 3 * e.se, "pass": e.mean <= c + 3 * e.se}
-                       for c, e in out]
-            else:
+            if kind not in _CHECKS:
                 raise CliError(f"unknown check kind {kind!r}")
+            sub = [_result(*r) for r in _CHECKS[kind](
+                chk, scenario, method, shape, WeightScheme.unit(scenario.m))]
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"{args.scenario}: bad check spec: {exc}") from None
         ok = all(r["pass"] for r in sub)
         all_pass = all_pass and ok
-        records.append({"check": chk["check"], "scenario": scenario.to_dict(),
+        records.append({"check": kind, "scenario": scenario.to_dict(),
                         "method": chk["method"], "results": sub, "pass": ok})
     _write_json(args.out, {"records": records, "pass": all_pass})
     if enforce and not all_pass:
@@ -462,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("input")
     pc.add_argument("--method", required=True, choices=methods)
     pc.add_argument("--lambda", dest="lam", type=float, default=None)
-    pc.add_argument("--u", type=int, default=None)
+    pc.add_argument("--u", type=int, default=1)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_combine)
 
@@ -506,10 +519,7 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as exc:
+    except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

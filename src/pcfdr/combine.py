@@ -8,9 +8,9 @@ arbitrary dependence; Simes-Storey is the minimum adjusted p-value of the
 adaptive step-up procedure with the Storey plug-in and assumes independence.
 
 The combiners work on matrices whose rows are sorted ascending
-(:func:`sort_rows`, :func:`combine_sorted`); the scalar functions combine
-one row. Only Fisher and Stouffer need ``scipy.special``, and they import
-it when called, so the other methods run without loading scipy.
+(:func:`sort_rows`, :func:`combine_sorted`); :func:`combine_pvalues` takes
+one vector. Only Fisher and Stouffer need ``scipy.special``, and they
+import it when called, so the other methods run without loading scipy.
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ __all__ = [
     "DegenerateInputError",
     "sort_rows",
     "combine_sorted",
-    "fisher_combine",
-    "stouffer_combine",
-    "simes_combine",
-    "bonferroni_combine",
-    "hommel_combine",
     "storey_pi0",
-    "simes_storey_combine",
     "combine_pvalues",
     "simes_storey",
 ]
@@ -195,31 +189,6 @@ def combine_sorted(s: np.ndarray, method: CombiningMethod) -> np.ndarray:
 def combine_pvalues(p: Sequence[float], method: CombiningMethod) -> float:
     """Combine one vector of p-values with ``method``."""
     return float(combine_sorted(sort_rows([p]), method)[0])
-
-
-def fisher_combine(p: Sequence[float]) -> float:
-    return combine_pvalues(p, FISHER)
-
-
-def stouffer_combine(p: Sequence[float]) -> float:
-    return combine_pvalues(p, STOUFFER)
-
-
-def simes_combine(p: Sequence[float]) -> float:
-    return combine_pvalues(p, SIMES)
-
-
-def bonferroni_combine(p: Sequence[float]) -> float:
-    return combine_pvalues(p, BONFERRONI)
-
-
-def hommel_combine(p: Sequence[float]) -> float:
-    return combine_pvalues(p, HOMMEL)
-
-
-def simes_storey_combine(p: Sequence[float], lam: float = DEFAULT_LAMBDA) -> float:
-    """Minimum adjusted p-value of the Storey-adaptive step-up procedure."""
-    return combine_pvalues(p, simes_storey(lam))
 
 
 def storey_pi0(p: Sequence[float], lam: float = DEFAULT_LAMBDA) -> float:

@@ -3,23 +3,19 @@
 The p-value for "at least u of the n hypotheses are false nulls" is obtained
 by applying a monotone global-null combiner to the n-u+1 largest elementary
 p-values; equivalently, by maximizing the combined p-value over all subsets
-of size n-u+1. Both routes are provided: the direct construction, one sort
-per row of an m x n matrix, and a brute-force subset oracle used for
-cross-checking.
+of size n-u+1 (the subset oracle in the tests). The construction takes one
+sort per row of an m x n matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
 
 from .combine import CombiningMethod, combine_sorted, sort_rows
 
-__all__ = ["pc_pvalues", "pc_path", "pc_path_sorted", "pc_pvalue", "pc_pvalue_oracle"]
-
-_ORACLE_MAX_M = 20
+__all__ = ["pc_pvalues", "pc_path", "pc_path_sorted", "pc_pvalue"]
 
 
 def _check_u(u: int, m: int) -> None:
@@ -55,16 +51,3 @@ def pc_pvalue(p: Sequence[float], u: int, method: CombiningMethod) -> float:
     """
     return float(pc_pvalues([p], u, method)[0])
 
-
-def pc_pvalue_oracle(p: Sequence[float], u: int, method: CombiningMethod) -> float:
-    """Maximum of the combined p-value over all subsets of size m-u+1.
-
-    Exponential in m; guarded at m <= 20. Agrees with :func:`pc_pvalue` for
-    every coordinatewise non-decreasing combiner.
-    """
-    m = len(p)
-    _check_u(u, m)
-    if m > _ORACLE_MAX_M:
-        raise ValueError(f"oracle limited to m <= {_ORACLE_MAX_M}, got {m}")
-    subsets = list(itertools.combinations(p, m - u + 1))
-    return float(combine_sorted(sort_rows(subsets), method).max())

@@ -13,21 +13,12 @@ import numpy as np
 
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
-from .procedures import (
-    RejectionSet,
-    ThresholdCollection,
-    _index_mask,
-    _readonly,
-    _unnormalized_total,
-    _volume_share,
-    step_up,
-)
+from .procedures import _index_mask, _readonly, _unnormalized_total, _volume_share
 
 __all__ = [
     "GroupLayout",
     "WeightScheme",
     "compute_pc_pvalues",
-    "test_pc_family",
     "realized_weighted_fdp",
 ]
 
@@ -130,17 +121,6 @@ def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,
         except DegenerateInputError as exc:
             raise DegenerateInputError(gs[exc.row]) from None
     return out.tolist()
-
-
-def test_pc_family(p: Sequence[float], layout: GroupLayout,
-                   method: CombiningMethod, ws: WeightScheme,
-                   tc: ThresholdCollection) -> RejectionSet:
-    """Run the step-up procedure defined by ``tc`` on the G partial
-    conjunction p-values with the group-level weights."""
-    if tc.m != layout.n_groups:
-        raise ValueError("threshold collection sized for a different family")
-    pc = compute_pc_pvalues(p, layout, method)
-    return step_up(pc, tc, ws.penalty_v)
 
 
 def realized_weighted_fdp(rejected: Sequence[int] | frozenset[int],

@@ -13,7 +13,7 @@ estimate of the proportion of nulls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,14 +29,9 @@ __all__ = [
     "weighted_volume",
     "step_up",
     "adjusted_pvalues",
-    "check_stability",
 ]
 
 _NORM_RTOL = 1e-9
-# Stacked computations (Monte Carlo replicates, stability copies) work on
-# chunks of about this many rows of m entries each, which keeps every
-# chunk array near _CHUNK_ROWS * n floats.
-_CHUNK_ROWS = 4096
 
 
 class WeightNormalizationError(ValueError):
@@ -92,13 +87,6 @@ def _readonly(x) -> np.ndarray:
     return a
 
 
-def _row_chunks(count: int, m: int) -> list[tuple[int, int]]:
-    """[r0, r1) ranges covering range(count) in chunks of about _CHUNK_ROWS
-    rows of m entries, at least one row each."""
-    step = max(1, _CHUNK_ROWS // m)
-    return [(r0, min(count, r0 + step)) for r0 in range(0, count, step)]
-
-
 @dataclass(frozen=True, eq=False)
 class ThresholdCollection:
     """Parameters of a factorized threshold collection.
@@ -147,12 +135,6 @@ class ThresholdCollection:
     def _levels(self, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
         """The (R, m) array of Delta(i, r) at the (R,) volumes r and scales."""
         return self.alpha * self.prior_w * self.shape(r, self.m)[:, None] / scale[:, None]
-
-    def thresholds(self, p: Sequence[float]) -> Callable[[int, float], float]:
-        """Return Delta(i, r) as a function of one hypothesis, binding the
-        Storey plug-in to the supplied p-values in adaptive mode."""
-        scale = self._scales(np.asarray(p, dtype=float)[None])
-        return lambda i, r: float(self._levels(np.array([r]), scale)[0, i])
 
 
 @dataclass(frozen=True)
@@ -289,19 +271,3 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
     adj = np.empty(tc.m)
     adj[order] = np.minimum(1.0, np.minimum.accumulate(ratio[::-1])[::-1])
     return adj.tolist()
-
-
-def check_stability(p: Sequence[float], tc: ThresholdCollection,
-                    penalty_v: Sequence[float] | None = None) -> bool:
-    """Witness check: zeroing any rejected p-value reproduces the identical
-    rejection set. The copies of p, each with one rejected entry zeroed,
-    are stepped up as stacked rows."""
-    p, v = _inputs(p, tc, penalty_v)
-    base = _step_up_rows(p[None], tc, v)[0]
-    rejected = np.flatnonzero(base[0])
-    for r0, r1 in _row_chunks(rejected.size, tc.m):
-        copies = np.tile(p, (r1 - r0, 1))
-        copies[np.arange(r1 - r0), rejected[r0:r1]] = 0.0
-        if not (_step_up_rows(copies, tc, v)[0] == base).all():
-            return False
-    return True

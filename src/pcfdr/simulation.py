@@ -28,7 +28,6 @@ from .procedures import (
     IDENTITY,
     ShapeFunction,
     ThresholdCollection,
-    _row_chunks,
     _step_up_rows,
     _volume_share,
     _volumes,
@@ -50,6 +49,9 @@ __all__ = [
 ]
 
 _DEPENDENCE = ("independent", "equicorrelated_prds", "block_arbitrary")
+# Replicates are stacked in chunks of about this many rows of m features,
+# which keeps every chunk array near _CHUNK_ROWS * n floats.
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -174,9 +176,11 @@ def gen_meta_matrix(s: SimulationScenario, rep_index: int) -> np.ndarray:
 
 
 def _chunks(s: SimulationScenario):
-    """The stacked draws of all replicates, one chunk at a time."""
-    for r0, r1 in _row_chunks(s.reps, s.m):
-        yield _draw(s, r0, r1)
+    """The stacked draws of all replicates, one chunk at a time: about
+    _CHUNK_ROWS // m replicates each, at least one."""
+    step = max(1, _CHUNK_ROWS // s.m)
+    for r0 in range(0, s.reps, step):
+        yield _draw(s, r0, min(s.reps, r0 + step))
 
 
 def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,

@@ -2,10 +2,11 @@
 
 These are the element-by-element loops the package used before its layers
 became array-native: the combiners on one Python list, the partial
-conjunction p-value of one row, the step-up fixed-point iteration over
-per-hypothesis thresholds Delta(i, r), the break-at-first-failure k_hat
-loop, the bisection over alpha for adjusted p-values, the
-self-consistency check of a candidate rejection set, the Monte Carlo
+conjunction p-value of one row and its maximum over all subsets, the
+step-up fixed-point iteration over per-hypothesis thresholds Delta(i, r),
+the break-at-first-failure k_hat loop, the bisection over alpha for
+adjusted p-values, the self-consistency check of a candidate rejection
+set, the stability witness of the array step-up, the Monte Carlo
 functions drawing, testing and scoring one replicate at a time, and the
 CLI's per-line CSV reader. Simes, Bonferroni, Hommel and Simes-Storey use
 the same floating-point operations in the same order as the array code,
@@ -16,12 +17,15 @@ reader must give the streaming reader's values and ids on well-formed
 text without a byte-order mark.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy.special import chdtrc, ndtr, ndtri
 
+from pcfdr import procedures
 from pcfdr.cli import CliError
+from pcfdr.combine import combine_sorted, sort_rows
 from pcfdr.partial_conjunction import pc_path, pc_pvalues
 from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import ThresholdCollection
@@ -29,6 +33,7 @@ from pcfdr.replicability import SelectionRule
 from pcfdr.simulation import _estimate
 
 _LOG_FLOOR = 1e-300
+_ORACLE_MAX_M = 20
 
 
 def harmonic(m):
@@ -79,6 +84,21 @@ def pc_pvalue(p, u, method):
     return combine(sorted(p)[u - 1:], method)
 
 
+def pc_pvalue_oracle(p, u, method):
+    """Maximum of the combined p-value over all subsets of size m-u+1.
+
+    Exponential in m; guarded at m <= 20. Agrees with ``pc_pvalue`` for
+    every coordinatewise non-decreasing combiner.
+    """
+    m = len(p)
+    if not 1 <= u <= m:
+        raise ValueError(f"u={u} outside [1, {m}]")
+    if m > _ORACLE_MAX_M:
+        raise ValueError(f"oracle limited to m <= {_ORACLE_MAX_M}, got {m}")
+    subsets = list(itertools.combinations(p, m - u + 1))
+    return float(combine_sorted(sort_rows(subsets), method).max())
+
+
 def pc_storey_pvalue(p, u, lam):
     """The dedicated Simes-Storey partial conjunction formula: 1 when
     p_(u) > lam, else the Simes minimum over the tail entries <= lam,
@@ -92,18 +112,24 @@ def pc_storey_pvalue(p, u, lam):
     return min(1.0, min(n_tail * pi0 * pk / (k + 1) for k, pk in enumerate(tail) if pk <= lam))
 
 
+def thresholds(tc, p):
+    """Delta(i, r) of ``tc`` as a function of one hypothesis, the Storey
+    plug-in bound to the p-values ``p`` in adaptive mode."""
+    m = tc.m
+    if tc.adaptive_lambda is not None:
+        lam = tc.adaptive_lambda
+        pi0 = (sum(1 for x in p if x > lam) + 1) / ((1.0 - lam) * m)
+        return lambda i, r: tc.alpha * r / (m * pi0)
+    w = tc.prior_w
+    return lambda i, r: tc.alpha * w[i] * tc.shape(r, m) / m
+
+
 def step_up(p, tc, penalty_v=None):
     """Greatest fixed point of r -> |{i: p_i <= Delta(i, r)}|_v by monotone
     iteration from sum(v); returns (indices, volume, iterations)."""
     m = tc.m
     v = [1.0] * m if penalty_v is None else [float(x) for x in penalty_v]
-    if tc.adaptive_lambda is not None:
-        lam = tc.adaptive_lambda
-        pi0 = (sum(1 for x in p if x > lam) + 1) / ((1.0 - lam) * m)
-        delta = lambda i, r: tc.alpha * r / (m * pi0)
-    else:
-        w = tc.prior_w
-        delta = lambda i, r: tc.alpha * w[i] * tc.shape(r, m) / m
+    delta = thresholds(tc, p)
     r = sum(v)
     iterations = 0
     while True:
@@ -160,9 +186,22 @@ def adjusted_pvalues(p, tc, penalty_v=None, tol=1e-10):
 
 def check_self_consistency(p, tc, penalty_v, candidate):
     """True iff every candidate index i satisfies p_i <= Delta(i, |candidate|_v)."""
-    delta = tc.thresholds(p)
+    delta = thresholds(tc, p)
     vol = sum(penalty_v[i] for i in sorted(candidate.indices))
     return all(p[i] <= delta(i, vol) for i in candidate.indices)
+
+
+def check_stability(p, tc, penalty_v=None):
+    """Witness check: zeroing any one p-value that the array ``step_up``
+    rejects leaves its rejection set unchanged; one copy of p per rejected
+    hypothesis."""
+    base = procedures.step_up(p, tc, penalty_v).indices
+    for i in base:
+        q = np.array(p, dtype=float)
+        q[i] = 0.0
+        if procedures.step_up(q, tc, penalty_v).indices != base:
+            return False
+    return True
 
 
 def gen_meta_matrix(s, rep_index):

@@ -18,19 +18,17 @@ from pcfdr.combine import (
     HOMMEL,
     SIMES,
     STOUFFER,
-    bonferroni_combine,
-    simes_combine,
+    combine_pvalues,
     simes_storey,
 )
 from pcfdr.numerics import chi_square_survival, std_normal_cdf, std_normal_quantile
-from pcfdr.partial_conjunction import pc_pvalue, pc_pvalue_oracle
+from pcfdr.partial_conjunction import pc_pvalue
 from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
     ThresholdCollection,
     adjusted_pvalues,
-    check_stability,
     step_up,
     weighted_volume,
 )
@@ -41,6 +39,7 @@ from pcfdr.simulation import (
     mc_fdr_pc,
     mc_replicability_error,
 )
+from oracles import check_stability, pc_pvalue_oracle, thresholds
 from test_numerics import CHI2_ORACLE, PHI_ORACLE
 
 NON_ADAPTIVE = [FISHER, STOUFFER, SIMES, BONFERRONI, HOMMEL]
@@ -78,10 +77,10 @@ def test_criterion_2_min_adjusted_links():
         m = rng.randint(1, 20)
         p = [rng.random() for _ in range(m)]
         bh_adj = adjusted_pvalues(p, ThresholdCollection(alpha=0.05, m=m))
-        if min(bh_adj) != simes_combine(p):
+        if min(bh_adj) != combine_pvalues(p, SIMES):
             violations += 1
         bonf_adj = [min(1.0, m * x) for x in p]
-        if min(bonf_adj) != bonferroni_combine(p):
+        if min(bonf_adj) != combine_pvalues(p, BONFERRONI):
             violations += 1
     report(2, violations == 0,
            f"{violations} exact-equality violations of the min-adjusted-p "
@@ -201,7 +200,7 @@ def test_criterion_9_structural_invariants():
         v = (1.0,) * m
         tc = ThresholdCollection(alpha=0.2, m=m)
         r = step_up(p, tc, v)
-        thr = tc.thresholds(p)
+        thr = thresholds(tc, p)
         vol = weighted_volume(r.indices, v)
         # self-consistency with equality: R = {i: p_i <= Delta(i, |R|_v)}
         level_set = frozenset(i for i in range(m) if p[i] <= thr(i, vol))

@@ -29,6 +29,16 @@ GOLDEN_MATRIX = ("gene_a,0.0001,0.0004,0.02\r\n"
                  " gene_h ,0.002,0.003,0.004\r\n"
                  "gene_i,1,0.0,0.5")
 GOLDEN_REPLICATE = {"threshold=0.01": "replicate.json", "column=1": "replicate_column.json"}
+# A pc-test family of 17 p-values with ids in six groups of one to four,
+# with weights, the reciprocal-sum shape and u = ceil(n_g / 2): g5 has a
+# smaller PC p-value than g1 but a third of its prior weight, and is the
+# one left out. Its report, and the combine report of GOLDEN_MATRIX at
+# u = 2, are pinned byte for byte in tests/golden.
+PC_TEST_PVALUES = ("f0,0.0001\nf1,0.0003\nf2,0.2\nf3,0.004\nf4,0.0002\nf5,0.9\n"
+                   "f6,0.01\nf7,0.6\nf8,5e-05\nf9,0.03\nf10,0.7\nf11,0.0004\n"
+                   "f12,0.002\nf13,0.08\nf14,0.5\nf15,0.001\nf16,0.3\n")
+PC_TEST_GROUPS = "g1 g1 g1 g2 g2 g3 g3 g3 g4 g4 g1 g5 g5 g5 g6 g4 g6".replace(" ", "\n") + "\n"
+PC_TEST_WEIGHTS = "1.5,1\n0.5,2\n1,1\n1.5,1\n0.5,1\n0.5,1\n"
 
 
 def write(tmp_path, name, text):
@@ -81,13 +91,13 @@ class TestReadWriteMatrix:
                 read_matrix(path)
 
     def test_roundtrip_17_digits(self, tmp_path):
-        values = [[1 / 3, math.pi / 4], [1e-17, 0.9999999999999999]]
+        values = [1 / 3, math.pi / 4, 1e-17, 0.9999999999999999]
         first = tmp_path / "a.csv"
-        write_matrix(str(first), ["r1", "r2"], values)
+        write_matrix(str(first), ["r1", "r2", "r3", "r4"], values)
         ids, rows = read_matrix(str(first))
-        assert rows.tolist() == values  # .17g is lossless for doubles
+        assert rows[:, 0].tolist() == values  # .17g is lossless for doubles
         second = tmp_path / "b.csv"
-        write_matrix(str(second), ids, rows)
+        write_matrix(str(second), ids, rows[:, 0].tolist())
         assert first.read_text() == second.read_text()
 
     def test_diagnostics_carry_line_and_column(self, tmp_path):
@@ -125,14 +135,25 @@ class TestReadWriteMatrix:
         ("0.1,0.0_1\n", "1:2: not a number: '0.0_1'"),
         ("", "1:1: empty input"),
         (" \n\n", "1:1: empty input"),
+        (b"a,0.1\n\xff,0.2\n", "2:1: not valid UTF-8"),
+        (b"0.1,0.2\n0.3,\xff\n", "2:2: not valid UTF-8"),
     ])
     def test_bad_input_exits_2_with_line_and_column(self, tmp_path, capsys, text, where):
-        path = write(tmp_path, "m.csv", text)
-        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        path = tmp_path / "m.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert run(["replicate", str(path), "--q", "0.1", "--method", "simes"]) == 2
         assert capsys.readouterr().err == f"error: {path}:{where}\n"
 
 
 class TestCombine:
+    def test_report_matches_golden_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(GOLDEN_MATRIX.encode())
+        out = tmp_path / "c.csv"
+        assert run(["combine", str(path), "--method", "fisher", "--u", "2",
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_VERIFY.parent / "combine.csv").read_bytes()
+
     def test_fisher_rows(self, tmp_path, capsys):
         path = write(tmp_path, "m.csv", "0.5,0.5\n0.01,0.02\n")
         assert run(["combine", path, "--method", "fisher"]) == 0
@@ -151,6 +172,16 @@ class TestCombine:
 
 
 class TestPcTest:
+    def test_report_matches_golden_file(self, tmp_path):
+        p = write(tmp_path, "p.csv", PC_TEST_PVALUES)
+        g = write(tmp_path, "g.txt", PC_TEST_GROUPS)
+        w = write(tmp_path, "w.csv", PC_TEST_WEIGHTS)
+        out = tmp_path / "r.json"
+        assert run(["pc-test", p, "--alpha", "0.008", "--method", "fisher",
+                    "--groups", g, "--weights", w, "--shape", "reciprocal_sum",
+                    "--u-proportion", "0.5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_VERIFY.parent / "pc_test.json").read_bytes()
+
     def test_all_ones_empty_report(self, tmp_path, capsys):
         p = write(tmp_path, "p.csv", "1.0\n1.0\n1.0\n1.0\n")
         g = write(tmp_path, "g.txt", "a\na\nb\nb\n")

@@ -14,15 +14,9 @@ from pcfdr.combine import (
     STOUFFER,
     CombiningMethod,
     DegenerateInputError,
-    bonferroni_combine,
     combine_pvalues,
-    fisher_combine,
-    hommel_combine,
-    simes_combine,
     simes_storey,
-    simes_storey_combine,
     storey_pi0,
-    stouffer_combine,
 )
 from pcfdr.procedures import ThresholdCollection, adjusted_pvalues
 
@@ -33,63 +27,63 @@ pvec = st.lists(st.floats(1e-8, 1.0 - 1e-8), min_size=1, max_size=10)
 
 class TestFisher:
     def test_single_is_identity(self):
-        assert fisher_combine([0.3]) == pytest.approx(0.3, abs=1e-12)
+        assert combine_pvalues([0.3], FISHER) == pytest.approx(0.3, abs=1e-12)
 
     def test_two_halves(self):
         # closed form for df=4: exp(-x/2) * (1 + x/2)
-        assert fisher_combine([0.5, 0.5]) == pytest.approx(0.5965735902799727, abs=1e-5)
+        assert combine_pvalues([0.5, 0.5], FISHER) == pytest.approx(0.5965735902799727, abs=1e-5)
 
     def test_all_ones(self):
-        assert fisher_combine([1.0, 1.0]) == 1.0
+        assert combine_pvalues([1.0, 1.0], FISHER) == 1.0
 
     def test_zero_dominates(self):
-        assert fisher_combine([0.0, 0.7]) == pytest.approx(0.0, abs=1e-290)
+        assert combine_pvalues([0.0, 0.7], FISHER) == pytest.approx(0.0, abs=1e-290)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            fisher_combine([])
+            combine_pvalues([], FISHER)
         with pytest.raises(ValueError):
-            fisher_combine([1.2])
+            combine_pvalues([1.2], FISHER)
 
 
 class TestStouffer:
     def test_halves(self):
-        assert stouffer_combine([0.5, 0.5]) == 0.5
+        assert combine_pvalues([0.5, 0.5], STOUFFER) == 0.5
 
     def test_single_is_identity(self):
         for p in (0.01, 0.4, 0.93):
-            assert stouffer_combine([p]) == pytest.approx(p, abs=1e-12)
+            assert combine_pvalues([p], STOUFFER) == pytest.approx(p, abs=1e-12)
 
     def test_two_small(self):
         # Phi^{-1}(0.9772) ~ 1.99908 each; 1 - Phi(2z/sqrt(2)) via erf oracle
-        assert stouffer_combine([0.0228, 0.0228]) == pytest.approx(0.0023484207, abs=2e-4)
+        assert combine_pvalues([0.0228, 0.0228], STOUFFER) == pytest.approx(0.0023484207, abs=2e-4)
 
     def test_boundary_conventions(self):
-        assert stouffer_combine([0.0, 0.3]) == 0.0
-        assert stouffer_combine([1.0, 0.3]) == 1.0
+        assert combine_pvalues([0.0, 0.3], STOUFFER) == 0.0
+        assert combine_pvalues([1.0, 0.3], STOUFFER) == 1.0
         with pytest.raises(DegenerateInputError):
-            stouffer_combine([0.0, 1.0])
+            combine_pvalues([0.0, 1.0], STOUFFER)
 
 
 class TestSimes:
     def test_single(self):
-        assert simes_combine([0.42]) == 0.42
+        assert combine_pvalues([0.42], SIMES) == 0.42
 
     def test_example(self):
-        assert simes_combine([0.01, 0.02, 0.09]) == pytest.approx(0.03, abs=1e-15)
+        assert combine_pvalues([0.01, 0.02, 0.09], SIMES) == pytest.approx(0.03, abs=1e-15)
 
     def test_all_equal(self):
-        assert simes_combine([0.3, 0.3, 0.3, 0.3]) == pytest.approx(0.3, abs=1e-15)
+        assert combine_pvalues([0.3, 0.3, 0.3, 0.3], SIMES) == pytest.approx(0.3, abs=1e-15)
 
 
 class TestBonferroniHommel:
     def test_examples(self):
-        assert bonferroni_combine([0.01, 0.5]) == pytest.approx(0.02, abs=1e-15)
-        assert bonferroni_combine([0.9, 0.8]) == 1.0
-        assert bonferroni_combine([0.37]) == 0.37
-        assert hommel_combine([0.2]) == 0.2
-        assert hommel_combine([0.01, 0.02, 0.09]) == pytest.approx(0.055, abs=1e-12)
-        assert hommel_combine([0.9, 0.9]) == 1.0
+        assert combine_pvalues([0.01, 0.5], BONFERRONI) == pytest.approx(0.02, abs=1e-15)
+        assert combine_pvalues([0.9, 0.8], BONFERRONI) == 1.0
+        assert combine_pvalues([0.37], BONFERRONI) == 0.37
+        assert combine_pvalues([0.2], HOMMEL) == 0.2
+        assert combine_pvalues([0.01, 0.02, 0.09], HOMMEL) == pytest.approx(0.055, abs=1e-12)
+        assert combine_pvalues([0.9, 0.9], HOMMEL) == 1.0
 
 
 class TestStorey:
@@ -104,13 +98,14 @@ class TestStorey:
                 storey_pi0([0.5], lam)
 
     def test_simes_storey_all_above_lambda(self):
-        assert simes_storey_combine([0.6, 0.7, 0.9], 0.5) == 1.0
+        assert combine_pvalues([0.6, 0.7, 0.9], simes_storey(0.5)) == 1.0
 
     def test_simes_storey_example(self):
-        assert simes_storey_combine([0.01, 0.2, 0.8, 0.9], 0.5) == pytest.approx(0.06, abs=1e-12)
+        assert combine_pvalues([0.01, 0.2, 0.8, 0.9], simes_storey(0.5)) == \
+            pytest.approx(0.06, abs=1e-12)
 
     def test_simes_storey_cap(self):
-        assert simes_storey_combine([0.45, 0.9, 0.9, 0.9], 0.5) == 1.0
+        assert combine_pvalues([0.45, 0.9, 0.9, 0.9], simes_storey(0.5)) == 1.0
 
 
 class TestCombiningMethod:
@@ -139,9 +134,9 @@ def test_coordinatewise_monotone(method, p, data):
 @given(p=pvec)
 @settings(max_examples=100, deadline=None)
 def test_simes_below_bonferroni_and_hommel(p):
-    s = simes_combine(p)
-    assert s <= bonferroni_combine(p) <= 1.0
-    assert s <= hommel_combine(p)
+    s = combine_pvalues(p, SIMES)
+    assert s <= combine_pvalues(p, BONFERRONI) <= 1.0
+    assert s <= combine_pvalues(p, HOMMEL)
 
 
 def test_simes_is_min_bh_adjusted():
@@ -151,8 +146,8 @@ def test_simes_is_min_bh_adjusted():
         m = rng.randint(1, 20)
         p = [rng.random() for _ in range(m)]
         adj = adjusted_pvalues(p, ThresholdCollection(alpha=0.5, m=m))
-        assert simes_combine(p) == min(adj)
-        assert bonferroni_combine(p) == min(min(1.0, m * x) for x in p)
+        assert combine_pvalues(p, SIMES) == min(adj)
+        assert combine_pvalues(p, BONFERRONI) == min(min(1.0, m * x) for x in p)
 
 
 @pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.kind)
@@ -177,7 +172,7 @@ def test_simes_superuniform_under_equicorrelated_null():
     x = math.sqrt(rho) * z0 + math.sqrt(1 - rho) * z
     from scipy.special import ndtr
     draws = ndtr(-x)
-    combined = np.array([simes_combine(list(row)) for row in draws])
+    combined = np.array([combine_pvalues(list(row), SIMES) for row in draws])
     for t in np.arange(0.01, 1.0, 0.07):
         ecdf = float((combined <= t).mean())
         se = math.sqrt(t * (1 - t) / n)

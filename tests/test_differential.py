@@ -28,7 +28,7 @@ from pcfdr.combine import (
     DegenerateInputError,
     simes_storey,
 )
-from pcfdr.partial_conjunction import pc_path, pc_pvalue_oracle, pc_pvalues
+from pcfdr.partial_conjunction import pc_path, pc_pvalues
 from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import (
     IDENTITY,
@@ -37,7 +37,6 @@ from pcfdr.procedures import (
     ThresholdCollection,
     _step_up_rows,
     adjusted_pvalues,
-    check_stability,
     step_up,
 )
 from pcfdr.replicability import SelectionRule
@@ -93,7 +92,7 @@ def test_pc_pvalues_and_path_match_oracles(method, data):
         pc = pc_pvalues(mat, u, method)
         assert np.array_equal(pc, path[:, u - 1])
         for row, got in zip(mat.tolist(), pc.tolist()):
-            assert close(method.kind, got, pc_pvalue_oracle(row, u, method))
+            assert close(method.kind, got, oracles.pc_pvalue_oracle(row, u, method))
             assert close(method.kind, got, oracles.pc_pvalue(row, u, method))
 
 
@@ -243,23 +242,6 @@ def test_stacked_step_up_rows_match_fixed_point_oracle():
                                      iterations.tolist()):
             assert (frozenset(np.flatnonzero(rej).tolist()), vol, it) == \
                 oracles.step_up(row, tc, pv)
-
-
-def test_check_stability_in_chunks_matches_per_copy_loop():
-    # m = 5000 puts one copy in each chunk.
-    rng = np.random.default_rng(12)
-    for m in (30, 5000):
-        p = rng.random(m)
-        p[:12] *= 1e-5
-        tc = ThresholdCollection(alpha=0.2, m=m)
-        base = step_up(p, tc).indices
-        assert len(base) > 1
-        expected = True
-        for i in base:
-            q = p.copy()
-            q[i] = 0.0
-            expected = expected and step_up(q, tc).indices == base
-        assert check_stability(p, tc) == expected
 
 
 # Monte Carlo: m = 100 puts 40 replicates in a chunk, so 45 replicates

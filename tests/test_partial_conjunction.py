@@ -12,11 +12,11 @@ from pcfdr.combine import (
     STOUFFER,
     combine_pvalues,
     simes_storey,
-    simes_storey_combine,
 )
-from pcfdr.partial_conjunction import pc_pvalue, pc_pvalue_oracle
+from pcfdr.partial_conjunction import pc_pvalue
 
 import oracles
+from oracles import pc_pvalue_oracle
 
 NON_ADAPTIVE = [FISHER, STOUFFER, SIMES, BONFERRONI, HOMMEL]
 
@@ -49,7 +49,7 @@ class TestPcStorey:
         rng = random.Random(3)
         for _ in range(200):
             p = [rng.random() for _ in range(rng.randint(1, 8))]
-            assert pc_pvalue(p, 1, simes_storey(0.5)) == simes_storey_combine(p, 0.5)
+            assert pc_pvalue(p, 1, simes_storey(0.5)) == combine_pvalues(p, simes_storey(0.5))
 
     def test_above_lambda_branch(self):
         assert pc_pvalue([0.01, 0.6, 0.7], 2, simes_storey(0.5)) == 1.0
@@ -64,7 +64,7 @@ class TestPcStorey:
             p = [rng.random() for _ in range(m)]
             tail = sorted(p)[u - 1:]
             got = pc_pvalue(p, u, simes_storey(0.5))
-            assert got == simes_storey_combine(tail, 0.5)
+            assert got == combine_pvalues(tail, simes_storey(0.5))
             assert got == oracles.pc_storey_pvalue(p, u, 0.5)
 
     def test_via_pc_pvalue_dispatch(self):

@@ -10,9 +10,8 @@ from pcfdr.pc_testing import (
     WeightScheme,
     compute_pc_pvalues,
     realized_weighted_fdp,
-    test_pc_family as run_pc_family,
 )
-from pcfdr.procedures import ThresholdCollection
+from pcfdr.procedures import ThresholdCollection, step_up
 
 
 class TestGroupLayout:
@@ -83,10 +82,11 @@ class TestTestPcFamily:
         layout = GroupLayout(((0, 1, 2),), (2,))
         ws = WeightScheme.unit(1)
         tc = ThresholdCollection(alpha=0.05, m=1)
-        low = run_pc_family([0.001, 0.2, 0.9], layout, SIMES, ws, tc)
+        low = step_up(compute_pc_pvalues([0.001, 0.2, 0.9], layout, SIMES), tc, ws.penalty_v)
         # two largest are (0.2, 0.9): Simes PC p-value 0.4 exceeds alpha
         assert low.indices == frozenset()
-        hit = run_pc_family([0.001, 0.002, 0.003], layout, SIMES, ws, tc)
+        hit = step_up(compute_pc_pvalues([0.001, 0.002, 0.003], layout, SIMES), tc,
+                      ws.penalty_v)
         assert hit.indices == frozenset({0})
 
     def test_bh_on_four_groups(self):
@@ -95,14 +95,14 @@ class TestTestPcFamily:
         layout = GroupLayout(((0,), (1,), (2,), (3,)), (1, 1, 1, 1))
         ws = WeightScheme.unit(4)
         tc = ThresholdCollection(alpha=0.05, m=4)
-        r = run_pc_family(p, layout, SIMES, ws, tc)
+        r = step_up(compute_pc_pvalues(p, layout, SIMES), tc, ws.penalty_v)
         assert r.indices == frozenset({0, 1})
 
     def test_wrong_family_size(self):
         layout = GroupLayout(((0, 1),), (1,))
         with pytest.raises(ValueError):
-            run_pc_family([0.1, 0.2], layout, SIMES, WeightScheme.unit(1),
-                           ThresholdCollection(alpha=0.05, m=3))
+            step_up(compute_pc_pvalues([0.1, 0.2], layout, SIMES),
+                    ThresholdCollection(alpha=0.05, m=3), WeightScheme.unit(1).penalty_v)
 
 
 class TestRealizedWeightedFdp:

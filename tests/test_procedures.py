@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcfdr.combine import simes_combine, storey_pi0
+from pcfdr.combine import SIMES, combine_pvalues, storey_pi0
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
@@ -11,12 +11,11 @@ from pcfdr.procedures import (
     ThresholdCollection,
     WeightNormalizationError,
     adjusted_pvalues,
-    check_stability,
     step_up,
     weighted_volume,
 )
 
-from oracles import check_self_consistency
+from oracles import check_self_consistency, check_stability
 
 
 def brute_force_bh(p, alpha):
@@ -173,7 +172,7 @@ class TestAdjustedPvalues:
             m = rng.randint(1, 15)
             p = [rng.random() for _ in range(m)]
             adj = adjusted_pvalues(p, ThresholdCollection(alpha=0.05, m=m))
-            assert min(adj) == simes_combine(p)
+            assert min(adj) == combine_pvalues(p, SIMES)
 
     def test_bisection_matches_rejection_sets(self):
         rng = random.Random(101)
