@@ -22,19 +22,20 @@ from pcfdr import (
 rng = np.random.default_rng(1)
 
 # 6 groups of 4 hypotheses; the first two groups carry signal.
-groups = tuple(tuple(range(4 * g, 4 * g + 4)) for g in range(6))
+# labels[i] is the group of hypothesis i.
+labels = np.repeat(np.arange(6), 4)
 p = rng.random(24)
 p[0:4] = rng.random(4) * 1e-4   # group 0: all four false nulls
 p[4:6] = rng.random(2) * 1e-4   # group 1: two false nulls
-layout = GroupLayout(groups, u=(2,) * 6)
+layout = GroupLayout(labels, u=np.full(6, 2))
 
 pc = compute_pc_pvalues(p, layout, SIMES)
 print("PC p-values per group (u = 2):")
 for g, value in enumerate(pc):
     print(f"  group {g}: {value:.6f}")
 
-ws = WeightScheme.unit(layout.n_groups)
-tc = ThresholdCollection(alpha=0.05, m=layout.n_groups)
+ws = WeightScheme.unit(len(layout.u))
+tc = ThresholdCollection(alpha=0.05, m=len(layout.u))
 result = step_up(pc, tc, ws.penalty_v)
 print(f"\nrejected groups at alpha=0.05: {sorted(result.indices)}")
 

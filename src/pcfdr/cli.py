@@ -238,16 +238,42 @@ def _bad_cell(path: str, pvalues: bool) -> CliError | None:
     return None
 
 
+def _read_text(path: str) -> str:
+    """The text of ``path`` as UTF-8 text mode reads it, a leading
+    byte-order mark dropped. Bytes that are not UTF-8 (read as lone
+    surrogates, which ``str.encode`` rejects) give ``path:line:col``."""
+    try:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            text = fh.read()
+        text.encode()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+    except UnicodeEncodeError as exc:
+        head = text[:exc.start]
+        line, col = head.count("\n") + 1, exc.start - head.rfind("\n")
+        raise CliError(f"{path}:{line}:{col}: not valid UTF-8") from None
+    return text
+
+
+def _write(path, lines) -> None:
+    """Write the strings ``lines`` to standard output if ``path`` is None,
+    else to the file ``path``; failing to open or write it is a CliError."""
+    if path is None:
+        sys.stdout.writelines(lines)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def write_matrix(path, ids: FeatureIds | list[str] | None,
                  values: list[float]) -> None:
     """One line per value, after its id if there are ids."""
-    out = sys.stdout if path is None else open(path, "w")
-    try:
-        for name, x in zip(ids if ids is not None else [None] * len(values), values):
-            out.write(f"{_fmt(x)}\n" if name is None else f"{name},{_fmt(x)}\n")
-    finally:
-        if path is not None:
-            out.close()
+    names = ids if ids is not None else [None] * len(values)
+    _write(path, (f"{_fmt(x)}\n" if name is None else f"{name},{_fmt(x)}\n"
+                  for name, x in zip(names, values)))
 
 
 def read_weights(path: str, m: int) -> WeightScheme:
@@ -280,12 +306,7 @@ def _shape(name: str) -> ShapeFunction:
 
 def _write_json(path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    _write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _row_line(path: str, row: int) -> int:
@@ -313,28 +334,24 @@ def cmd_pc_test(args) -> int:
     if mat.shape[1] != 1:
         raise CliError(f"{args.input}: pc-test expects a single column of p-values")
     p = mat[:, 0]
-    try:
-        with open(args.groups) as fh:
-            labels = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise CliError(f"cannot read {args.groups}: {exc}") from None
+    # Codes are 0-based in order of first appearance, as are the names.
+    codes: dict[str, int] = {}
+    labels = np.array([codes.setdefault(name, len(codes))
+                       for ln in _read_text(args.groups).split("\n")
+                       if (name := ln.strip())], dtype=np.intp)
+    names = list(codes)
     if len(labels) != len(p):
         raise CliError(f"{args.groups}: expected {len(p)} group labels, got {len(labels)}")
-    order: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels):
-        order.setdefault(lab, []).append(i)
-    names = list(order)
-    groups = tuple(tuple(order[name]) for name in names)
     if args.u_proportion is not None:
-        layout = GroupLayout.from_proportion(groups, args.u_proportion)
+        layout = GroupLayout.from_proportion(labels, args.u_proportion)
     else:
         u = args.u if args.u is not None else 1
-        for name, g in zip(names, groups):
-            if u > len(g):
-                raise CliError(f"{args.groups}: --u {u} exceeds the size "
-                               f"{len(g)} of group {name!r}")
-        layout = GroupLayout(groups, (u,) * len(groups))
-    g = layout.n_groups
+        sizes = np.bincount(labels)
+        if (small := np.flatnonzero(sizes < u)).size:
+            raise CliError(f"{args.groups}: --u {u} exceeds the size "
+                           f"{sizes[small[0]]} of group {names[small[0]]!r}")
+        layout = GroupLayout(labels, np.full(len(names), u))
+    g = len(names)
     ws = read_weights(args.weights, g) if args.weights else WeightScheme.unit(g)
     try:
         pc = compute_pc_pvalues(p, layout, method)
@@ -345,7 +362,7 @@ def cmd_pc_test(args) -> int:
     rej = step_up(pc, tc, ws.penalty_v)
     _write_json(args.out, {
         "groups": names,
-        "u": list(layout.u),
+        "u": layout.u.tolist(),
         "pc_pvalues": pc,
         "rejected_groups": sorted(names[i] for i in rej.indices),
         "fixed_point_volume": rej.fixed_point_volume,
@@ -429,10 +446,7 @@ def _result(extra: dict, est, base: float) -> dict:
 
 def _run_scenario_file(args, enforce: bool) -> int:
     try:
-        with open(args.scenario) as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.scenario}: {exc}") from None
+        spec = json.loads(_read_text(args.scenario))
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.scenario}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     checks = spec["checks"] if "checks" in spec else [spec]

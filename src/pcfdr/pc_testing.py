@@ -5,7 +5,6 @@ score procedures in simulations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,49 +21,47 @@ __all__ = [
     "realized_weighted_fdp",
 ]
 
-@dataclass(frozen=True)
-class GroupLayout:
-    """Partition of M hypotheses (0-based indices) into G disjoint groups,
-    with a per-group partial conjunction parameter u_g."""
+def _int_vector(x, name: str) -> np.ndarray:
+    """A read-only intp copy of the 1-d integer array ``x``; floats are
+    rejected, not truncated."""
+    a = np.asarray(x)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-d integer array")
+    a = a.astype(np.intp)
+    a.setflags(write=False)
+    return a
 
-    groups: tuple[tuple[int, ...], ...]
-    u: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class GroupLayout:
+    """Partition of M hypotheses into G groups as a label vector:
+    ``labels[i]`` is the 0-based group of hypothesis i, and ``u[g]`` the
+    partial conjunction parameter of group g. Both are held as read-only
+    integer arrays, so layouts compare and hash by identity."""
+
+    labels: np.ndarray
+    u: np.ndarray
 
     def __post_init__(self) -> None:
-        groups = tuple(tuple(g) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "u", tuple(self.u))
-        if len(self.u) != len(groups):
-            raise ValueError("u must have one entry per group")
-        seen: set[int] = set()
-        for g, members in enumerate(groups):
-            if not members:
-                raise ValueError(f"group {g} is empty")
-            if seen & set(members):
-                raise ValueError("groups must be disjoint")
-            seen.update(members)
-            if not 1 <= self.u[g] <= len(members):
-                raise ValueError(f"u[{g}]={self.u[g]} outside [1, {len(members)}]")
-        if seen != set(range(len(seen))):
-            raise ValueError("groups must cover 0..M-1")
-
-    @property
-    def total(self) -> int:
-        return sum(len(g) for g in self.groups)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
+        labels, u = _int_vector(self.labels, "labels"), _int_vector(self.u, "u")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "u", u)
+        if labels.size and not (0 <= labels.min() and labels.max() < len(u)):
+            raise ValueError(f"labels must lie in [0, {len(u)})")
+        sizes = np.bincount(labels, minlength=len(u))
+        if (bad := np.flatnonzero((u < 1) | (u > sizes))).size:
+            g = bad[0]
+            raise ValueError(f"u[{g}]={u[g]} outside [1, {sizes[g]}]")
 
     @classmethod
-    def from_proportion(cls, groups: Sequence[Sequence[int]],
-                        proportion: float) -> "GroupLayout":
-        """Fill u_g = ceil(proportion * n_g): at least this fraction of the
-        group must be signal for the partial conjunction alternative."""
+    def from_proportion(cls, labels, proportion: float) -> "GroupLayout":
+        """Fill u_g = max(1, ceil(proportion * n_g)): at least this fraction
+        of the group must be signal for the partial conjunction alternative."""
         if not 0.0 < proportion <= 1.0:
             raise ValueError("proportion must lie in (0, 1]")
-        u = tuple(max(1, math.ceil(proportion * len(g))) for g in groups)
-        return cls(tuple(tuple(g) for g in groups), u)
+        labels = _int_vector(labels, "labels")
+        u = np.maximum(1, np.ceil(proportion * np.bincount(labels))).astype(np.intp)
+        return cls(labels, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,20 +103,28 @@ class WeightScheme:
 def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,
                        method: CombiningMethod) -> list[float]:
     """Per-group partial conjunction p-value; one method applies to all
-    groups. Groups of equal size and u are combined as one matrix."""
-    if len(p) != layout.total:
-        raise ValueError(f"expected {layout.total} p-values, got {len(p)}")
+    groups. Groups of equal size and u are combined as one matrix, in the
+    order of each such bucket's first group, and a DegenerateInputError
+    names the first degenerate group of the first bucket that has one."""
+    labels, u = layout.labels, layout.u
+    if len(p) != len(labels):
+        raise ValueError(f"expected {len(labels)} p-values, got {len(p)}")
     p = np.asarray(p, dtype=float)
-    same_shape: dict[tuple[int, int], list[int]] = {}
-    for g, members in enumerate(layout.groups):
-        same_shape.setdefault((len(members), layout.u[g]), []).append(g)
-    out = np.empty(layout.n_groups)
-    for (_, u), gs in same_shape.items():
-        members = np.array([layout.groups[g] for g in gs])
+    sizes = np.bincount(labels, minlength=len(u))
+    # members[starts[g]:starts[g] + sizes[g]] are group g's hypotheses, in index order.
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    _, first, bucket = np.unique(sizes * (len(labels) + 1) + u,
+                                 return_index=True, return_inverse=True)
+    by_bucket = np.split(np.argsort(bucket, kind="stable"),
+                         np.cumsum(np.bincount(bucket))[:-1])
+    out = np.empty(len(u))
+    for gs in (by_bucket[b] for b in np.argsort(first)):
+        rows = p[members[starts[gs, None] + np.arange(sizes[gs[0]])]]
         try:
-            out[gs] = pc_pvalues(p[members], u, method)
+            out[gs] = pc_pvalues(rows, u[gs[0]], method)
         except DegenerateInputError as exc:
-            raise DegenerateInputError(gs[exc.row]) from None
+            raise DegenerateInputError(int(gs[exc.row])) from None
     return out.tolist()
 
 

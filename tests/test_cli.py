@@ -144,6 +144,24 @@ class TestReadWriteMatrix:
         assert run(["replicate", str(path), "--q", "0.1", "--method", "simes"]) == 2
         assert capsys.readouterr().err == f"error: {path}:{where}\n"
 
+    @pytest.mark.parametrize("flag, text, where", [
+        ("--groups", b"a\n\xffb\n", "2:1: not valid UTF-8"),
+        ("--groups", b"\xef\xbb\xbfa\r\nb\xff\n", "2:2: not valid UTF-8"),
+        ("--groups", b"a\rab\xc3\xa9\xe9\n", "2:4: not valid UTF-8"),
+        ("--scenario", b'{"checks":\r\n  [\xff]}', "2:4: not valid UTF-8"),
+        ("--scenario", b"\xef\xbb\xbf{\n",
+         "2:1: Expecting property name enclosed in double quotes"),
+    ])
+    def test_labels_and_scenario_bad_input_exits_2_with_line_and_column(
+            self, tmp_path, capsys, flag, text, where):
+        path = tmp_path / "f.txt"
+        path.write_bytes(text)
+        p = write(tmp_path, "p.csv", "0.1\n0.2\n")
+        argv = (["pc-test", p, "--alpha", "0.05", "--method", "simes", "--groups", str(path)]
+                if flag == "--groups" else ["verify", "--scenario", str(path)])
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
 
 class TestCombine:
     def test_report_matches_golden_file(self, tmp_path):
@@ -199,6 +217,25 @@ class TestPcTest:
         report = json.loads(capsys.readouterr().out)
         assert report["rejected_groups"] == ["a"]
         assert report["u"] == [2, 2]
+
+    def test_interleaved_labels_report_as_contiguous(self, tmp_path, capsys):
+        reports = []
+        for p, g in (("0.001\n0.002\n0.9\n0.8\n", "a\na\nb\nb\n"),
+                     ("0.001\n0.9\n0.002\n0.8\n", "a\nb\na\nb\n")):
+            assert run(["pc-test", write(tmp_path, "p.csv", p), "--alpha", "0.05",
+                        "--method", "fisher", "--groups", write(tmp_path, "g.txt", g),
+                        "--u", "2"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert reports[0]["groups"] == ["a", "b"]
+
+    def test_byte_order_mark_of_labels_file_is_dropped(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "0.001\n0.002\n0.9\n")
+        g = tmp_path / "g.txt"
+        g.write_bytes(b"\xef\xbb\xbfa\na\nb\n")
+        assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                    "--groups", str(g)]) == 0
+        assert json.loads(capsys.readouterr().out)["groups"] == ["a", "b"]
 
     def test_u_larger_than_a_group_exits_2(self, tmp_path, capsys):
         p = write(tmp_path, "p.csv", "0.001\n0.002\n0.003\n0.9\n")
@@ -275,6 +312,13 @@ class TestSimulateVerify:
         assert run(["verify", "--scenario", str(REFERENCE), "--out", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
 
+    def test_byte_order_mark_of_scenario_file_is_dropped(self, tmp_path):
+        path = tmp_path / "ref.json"
+        path.write_bytes(b"\xef\xbb\xbf" + REFERENCE.read_bytes())
+        out = tmp_path / "r.json"
+        assert run(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
+
     def test_reps_and_seed_overrides(self, tmp_path):
         path = self.scenario_file(tmp_path, [{
             "check": "fdr_pc",
@@ -343,6 +387,19 @@ class TestExitCodes:
     def test_out_of_range_pvalue(self, tmp_path):
         path = write(tmp_path, "m.csv", "0.5,1.5\n")
         assert run(["combine", path, "--method", "fisher"]) == 2
+
+    @pytest.mark.parametrize("cmd", ["combine", "pc-test", "replicate", "verify"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, cmd):
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        g = write(tmp_path, "g.txt", "a\na\n")
+        argv = {"combine": ["combine", m, "--method", "simes"],
+                "pc-test": ["pc-test", m, "--alpha", "0.05", "--method", "simes",
+                            "--groups", g],
+                "replicate": ["replicate", m, "--q", "0.1", "--method", "simes"],
+                "verify": ["verify", "--scenario", str(REFERENCE), "--reps", "5"]}[cmd]
+        out = tmp_path / "missing" / "r.out"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     def test_missing_file(self):
         assert run(["combine", "/nonexistent.csv", "--method", "fisher"]) == 2

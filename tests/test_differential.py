@@ -8,7 +8,8 @@ the bisection of ``oracles`` and with the step-up's rejection sets; a
 stacked Monte Carlo functions with the one-replicate-at-a-time loops of
 ``oracles``, estimate for estimate; the streaming CSV reader with the
 per-line reader of ``oracles`` on random text, and its number test with
-``np.loadtxt`` itself.
+``np.loadtxt`` itself; the bucketed ``compute_pc_pvalues`` over interleaved
+group labels with ``pc_pvalue`` group by group.
 """
 
 import json
@@ -28,8 +29,8 @@ from pcfdr.combine import (
     DegenerateInputError,
     simes_storey,
 )
-from pcfdr.partial_conjunction import pc_path, pc_pvalues
-from pcfdr.pc_testing import WeightScheme
+from pcfdr.partial_conjunction import pc_path, pc_pvalue, pc_pvalues
+from pcfdr.pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
@@ -101,6 +102,43 @@ def test_stouffer_degenerate_row_is_named():
     with pytest.raises(DegenerateInputError) as err:
         pc_pvalues(mat, 1, STOUFFER)
     assert err.value.row == 2
+
+
+@st.composite
+def group_families(draw, method):
+    """Interleaved labels of groups of 1 to 8 with mixed u, p-values, and
+    for Stouffer the one group (or None) whose combined entries hold both
+    a 0 and a 1."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    u = [draw(st.integers(1, n)) for n in sizes]
+    labels = np.array(draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist())))
+    p = np.array(draw(st.lists(entry, min_size=len(labels), max_size=len(labels))))
+    bad = None
+    if method.kind == "stouffer":
+        for g in range(len(sizes)):
+            group = labels == g
+            if 0.0 in p[group] and 1.0 in p[group]:
+                p[group & (p == 1.0)] = 0.5
+        bad = draw(st.sampled_from([None, *np.flatnonzero(np.array(sizes) > 1).tolist()]))
+        if bad is not None:
+            u[bad] = 1
+            p[np.flatnonzero(labels == bad)[:2]] = [0.0, 1.0]
+    return labels, u, p, bad
+
+
+@pytest.mark.parametrize("method", ALL_METHODS, ids=lambda m: m.kind)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_compute_pc_pvalues_matches_pc_pvalue_per_group(method, data):
+    labels, u, p, bad = data.draw(group_families(method))
+    layout = GroupLayout(labels, u)
+    if bad is not None:
+        with pytest.raises(DegenerateInputError) as err:
+            compute_pc_pvalues(p, layout, method)
+        assert err.value.row == bad
+        return
+    assert compute_pc_pvalues(p, layout, method) == [
+        pc_pvalue(p[labels == g], u[g], method) for g in range(len(u))]
 
 
 NU = ShapeFunction("discrete_nu", nu=((1.0, 0.25), (4.0, 0.5), (9.0, 0.25)))

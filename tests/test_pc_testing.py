@@ -16,23 +16,40 @@ from pcfdr.procedures import ThresholdCollection, step_up
 
 class TestGroupLayout:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GroupLayout(((0, 1), (1, 2)), (1, 1))  # overlap
-        with pytest.raises(ValueError):
-            GroupLayout(((0, 1), ()), (1, 1))  # empty group
-        with pytest.raises(ValueError):
-            GroupLayout(((0, 1),), (3,))  # u out of range
-        with pytest.raises(ValueError):
-            GroupLayout(((0, 2),), (1,))  # gap in coverage
+        for labels, u, match in [
+            ([0, 2, 1], [1, 1], r"labels must lie in \[0, 2\)"),  # out of range
+            ([0, -1, 1], [1, 1], r"labels must lie in \[0, 2\)"),  # negative
+            ([0.0, 1.0], [1, 1], "labels must be a 1-d integer array"),  # not truncated
+            ([[0, 1]], [1, 1], "labels must be a 1-d integer array"),  # 2-d
+            ([0, 0, 2], [1, 1, 1], r"u\[1\]=1 outside \[1, 0\]"),  # group 1 is empty
+            ([0, 0], [3], r"u\[0\]=3 outside \[1, 2\]"),
+            ([0, 0], [0], r"u\[0\]=0 outside \[1, 2\]"),
+            ([0, 0], [1.0], "u must be a 1-d integer array"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                GroupLayout(labels, u)
 
     def test_from_proportion(self):
-        layout = GroupLayout.from_proportion(((0, 1, 2), (3, 4, 5, 6, 7)), 0.5)
-        assert layout.u == (2, 3)
+        layout = GroupLayout.from_proportion([1, 0, 1, 0, 1, 1, 0, 1], 0.5)
+        assert layout.u.tolist() == [2, 3]
+        with pytest.raises(ValueError):
+            GroupLayout.from_proportion([0, 0, 2], 0.5)  # group 1 is empty
+        with pytest.raises(ValueError):
+            GroupLayout.from_proportion([0.0, 1.0], 0.5)
 
     def test_sizes(self):
-        layout = GroupLayout(((0, 1), (2,)), (1, 1))
-        assert layout.total == 3
-        assert layout.n_groups == 2
+        # Group sizes are counted from interleaved labels: 2 and 1.
+        assert GroupLayout([0, 1, 0], [2, 1]).u.tolist() == [2, 1]
+        with pytest.raises(ValueError, match=r"u\[1\]=2 outside \[1, 1\]"):
+            GroupLayout([0, 1, 0], [1, 2])
+
+    def test_arrays_are_read_only_copies(self):
+        labels = np.array([0, 1, 0])
+        layout = GroupLayout(labels, [1, 1])
+        labels[0] = 1
+        assert layout.labels.tolist() == [0, 1, 0]
+        for arr in (layout.labels, layout.u):
+            assert arr.dtype == np.intp and not arr.flags.writeable
 
 
 class TestWeightScheme:
@@ -61,25 +78,25 @@ class TestWeightScheme:
 class TestComputePcPvalues:
     def test_matches_per_group_pc(self):
         p = [0.01, 0.2, 0.05, 0.6, 0.9]
-        layout = GroupLayout(((0, 1, 2), (3, 4)), (2, 1))
+        layout = GroupLayout([0, 0, 0, 1, 1], [2, 1])
         pc = compute_pc_pvalues(p, layout, SIMES)
         assert pc[0] == pc_pvalue([0.01, 0.2, 0.05], 2, SIMES)
         assert pc[1] == combine_pvalues([0.6, 0.9], SIMES)
 
     def test_singleton_groups_pass_through(self):
         p = [0.3, 0.7, 0.04]
-        layout = GroupLayout(((0,), (1,), (2,)), (1, 1, 1))
+        layout = GroupLayout([0, 1, 2], [1, 1, 1])
         assert compute_pc_pvalues(p, layout, SIMES) == pytest.approx(p)
 
     def test_length_check(self):
-        layout = GroupLayout(((0, 1),), (1,))
+        layout = GroupLayout([0, 0], [1])
         with pytest.raises(ValueError):
             compute_pc_pvalues([0.5], layout, SIMES)
 
 
 class TestTestPcFamily:
     def test_single_group_rejects_iff_below_alpha(self):
-        layout = GroupLayout(((0, 1, 2),), (2,))
+        layout = GroupLayout([0, 0, 0], [2])
         ws = WeightScheme.unit(1)
         tc = ThresholdCollection(alpha=0.05, m=1)
         low = step_up(compute_pc_pvalues([0.001, 0.2, 0.9], layout, SIMES), tc, ws.penalty_v)
@@ -92,14 +109,14 @@ class TestTestPcFamily:
     def test_bh_on_four_groups(self):
         # groups engineered so the Simes PC p-values are the target values
         p = [0.002, 0.01, 0.2, 0.9]
-        layout = GroupLayout(((0,), (1,), (2,), (3,)), (1, 1, 1, 1))
+        layout = GroupLayout([0, 1, 2, 3], [1, 1, 1, 1])
         ws = WeightScheme.unit(4)
         tc = ThresholdCollection(alpha=0.05, m=4)
         r = step_up(compute_pc_pvalues(p, layout, SIMES), tc, ws.penalty_v)
         assert r.indices == frozenset({0, 1})
 
     def test_wrong_family_size(self):
-        layout = GroupLayout(((0, 1),), (1,))
+        layout = GroupLayout([0, 0], [1])
         with pytest.raises(ValueError):
             step_up(compute_pc_pvalues([0.1, 0.2], layout, SIMES),
                     ThresholdCollection(alpha=0.05, m=3), WeightScheme.unit(1).penalty_v)
