@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
 
-from .combine import CombiningMethod, DegenerateInputError
-from .partial_conjunction import pc_pvalues
+from .combine import CombiningMethod, DegenerateInputError, _sort_rows_in_place
+from .partial_conjunction import _pc_pvalues_sorted
 from .pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
 from .procedures import (
     IDENTITY,
@@ -33,7 +35,7 @@ from .procedures import (
     ThresholdCollection,
     step_up,
 )
-from .replicability import SelectionRule, replicability_analysis
+from .replicability import SelectionRule, _analysis_in_place
 from .simulation import (
     SimulationScenario,
     dcc_probe,
@@ -304,9 +306,29 @@ def _shape(name: str) -> ShapeFunction:
     return _SHAPES[name]
 
 
+def _json_text(x, depth: int = 0) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` as it reads nested
+    ``depth`` levels deep. A list or dict of scalars, such as the khat of
+    every selected feature, goes to json's C encoder, which ``indent``
+    would turn off; only the lists and dicts that hold others are laid out
+    here."""
+    if not isinstance(x, (list, tuple, dict)) or not x:
+        return json.dumps(x)
+    items = x.values() if isinstance(x, dict) else x
+    sep = ",\n" + "  " * (depth + 1)
+    if not any(isinstance(y, (list, tuple, dict)) for y in items):
+        body = json.dumps(x, sort_keys=True, separators=(sep, ": "))[1:-1]
+    elif isinstance(x, dict):
+        body = sep.join(f"{json.dumps(k)}: {_json_text(x[k], depth + 1)}" for k in sorted(x))
+    else:
+        body = sep.join(_json_text(y, depth + 1) for y in x)
+    start, end = "{}" if isinstance(x, dict) else "[]"
+    return f"{start}{sep[1:]}{body}\n{'  ' * depth}{end}"
+
+
 def _write_json(path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    _write(path, [_json_text(payload), "\n"])
 
 
 def _row_line(path: str, row: int) -> int:
@@ -321,7 +343,8 @@ def cmd_combine(args) -> int:
     if not 1 <= args.u <= mat.shape[1]:
         raise CliError(f"--u {args.u} outside [1, {mat.shape[1]}]")
     try:
-        pc = pc_pvalues(mat, args.u, method)
+        # The rows are sorted in place: the matrix is used for nothing else.
+        pc = _pc_pvalues_sorted(_sort_rows_in_place(mat), args.u, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
     write_matrix(args.out, ids, pc.tolist())
@@ -390,7 +413,9 @@ def cmd_replicate(args) -> int:
     ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
     rule = _parse_rule(args.rule, args.q, shape)
     try:
-        report = replicability_analysis(mat, rule, method, ws, args.q, shape)
+        # The rows are sorted in place, once for both steps: the matrix is
+        # used for nothing else.
+        report = _analysis_in_place(mat[None], rule, method, ws, args.q, shape)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
     del mat  # the report holds all the JSON needs; this lowers its peak
@@ -528,11 +553,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _output_file(path):
+    """Checks before any work that the ``--out`` file ``path`` (None for
+    standard output) can be written, by opening it to append, which
+    creates a missing file. A file so created is removed if the run fails."""
+    created = False
+    if path is not None:
+        try:
+            created = not os.path.exists(path)
+            open(path, "a").close()
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from None
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _output_file(args.out):
+            return args.func(args)
     except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

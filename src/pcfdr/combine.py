@@ -89,16 +89,26 @@ def _harmonic(m: int) -> float:
 
 
 def sort_rows(mat) -> np.ndarray:
-    """Validated p-values as a 2-d float array, each row sorted ascending."""
-    s = np.sort(np.asarray(mat, dtype=float), axis=-1)
+    """Validated p-values as a 2-d float array, each row sorted ascending:
+    a new array, so the caller's ``mat`` is left as it is."""
+    s = np.array(mat, dtype=float)
     if s.ndim != 2:
         raise ValueError("p-values must form a 2-d array")
-    if s.shape[1] == 0:
+    return _sort_rows_in_place(s)
+
+
+def _sort_rows_in_place(s: np.ndarray) -> np.ndarray:
+    """Sort the rows (the last axis) of the float array ``s``, a matrix or
+    a stack of them, ascending in place, and check that they hold
+    p-values; returns ``s``."""
+    if s.shape[-1] == 0:
         raise ValueError("empty p-value list")
-    bad = ~((s[:, 0] >= 0.0) & (s[:, -1] <= 1.0))
+    s.sort(axis=-1)
+    first, last = s[..., 0], s[..., -1]
+    bad = ~((first >= 0.0) & (last <= 1.0))
     if bad.any():
-        row = s[np.argmax(bad)]
-        x = row[0] if not row[0] >= 0.0 else row[-1]
+        i = np.argmax(bad)
+        x = first.flat[i] if not first.flat[i] >= 0.0 else last.flat[i]
         raise ValueError(f"p-value {x} outside [0, 1]")
     return s
 

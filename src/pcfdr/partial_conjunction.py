@@ -26,7 +26,12 @@ def _check_u(u: int, m: int) -> None:
 def pc_pvalues(mat, u: int, method: CombiningMethod) -> np.ndarray:
     """Partial conjunction p-value P^{u/n} of each row of the m x n matrix
     ``mat``: ``method`` applied to the n-u+1 largest entries of the row."""
-    s = sort_rows(mat)
+    return _pc_pvalues_sorted(sort_rows(mat), u, method)
+
+
+def _pc_pvalues_sorted(s: np.ndarray, u: int, method: CombiningMethod) -> np.ndarray:
+    """:func:`pc_pvalues` of rows already validated and sorted ascending
+    (see :func:`sort_rows`)."""
     _check_u(u, s.shape[1])
     return combine_sorted(s[:, u - 1:], method)
 

@@ -81,7 +81,12 @@ RECIPROCAL_SUM = ShapeFunction("reciprocal_sum")
 
 
 def _readonly(x) -> np.ndarray:
-    """A read-only float64 copy of ``x``."""
+    """A read-only float64 array of ``x``: ``x`` itself if it is one already
+    and owns its data, as the weights of a ``WeightScheme`` do, so that
+    collections built from a scheme share its weights; else a copy."""
+    if (isinstance(x, np.ndarray) and x.dtype == np.float64
+            and x.flags.owndata and not x.flags.writeable):
+        return x
     a = np.array(x, dtype=float)
     a.setflags(write=False)
     return a
@@ -132,9 +137,13 @@ class ThresholdCollection:
             return np.full(len(P), float(self.m))
         return self.m * _storey_pi0_rows(sort_rows(P), self.adaptive_lambda)
 
-    def _levels(self, r: np.ndarray, scale: np.ndarray) -> np.ndarray:
-        """The (R, m) array of Delta(i, r) at the (R,) volumes r and scales."""
-        return self.alpha * self.prior_w * self.shape(r, self.m)[:, None] / scale[:, None]
+    def _levels(self, r: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Delta(i, r) at the (R,) volumes r and scales, written into and
+        returned as the (R, m) float array ``out``."""
+        np.multiply(self.alpha, self.prior_w, out=out)
+        out *= self.shape(r, self.m)[:, None]
+        out /= scale[:, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,16 +155,21 @@ class RejectionSet:
     iterations: int = 0
 
 
-def _volume(v: np.ndarray) -> float:
-    """Sum of v, added in index order as Python's sum() adds."""
-    return float(v.cumsum()[-1]) if v.size else 0.0
+def _volume(a: np.ndarray) -> float:
+    """Sum of the 1-d float array ``a``, added in index order as Python's
+    sum() adds. ``a`` is scratch: it is overwritten with its running sums."""
+    return float(np.cumsum(a, out=a)[-1]) if a.size else 0.0
 
 
-def _volumes(mask: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _volumes(mask: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per row of the (R, m) boolean mask, the sum of v over the row's set,
     added in index order: each excluded entry adds an exact 0.0, so the
-    sums equal ``_volume`` of the selected entries."""
-    return np.where(mask, v, 0.0).cumsum(axis=1)[:, -1]
+    sums equal ``_volume`` of the selected entries. The running sums are
+    taken in ``out``, an (R, m) float scratch array, if one is given."""
+    out = np.empty(mask.shape) if out is None else out
+    out.fill(0.0)
+    np.copyto(out, v, where=mask)
+    return np.cumsum(out, axis=1, out=out)[:, -1].copy()
 
 
 def _volume_share(part: np.ndarray, whole: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -216,16 +230,19 @@ def _step_up_rows(P: np.ndarray, tc: ThresholdCollection,
     Each row iterates r -> |L(r)|_v from r0 = sum(v) until r is fixed. All
     rows take every step as one array comparison: a row at its fixed point
     gives the same level set again, and only its moving steps are counted.
+    The levels and the volumes of every step share one (R, m) buffer.
     """
     v = _inputs(P[0], tc, penalty_v)[1]
     scale = tc._scales(P)
-    r = np.full(len(P), _volume(v))
+    r = np.full(len(P), _volume(v.copy()))
     iterations = np.zeros(len(P), dtype=int)
     moving = np.ones(len(P), dtype=bool)
+    buf = np.empty(P.shape)
+    rejected = np.empty(P.shape, dtype=bool)
     while True:
         iterations += moving
-        rejected = P <= tc._levels(r, scale)
-        vol = _volumes(rejected, v)
+        np.less_equal(P, tc._levels(r, scale, out=buf), out=rejected)
+        vol = _volumes(rejected, v, out=buf)
         moving = vol != r
         if not moving.any():
             return rejected, r, iterations

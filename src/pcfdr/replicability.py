@@ -15,7 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import CombiningMethod, DegenerateInputError, combine_sorted, sort_rows
+from .combine import (
+    CombiningMethod,
+    DegenerateInputError,
+    _sort_rows_in_place,
+    combine_sorted,
+)
 from .partial_conjunction import pc_path_sorted
 from .pc_testing import WeightScheme
 from .procedures import (
@@ -78,35 +83,33 @@ class ReplicabilityReport:
     selection_volume: float
 
 
-def _sorted_rows(mats: np.ndarray) -> np.ndarray:
-    """The (R, m, n) stack of p-value matrices, validated, with each row
-    sorted ascending: the one form Step 1 and Step 2 both read."""
-    r, m, n = mats.shape
-    return sort_rows(mats.reshape(r * m, n)).reshape(r, m, n)
-
-
-def _one_matrix(mat) -> tuple[np.ndarray, np.ndarray]:
-    """``mat`` as a one-matrix stack, and that stack row-sorted."""
-    mat = np.asarray(mat, dtype=float)
+def _own_stack(mat) -> np.ndarray:
+    """A private float copy of the matrix ``mat`` as a one-matrix (1, m, n)
+    stack, which the public functions sort in place: the caller's array is
+    never changed."""
+    mat = np.array(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise ValueError("p-value matrix must be 2-dimensional and nonempty")
-    return mat[None], _sorted_rows(mat[None])
+    return mat[None]
 
 
-def _select_rows(mats: np.ndarray, s: np.ndarray, rule: SelectionRule,
-                 method: CombiningMethod, ws: WeightScheme) -> np.ndarray:
+def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
+                 ws: WeightScheme) -> np.ndarray:
     """The Step-1 selection rule applied to each matrix of the (R, m, n)
-    stack ``mats``, given ``s``, the stack row-sorted by
-    :func:`_sorted_rows`: the (R, m) selection masks."""
-    r, m, n = s.shape
+    stack ``mats``: the (R, m) selection masks. It sorts the rows of
+    ``mats`` ascending in place, validated, the one form that Step 2 reads
+    too; the column rule reads its column as it was before the sort."""
+    r, m, n = mats.shape
     if len(ws.prior_w) != m:
         raise ValueError("weight scheme sized for a different feature count")
     if rule.kind == "step_up_on_column":
         if not 0 <= rule.column < n:
             raise ValueError(f"column {rule.column} outside [0, {n})")
-        values = mats[:, :, rule.column]
+        values = mats[:, :, rule.column].copy()
+        _sort_rows_in_place(mats)
     else:
-        values = combine_sorted(s.reshape(r * m, n), method).reshape(r, m)
+        s = _sort_rows_in_place(mats).reshape(r * m, n)
+        values = combine_sorted(s, method).reshape(r, m)
         if rule.kind == "fixed_threshold_on_combined":
             return values <= rule.threshold
     tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
@@ -117,7 +120,7 @@ def _select_rows(mats: np.ndarray, s: np.ndarray, rule: SelectionRule,
 def select_features(mat, rule: SelectionRule, method: CombiningMethod,
                     ws: WeightScheme) -> frozenset[int]:
     """Apply the Step-1 selection rule; returns 0-based row indices."""
-    selected = _select_rows(*_one_matrix(mat), rule, method, ws)[0]
+    selected = _select_rows(_own_stack(mat), rule, method, ws)[0]
     return frozenset(np.flatnonzero(selected).tolist())
 
 
@@ -125,21 +128,22 @@ def _khat_rows(s: np.ndarray, selected: np.ndarray, method: CombiningMethod,
                ws: WeightScheme, q: float,
                beta: ShapeFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step 2 on each matrix of the row-sorted (R, m, n) stack ``s`` with its
-    row of the (R, m) selection masks: the (R, m) k_hat (0 off the
-    selection) and thresholds, and the (R,) selection volumes |S|_v, added
-    in index order. A ``DegenerateInputError`` names the flat index
-    r * m + i."""
+    row of the (R, m) selection masks: the k_hat and the thresholds of the
+    selected entries, in the order of ``np.flatnonzero(selected)``, and the
+    (R,) selection volumes |S|_v, added in index order. A
+    ``DegenerateInputError`` names the flat index r * m + i."""
     r, m, n = s.shape
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q={q} outside (0, 1]")
     vol = _volumes(selected, ws.penalty_v)
-    t = ws.prior_w * beta(vol, m)[:, None] * q / m
+    flat = np.flatnonzero(selected)
+    rows, cols = np.divmod(flat, m)
+    t = ws.prior_w[cols] * beta(vol, m)[rows] * q / m
     try:
         path = pc_path_sorted(s[selected], method)
     except DegenerateInputError as exc:
-        raise DegenerateInputError(int(np.flatnonzero(selected)[exc.row])) from None
-    khat = np.zeros((r, m), dtype=int)
-    khat[selected] = (np.maximum.accumulate(path, axis=1) <= t[selected][:, None]).sum(axis=1)
+        raise DegenerateInputError(int(flat[exc.row])) from None
+    khat = (np.maximum.accumulate(path, axis=1) <= t[:, None]).sum(axis=1)
     return khat, t, vol
 
 
@@ -149,8 +153,8 @@ def _report(s: np.ndarray, mask: np.ndarray, method: CombiningMethod,
     selection mask, as a report."""
     rows = np.flatnonzero(mask[0]).tolist()
     khat, t, vol = _khat_rows(s, mask, method, ws, q, beta)
-    return ReplicabilityReport(frozenset(rows), dict(zip(rows, khat[0, rows].tolist())),
-                               dict(zip(rows, t[0, rows].tolist())), float(vol[0]))
+    return ReplicabilityReport(frozenset(rows), dict(zip(rows, khat.tolist())),
+                               dict(zip(rows, t.tolist())), float(vol[0]))
 
 
 def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
@@ -162,7 +166,7 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
     with the empty maximum defined as 0. The running maximum is monotone, so
     k_hat(i) is the number of u at which it stays under the threshold.
     """
-    s = _one_matrix(mat)[1]
+    s = _sort_rows_in_place(_own_stack(mat))
     return _report(s, _index_mask(selected, s.shape[1])[None], method, ws, q, beta)
 
 
@@ -170,10 +174,17 @@ def replicability_analysis(mat, rule: SelectionRule, method: CombiningMethod,
                            ws: WeightScheme, q: float,
                            beta: ShapeFunction = IDENTITY) -> ReplicabilityReport:
     """Steps 1 and 2 on one matrix: :func:`khat_bounds` of the rows that
-    :func:`select_features` selects, with the matrix validated and its rows
-    sorted once for both steps."""
-    mats, s = _one_matrix(mat)
-    return _report(s, _select_rows(mats, s, rule, method, ws), method, ws, q, beta)
+    :func:`select_features` selects, with the rows of one private copy of
+    the matrix sorted once for both steps."""
+    return _analysis_in_place(_own_stack(mat), rule, method, ws, q, beta)
+
+
+def _analysis_in_place(s: np.ndarray, rule: SelectionRule, method: CombiningMethod,
+                       ws: WeightScheme, q: float,
+                       beta: ShapeFunction) -> ReplicabilityReport:
+    """:func:`replicability_analysis` of the one-matrix (1, m, n) float
+    stack ``s``, whose rows it sorts in place."""
+    return _report(s, _select_rows(s, rule, method, ws), method, ws, q, beta)
 
 
 def realized_replicability_error(report: ReplicabilityReport,

@@ -36,7 +36,6 @@ from .replicability import (
     SelectionRule,
     _khat_rows,
     _select_rows,
-    _sorted_rows,
 )
 
 __all__ = [
@@ -207,9 +206,10 @@ def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
     true_k = np.asarray(s.true_k)
     errors = []
     for mats in _chunks(s):
-        s_rows = _sorted_rows(mats)
-        selected = _select_rows(mats, s_rows, rule, method, ws)
-        wrong = selected & (_khat_rows(s_rows, selected, method, ws, q, beta)[0] > true_k)
+        selected = _select_rows(mats, rule, method, ws)
+        wrong = np.zeros_like(selected)
+        wrong[selected] = (_khat_rows(mats, selected, method, ws, q, beta)[0]
+                           > np.broadcast_to(true_k, selected.shape)[selected])
         errors.append(_volume_share(wrong, selected, ws.penalty_v))
     return _estimate(np.concatenate(errors))
 
@@ -246,7 +246,7 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
             vol.append(_step_up_rows(pc, tc, ws.penalty_v)[1])
         else:
             mats[:, probe] = 0.0
-            selected = _select_rows(mats, _sorted_rows(mats), rule, method, ws)
+            selected = _select_rows(mats, rule, method, ws)
             vol.append(_volumes(selected, ws.penalty_v))
     p_u, vol = np.concatenate(p_u), np.concatenate(vol)
     positive = vol > 0

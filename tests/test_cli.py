@@ -1,9 +1,14 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcfdr import cli
 from pcfdr.cli import CliError, FeatureIds, read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
@@ -291,6 +296,35 @@ class TestReplicate:
         assert run(["replicate", path, "--q", "0.05", "--method", "simes",
                     "--rule", "lasso"]) == 2
 
+    def test_analysis_peak_memory_stays_within_one_matrix(self, monkeypatch):
+        # 50,000 x 5 p-values, about 5 % of the rows with a signal in their
+        # first 1 to 5 studies. The analysis sorts the rows of the matrix it
+        # read in place and keeps its temporaries to a few vectors of m
+        # floats, so that, from the start of the run to the report it hands
+        # to the JSON writer, it allocates about 0.76 times the matrix. A
+        # sorted copy of the matrix alone would take 1.0.
+        rng = np.random.default_rng(1)
+        m, n = 50_000, 5
+        mat = rng.random((m, n))
+        signal = np.flatnonzero(rng.random(m) < 0.05)
+        k = rng.integers(1, n + 1, size=signal.size)
+        mat[signal] *= np.where(np.arange(n) < k[:, None], 1e-6, 1.0)
+        nbytes = mat.nbytes
+        held = [mat]
+        del mat
+        monkeypatch.setattr(cli, "read_matrix", lambda path, pvalues=True: (None, held.pop()))
+        seen = []
+        monkeypatch.setattr(cli, "_write_json", lambda path, payload: seen.append(
+            (tracemalloc.get_traced_memory()[1], len(payload["selected"]))))
+        tracemalloc.start()
+        try:
+            assert run(["replicate", "m.csv", "--q", "0.1", "--method", "simes"]) == 0
+        finally:
+            tracemalloc.stop()
+        [(peak, selected)] = seen
+        assert 0.04 * m < selected < 0.06 * m
+        assert peak <= 1.0 * nbytes
+
 
 class TestSimulateVerify:
     def scenario_file(self, tmp_path, checks):
@@ -401,5 +435,36 @@ class TestExitCodes:
         assert run([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("Monte Carlo run started")
+        monkeypatch.setattr(cli, "mc_fdr_pc", never)
+        out = tmp_path / "missing" / "r.json"
+        assert run(["verify", "--scenario", str(REFERENCE), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_failed_run_leaves_no_new_out_file(self, tmp_path):
+        bad = write(tmp_path, "m.csv", "0.5,1.5\n")
+        out = tmp_path / "c.csv"
+        assert run(["combine", bad, "--method", "fisher", "--out", str(out)]) == 2
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert run(["combine", bad, "--method", "fisher", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+
     def test_missing_file(self):
         assert run(["combine", "/nonexistent.csv", "--method", "fisher"]) == 2
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=5)
+                 | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(x=st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                      | st.tuples(inner, inner)
+                      | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+                      max_leaves=20))
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_indented_json_dumps(x):
+    payload = {"schema_version": 1, "x": x}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from pcfdr.combine import BONFERRONI, SIMES, combine_pvalues
+from pcfdr.combine import BONFERRONI, SIMES, _sort_rows_in_place, combine_pvalues
+from pcfdr.partial_conjunction import _pc_pvalues_sorted, pc_path, pc_path_sorted, pc_pvalues
 from pcfdr.pc_testing import WeightScheme
-from pcfdr.procedures import RECIPROCAL_SUM, ThresholdCollection, step_up
+from pcfdr.procedures import IDENTITY, RECIPROCAL_SUM, ThresholdCollection, step_up
 from pcfdr.replicability import (
     ReplicabilityReport,
     SelectionRule,
+    _analysis_in_place,
     khat_bounds,
     realized_replicability_error,
     replicability_analysis,
@@ -153,6 +155,38 @@ class TestKhatBounds:
         tc = ThresholdCollection(alpha=0.1, m=12, prior_w=ws.prior_w)
         report = khat_bounds(mat, sel, SIMES, ws, q=0.1)
         assert report.selection_volume == step_up(combined, tc, v).fixed_point_volume
+
+
+def test_public_entry_points_leave_the_callers_matrix_as_it_is():
+    # The CLI sorts the rows of the matrix it read in place; the public
+    # functions sort a private copy and must give the same results.
+    rng = np.random.default_rng(6)
+    mat = random_matrix(rng, 40, 4)
+    saved = mat.copy()
+    in_place = np.sort(saved, axis=1)
+    # The column rule must read column 2 as given, not as sorted.
+    assert not np.array_equal(saved[:, 2], in_place[:, 2])
+    ws = WeightScheme.unit(40)
+    rules = [SelectionRule("step_up_on_combined", alpha=0.1),
+             SelectionRule("fixed_threshold_on_combined", threshold=0.01),
+             SelectionRule("step_up_on_column", alpha=0.2, column=2)]
+    for rule in rules:
+        report = replicability_analysis(mat, rule, SIMES, ws, 0.1)
+        assert np.array_equal(mat, saved)
+        own = saved.copy()
+        assert report == _analysis_in_place(own[None], rule, SIMES, ws, 0.1, IDENTITY)
+        assert np.array_equal(own, in_place)
+        assert report.selected
+        assert select_features(mat, rule, SIMES, ws) == report.selected
+        assert np.array_equal(mat, saved)
+        assert khat_bounds(mat, report.selected, SIMES, ws, 0.1) == report
+        assert np.array_equal(mat, saved)
+    for u in range(1, 5):
+        assert np.array_equal(pc_pvalues(mat, u, SIMES),
+                              _pc_pvalues_sorted(_sort_rows_in_place(saved.copy()), u, SIMES))
+        assert np.array_equal(mat, saved)
+    assert np.array_equal(pc_path(mat, SIMES), pc_path_sorted(in_place, SIMES))
+    assert np.array_equal(mat, saved)
 
 
 class TestRealizedError:
