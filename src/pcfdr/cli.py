@@ -16,12 +16,13 @@ a schema_version field. Exit status: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
-import io
+import itertools
 import json
 import os
+import stat
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .procedures import (
     RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
+    _index_mask,
     step_up,
 )
 from .replicability import SelectionRule, _analysis_in_place
@@ -70,143 +72,58 @@ def _is_number(token: str) -> bool:
     return True
 
 
-# The scan reads the file in blocks of about this many bytes, so its memory
-# stays flat whatever the size of the file.
-_BLOCK_BYTES = 1 << 18
-_NL, _CR, _COMMA = ord("\n"), ord("\r"), ord(",")
-# Bytes a whitespace-only line can start with: ASCII whitespace and the
-# first byte of any non-ASCII character.
-_MAYBE_SPACE = np.array([b >= 0x80 or chr(b).isspace() for b in range(256)])
-
-
-class FeatureIds:
-    """The id column of a matrix, kept as UTF-8 bytes with a newline after
-    each id. ``ids[i]`` decodes the id of row i, stripped of surrounding
-    whitespace, so a report that names a few rows turns only those into
-    strings; iterating decodes them a block at a time."""
-
-    def __init__(self, buf: bytes) -> None:
-        self._buf = buf
-        self._ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == _NL)
-
-    def __len__(self) -> int:
-        return len(self._ends)
-
-    def _start(self, i: int) -> int:
-        return self._ends[i - 1] + 1 if i > 0 else 0
-
-    def __getitem__(self, i: int) -> str:
-        return self._buf[self._start(i):self._ends[i]].decode().strip()
-
-    def __iter__(self):
-        # A few thousand ids at a time, so that they never all exist as
-        # strings at once.
-        for lo in range(0, len(self), 4096):
-            hi = min(lo + 4096, len(self))
-            for name in self._buf[self._start(lo):self._ends[hi - 1]].decode().split("\n"):
-                yield name.strip()
-
-
-def _line_blocks(fh):
-    """The binary file ``fh``, a leading UTF-8 byte-order mark dropped, as
-    blocks of whole lines: per block the uint8 array of its bytes and the
-    start and end offsets of its lines. Lines end as in text mode, at an
-    LF, a CRLF or a lone CR; a CRLF line keeps its CR. A last line without
-    an end gets one."""
-    tail = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
-    while chunk := fh.read(_BLOCK_BYTES) or tail and b"\n":
-        block = tail + chunk
-        a = np.frombuffer(block, dtype=np.uint8)
-        end = a == _NL
-        if b"\r" in block:
-            # A CR at the end of a block counts as lone: an LF opening the
-            # next block then ends an empty line, which is skipped.
-            end |= (a == _CR) & ~np.append(end[1:], False)
-        ends = np.flatnonzero(end)
-        if ends.size:
-            tail = block[ends[-1] + 1:]
-            yield a[:ends[-1] + 1], np.concatenate(([0], ends[:-1] + 1)), ends
-        else:
-            tail = block
-
-
-def _scan(fh, pvalues: bool) -> tuple[int | None, FeatureIds | None, bool]:
-    """One pass over the binary file ``fh`` in blocks of whole lines. The
-    first nonblank line fixes the width, and (for ``pvalues``) whether a
-    non-numeric first column holds ids; the nonblank lines must hold as
-    many commas each, as far as their count shows (ValueError if not).
-    Returns the commas per line (None if every line is blank), the ids
-    (None if there are none), and whether a nonempty line is all
-    whitespace."""
-    has_ids, commas, padded = False, None, False
-    id_bytes = []
-    for a, starts, ends in _line_blocks(fh):
-        blank = starts == ends
-        spaces = [i for i in np.flatnonzero(~blank & _MAYBE_SPACE[a[starts]]).tolist()
-                  if not a[starts[i]:ends[i]].tobytes().decode().strip()]
-        blank[spaces] = True
-        padded = padded or bool(spaces)
-        lo = starts[~blank]
-        if commas is None:
-            if not lo.size:
-                continue
-            head = a[lo[0]:ends[~blank][0]].tobytes().decode()
-            commas = head.count(",")
-            has_ids = pvalues and not _is_number(head.split(",", 1)[0])
-        is_comma = a == _COMMA
-        # A line with fewer commas than the first fails np.loadtxt, so the
-        # block's count of commas leaves no line room for more.
-        if np.count_nonzero(is_comma) != commas * lo.size:
-            raise ValueError("rows of unequal length")
-        if has_ids:
-            # Each id with the byte after it (its comma or line end), which
-            # becomes the id's newline.
-            n = (np.flatnonzero(is_comma)[::commas] if commas else ends[~blank]) - lo + 1
-            at = np.cumsum(n)
-            taken = a[np.repeat(lo - (at - n), n) + np.arange(n.sum())]
-            taken[at - 1] = _NL
-            id_bytes.append(taken)
-    ids = FeatureIds(np.concatenate(id_bytes).tobytes()) if has_ids else None
-    return commas, ids, padded
-
-
-def read_matrix(path: str, pvalues: bool = True) -> tuple[FeatureIds | None, np.ndarray]:
-    """Read a headerless CSV matrix; returns (ids or None, 2-d float array).
+def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
+    """Read a headerless CSV matrix; returns (whether it has ids, 2-d float
+    array). :func:`read_ids` reads the ids back from the file.
 
     The text is UTF-8; a leading byte-order mark is dropped. Blank and
     whitespace-only lines are skipped. For a p-value matrix (``pvalues``) a
     leading non-numeric column holds feature ids and every value must lie
-    in [0, 1]; otherwise every cell is a number.
+    in [0, 1]; otherwise every cell is a number. The path must name a
+    regular file, which is read more than once.
 
-    One streaming pass over the bytes checks the row widths and keeps the
-    ids (:func:`_scan`); ``np.loadtxt`` parses the values from the path,
-    or, if a whitespace-only line is present (loadtxt cannot skip one),
-    from the nonblank lines. Only on failure is the file read again to
+    The first nonblank line fixes the width and whether there are ids.
+    ``np.loadtxt`` parses each row into a zero-width id field, which keeps
+    no bytes, and the values, so it rejects a row of another width itself.
+    It cannot skip a whitespace-only line, so on failure the nonblank lines
+    are parsed again; only if that fails too is the file read once more to
     locate the bad cell.
     """
     try:
-        fh = open(path, "rb")
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise CliError(f"{path}: not a regular file")
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            head = next(filter(str.strip, fh), None)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    with fh:
+    if head is None:
+        raise CliError(f"{path}:1:1: empty input")
+    cells = head.split(",")
+    has_ids = pvalues and not _is_number(cells[0])
+    kw = dict(dtype=[("id", "S")] * has_ids + [("p", float, (len(cells) - has_ids,))],
+              delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
+    try:
         try:
-            commas, ids, padded = _scan(fh, pvalues)
-            if commas is None:
-                raise CliError(f"{path}:1:1: empty input")
-            source = path
-            if padded:
-                fh.seek(0)
-                source = filter(str.strip, io.TextIOWrapper(fh, encoding="utf-8-sig"))
-            # usecols would silently drop the extra cells of a longer row,
-            # which the scan has ruled out.
-            mat = np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
-                             encoding="utf-8-sig",
-                             usecols=None if ids is None else range(1, commas + 1))
-            if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
-                raise ValueError("p-value outside [0, 1]")
-        except ValueError as exc:
-            raise _bad_cell(path, pvalues) or CliError(f"{path}: {exc}") from None
-    return ids, mat
+            mat = np.loadtxt(path, **kw)["p"]
+        except ValueError:
+            with open(path, encoding="utf-8-sig") as fh:
+                mat = np.loadtxt(filter(str.strip, fh), **kw)["p"]
+        if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
+            raise ValueError("p-value outside [0, 1]")
+    except ValueError as exc:
+        raise _bad_cell(path, pvalues) or CliError(f"{path}: {exc}") from None
+    return has_ids, mat
+
+
+def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
+    """The ids of the matrix ``path`` (one that :func:`read_matrix` found
+    ids in), read back from the file: the first cell of each nonblank line,
+    stripped, for the rows where ``mask`` is true (every row if None). They
+    come one at a time, so that they never all exist as strings at once."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = filter(str.strip, fh)
+        for line in lines if mask is None else itertools.compress(lines, mask):
+            yield line.split(",", 1)[0].strip()
 
 
 def _bad_cell(path: str, pvalues: bool) -> CliError | None:
@@ -270,8 +187,7 @@ def _write(path, lines) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def write_matrix(path, ids: FeatureIds | list[str] | None,
-                 values: list[float]) -> None:
+def write_matrix(path, ids: Iterable[str] | None, values: list[float]) -> None:
     """One line per value, after its id if there are ids."""
     names = ids if ids is not None else [None] * len(values)
     _write(path, (f"{_fmt(x)}\n" if name is None else f"{name},{_fmt(x)}\n"
@@ -339,7 +255,7 @@ def _row_line(path: str, row: int) -> int:
 
 def cmd_combine(args) -> int:
     method = _method(args)
-    ids, mat = read_matrix(args.input)
+    has_ids, mat = read_matrix(args.input)
     if not 1 <= args.u <= mat.shape[1]:
         raise CliError(f"--u {args.u} outside [1, {mat.shape[1]}]")
     try:
@@ -347,13 +263,13 @@ def cmd_combine(args) -> int:
         pc = _pc_pvalues_sorted(_sort_rows_in_place(mat), args.u, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    write_matrix(args.out, ids, pc.tolist())
+    write_matrix(args.out, read_ids(args.input) if has_ids else None, pc.tolist())
     return 0
 
 
 def cmd_pc_test(args) -> int:
     method = _method(args)
-    ids, mat = read_matrix(args.input)
+    _, mat = read_matrix(args.input)
     if mat.shape[1] != 1:
         raise CliError(f"{args.input}: pc-test expects a single column of p-values")
     p = mat[:, 0]
@@ -408,7 +324,7 @@ def _parse_rule(spec: str, q: float, shape: ShapeFunction) -> SelectionRule:
 def cmd_replicate(args) -> int:
     method = _method(args)
     shape = _shape(args.shape)
-    ids, mat = read_matrix(args.input)
+    has_ids, mat = read_matrix(args.input)
     m = len(mat)
     ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
     rule = _parse_rule(args.rule, args.q, shape)
@@ -420,7 +336,13 @@ def cmd_replicate(args) -> int:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
     del mat  # the report holds all the JSON needs; this lowers its peak
     rows = sorted(report.selected)
-    names = [ids[i] if ids is not None else str(i) for i in rows]
+    names = (list(read_ids(args.input, _index_mask(rows, m))) if has_ids
+             else [str(i) for i in rows])
+    first: dict[str, int] = {}
+    for i, name in zip(rows, names):
+        if (j := first.setdefault(name, i)) != i:
+            raise CliError(f"{args.input}:{_row_line(args.input, i)}: selected id "
+                           f"{name!r} also names line {_row_line(args.input, j)}")
     _write_json(args.out, {
         "q": args.q,
         "selected": sorted(names),

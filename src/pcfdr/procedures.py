@@ -199,9 +199,9 @@ def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float])
 
 def _unnormalized_total(w: np.ndarray, v: np.ndarray) -> float | None:
     """sum(w * v), added in index order, if it is off len(w) beyond the
-    relative tolerance; None for normalized weights."""
+    relative tolerance or not finite; None for normalized weights."""
     total, n = _volume(w * v), len(w)
-    return total if abs(total - n) > _NORM_RTOL * n else None
+    return None if abs(total - n) <= _NORM_RTOL * n else total
 
 
 def _inputs(p: Sequence[float], tc: ThresholdCollection,

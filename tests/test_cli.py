@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfdr import cli
-from pcfdr.cli import CliError, FeatureIds, read_matrix, run, write_matrix
+from pcfdr.cli import CliError, read_ids, read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
 # The verify report on REFERENCE as the one-replicate-at-a-time Monte Carlo
@@ -55,32 +57,37 @@ def write(tmp_path, name, text):
 class TestReadWriteMatrix:
     def test_plain_matrix(self, tmp_path):
         path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,0.4\n")
-        ids, rows = read_matrix(path)
-        assert ids is None
+        has_ids, rows = read_matrix(path)
+        assert has_ids is False
         assert rows.tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
     def test_id_column_detected(self, tmp_path):
         path = write(tmp_path, "m.csv", "geneA,0.1\ngeneB,0.2\n")
-        ids, rows = read_matrix(path)
-        assert isinstance(ids, FeatureIds)
-        assert list(ids) == ["geneA", "geneB"]
+        has_ids, rows = read_matrix(path)
+        assert has_ids is True
+        assert list(read_ids(path)) == ["geneA", "geneB"]
         assert rows.tolist() == [[0.1], [0.2]]
 
     def test_ids_decode_alike_one_by_one_and_in_blocks(self, tmp_path):
         names = [f" g\u00e8ne{i} " if i % 7 else f"g{i}" for i in range(9000)]
         path = write(tmp_path, "m.csv", "".join(f"{name},0.5\n" for name in names))
-        ids, rows = read_matrix(path)
-        assert list(ids) == [ids[i] for i in range(len(ids))] == [n.strip() for n in names]
+        has_ids, rows = read_matrix(path)
+        ids = list(read_ids(path))
+        assert has_ids and ids == [n.strip() for n in names]
+        for i in (0, 1, 4095, 4096, 8999):
+            assert list(read_ids(path, np.arange(9000) == i)) == [ids[i]]
+        assert list(read_ids(path, np.arange(9000) % 7 == 3)) == ids[3::7]
         assert rows.shape == (9000, 1)
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = write(tmp_path, "m.csv", "\ufeff0.01,0.2\n0.3,0.4\n")
-        ids, rows = read_matrix(path)
-        assert ids is None
+        has_ids, rows = read_matrix(path)
+        assert has_ids is False
         assert rows.tolist() == [[0.01, 0.2], [0.3, 0.4]]
         path = write(tmp_path, "i.csv", "\ufeffgeneA,0.1\r\ngeneB,0.2\r\n")
-        ids, rows = read_matrix(path)
-        assert list(ids) == ["geneA", "geneB"]
+        has_ids, rows = read_matrix(path)
+        assert has_ids is True
+        assert list(read_ids(path)) == ["geneA", "geneB"]
         assert rows.tolist() == [[0.1], [0.2]]
 
     def test_byte_order_mark_keeps_combined_values(self, tmp_path, capsys):
@@ -99,11 +106,43 @@ class TestReadWriteMatrix:
         values = [1 / 3, math.pi / 4, 1e-17, 0.9999999999999999]
         first = tmp_path / "a.csv"
         write_matrix(str(first), ["r1", "r2", "r3", "r4"], values)
-        ids, rows = read_matrix(str(first))
+        has_ids, rows = read_matrix(str(first))
+        assert has_ids is True
         assert rows[:, 0].tolist() == values  # .17g is lossless for doubles
         second = tmp_path / "b.csv"
-        write_matrix(str(second), ids, rows[:, 0].tolist())
+        write_matrix(str(second), read_ids(str(first)), rows[:, 0].tolist())
         assert first.read_text() == second.read_text()
+
+    def test_only_the_matrix_is_held(self, tmp_path):
+        # The ids stay in the file: after read_matrix returns, an id matrix
+        # holds no more memory than its values.
+        rng = np.random.default_rng(3)
+        path = tmp_path / "m.csv"
+        np.savetxt(path, rng.random((20_000, 5)), delimiter=",", fmt="%.17g")
+        path.write_text("".join(f"gene{i:07d},{line}\n"
+                                for i, line in enumerate(path.read_text().splitlines())))
+        tracemalloc.start()
+        try:
+            has_ids, mat = read_matrix(str(path))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert has_ids and mat.shape == (20_000, 5)
+        assert held <= 1.05 * mat.nbytes
+
+    def test_path_must_be_a_regular_file(self, tmp_path, capsys):
+        # The matrix is read more than once, which a pipe cannot give. The
+        # FIFO is never opened, so nothing here can block on it.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with pytest.raises(CliError, match=rf"^{re.escape(str(fifo))}: not a regular file$"):
+            read_matrix(str(fifo))
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        assert run(["replicate", m, "--q", "0.1", "--method", "simes",
+                    "--weights", str(fifo)]) == 2
+        assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+        with pytest.raises(CliError, match=r"^cannot read .*missing\.csv: "):
+            read_matrix(str(tmp_path / "missing.csv"))
 
     def test_diagnostics_carry_line_and_column(self, tmp_path):
         path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,oops\n")
@@ -259,6 +298,14 @@ class TestPcTest:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_nan_weight_exits_2(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "0.001\n0.002\n0.5\n")
+        g = write(tmp_path, "g.txt", "a\nb\nc\n")
+        w = write(tmp_path, "w.csv", "nan,1\n1,1\n1,1\n")
+        assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                    "--groups", g, "--weights", w]) == 2
+        assert capsys.readouterr().err == f"error: {w}: sum(w_g * v_g) = nan, expected G = 3\n"
+
     def test_label_count_mismatch(self, tmp_path):
         p = write(tmp_path, "p.csv", "0.5\n0.5\n")
         g = write(tmp_path, "g.txt", "a\n")
@@ -280,6 +327,11 @@ class TestReplicate:
         report = json.loads(capsys.readouterr().out)
         assert report["selected"] == ["hit"]
         assert report["khat"]["hit"] >= 1
+
+    def test_selected_rows_sharing_an_id_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "m.csv", "g,0.0001,0.0002\n\ng,0.00001,0.5\nh,0.9,0.9\n")
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        assert capsys.readouterr().err == f"error: {path}:3: selected id 'g' also names line 1\n"
 
     @pytest.mark.parametrize("rule", sorted(GOLDEN_REPLICATE))
     def test_report_matches_golden_file(self, tmp_path, rule):

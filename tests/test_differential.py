@@ -6,12 +6,14 @@ fixed-point iteration of ``oracles``; the closed-form adjusted p-values with
 the bisection of ``oracles`` and with the step-up's rejection sets; a
 ``replicate`` run with the reciprocal-sum shape end to end with both; the
 stacked Monte Carlo functions with the one-replicate-at-a-time loops of
-``oracles``, estimate for estimate; the streaming CSV reader with the
-per-line reader of ``oracles`` on random text, and its number test with
-``np.loadtxt`` itself; the bucketed ``compute_pc_pvalues`` over interleaved
-group labels with ``pc_pvalue`` group by group.
+``oracles``, estimate for estimate; the CLI's CSV reader with the
+per-line reader of ``oracles`` on random text, and its number test and the
+``np.loadtxt`` behaviour it relies on with ``np.loadtxt`` itself; the
+bucketed ``compute_pc_pvalues`` over interleaved group labels with
+``pc_pvalue`` group by group.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcfdr.cli import CliError, _is_number, read_matrix, run
+from pcfdr.cli import CliError, _is_number, read_ids, read_matrix, run
 from pcfdr.combine import (
     BONFERRONI,
     FISHER,
@@ -415,9 +417,18 @@ def read_outcome(reader, path):
         ids, mat = reader(path)
     except CliError as exc:
         return str(exc)
-    names = None if ids is None else list(ids)
-    assert names is None or names == [ids[i] for i in range(len(ids))]
-    return names, mat.shape, mat.tolist()
+    return ids, mat.shape, mat.tolist()
+
+
+def cli_reader(path):
+    """The CLI's reader with the ids read back: every row's, checked
+    against those of every other row alone."""
+    has_ids, mat = read_matrix(path)
+    if not has_ids:
+        return None, mat
+    ids = list(read_ids(path))
+    assert list(read_ids(path, itertools.cycle([False, True]))) == ids[1::2]
+    return ids, mat
 
 
 @given(text=csv_texts())
@@ -425,7 +436,7 @@ def read_outcome(reader, path):
 def test_streaming_reader_matches_per_line_oracle(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "random.csv"
     path.write_bytes(text.encode())
-    assert read_outcome(read_matrix, str(path)) == read_outcome(oracles.read_matrix, str(path))
+    assert read_outcome(cli_reader, str(path)) == read_outcome(oracles.read_matrix, str(path))
 
 
 @given(token=st.text(st.sampled_from("0123456789.eE+-_ \t\u00a0\u0660inf"), max_size=6))
@@ -438,3 +449,28 @@ def test_number_test_accepts_what_loadtxt_parses(token):
     else:
         parsed = True
     assert _is_number(token) == parsed
+
+
+def test_loadtxt_zero_width_id_field_checks_row_widths(tmp_path):
+    # read_matrix parses an id column into a zero-width bytes field: it
+    # keeps no id bytes, and loadtxt still counts the column, so a row of
+    # another width fails. A whitespace-only line fails too, with or
+    # without ids, which is what sends the reader to its retry.
+    n = 3
+    with_ids = np.dtype([("id", "S"), ("p", float, (n,))])
+    assert with_ids.itemsize == 8 * n
+    kw = dict(delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
+
+    def load(text, dtype=with_ids):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        return np.loadtxt(path, dtype=dtype, **kw)["p"]
+
+    assert load("a,0.1,0.2,0.3\r\n\nb,0.4,0.5,0.6").tolist() == [[0.1, 0.2, 0.3],
+                                                              [0.4, 0.5, 0.6]]
+    for text in ("a,0.1,0.2,0.3\nb,0.4,0.5\n", "a,0.1,0.2,0.3\nb,0.4,0.5,0.6,0.7\n",
+                 "a,0.1,0.2,0.3\n \nb,0.4,0.5,0.6\n"):
+        with pytest.raises(ValueError):
+            load(text)
+    with pytest.raises(ValueError):
+        load("0.1\n\t\n0.2\n", np.dtype([("p", float, (1,))]))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -58,6 +59,12 @@ class TestWeightScheme:
             WeightScheme((2.0, 2.0), (1.0, 1.0))
         ws = WeightScheme((1.5, 0.5), (1.0, 1.0))
         assert ws.prior_w.tolist() == [1.5, 0.5]
+
+    @pytest.mark.parametrize("w, v", [((math.nan, 1.0), (1.0, 1.0)),
+                                      ((0.0, 2.0), (math.inf, 1.0))])
+    def test_non_finite_total_is_not_normalized(self, w, v):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="= nan, expected G = 2"):
+            WeightScheme(w, v)
 
     def test_unit(self):
         ws = WeightScheme.unit(3)
