@@ -72,6 +72,15 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _rows(path: str, errors: str = "strict") -> Iterator[tuple[int, str]]:
+    """(physical line number, line) for each row of the matrix file
+    ``path``: its nonblank lines, a leading byte-order mark dropped."""
+    with open(path, encoding="utf-8-sig", errors=errors) as fh:
+        for row in enumerate(fh, start=1):
+            if not row[1].isspace():  # a line read from a file is never ""
+                yield row
+
+
 def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     """Read a headerless CSV matrix; returns (whether it has ids, 2-d float
     array). :func:`read_ids` reads the ids back from the file.
@@ -92,8 +101,7 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise CliError(f"{path}: not a regular file")
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            head = next(filter(str.strip, fh), None)
+        _, head = next(_rows(path, "surrogateescape"), (None, None))
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     if head is None:
@@ -106,8 +114,7 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
         try:
             mat = np.loadtxt(path, **kw)["p"]
         except ValueError:
-            with open(path, encoding="utf-8-sig") as fh:
-                mat = np.loadtxt(filter(str.strip, fh), **kw)["p"]
+            mat = np.loadtxt((line for _, line in _rows(path)), **kw)["p"]
         if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
             raise ValueError("p-value outside [0, 1]")
     except ValueError as exc:
@@ -117,13 +124,15 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
 
 def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
     """The ids of the matrix ``path`` (one that :func:`read_matrix` found
-    ids in), read back from the file: the first cell of each nonblank line,
-    stripped, for the rows where ``mask`` is true (every row if None). They
-    come one at a time, so that they never all exist as strings at once."""
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = filter(str.strip, fh)
-        for line in lines if mask is None else itertools.compress(lines, mask):
+    ids in), read back from the file: the first cell of each row, stripped,
+    for the rows where ``mask`` is true (every row if None). They come one
+    at a time, so that they never all exist as strings at once."""
+    rows = _rows(path)
+    try:
+        for _, line in rows if mask is None else itertools.compress(rows, mask):
             yield line.split(",", 1)[0].strip()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
 
 
 def _bad_cell(path: str, pvalues: bool) -> CliError | None:
@@ -132,28 +141,25 @@ def _bad_cell(path: str, pvalues: bool) -> CliError | None:
     ``str.encode`` rejects), a row of another width, a token that is not a
     number, or (for p-values) a value outside [0, 1]."""
     width = has_ids = None
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for ln_no, line in enumerate(fh, start=1):
-            try:
-                line.encode()
-            except UnicodeEncodeError as exc:
-                col = line.count(",", 0, exc.start) + 1
-                return CliError(f"{path}:{ln_no}:{col}: not valid UTF-8")
-            if not line.strip():
-                continue
-            if has_ids is None:
-                has_ids = pvalues and not _is_number(line.split(",", 1)[0])
-            cells = [c.strip() for c in line.split(",")][has_ids:]
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                return CliError(f"{path}:{ln_no}:1: expected {width} values, got {len(cells)}")
-            for col, cell in enumerate(cells, start=1 + has_ids):
-                if not _is_number(cell):
-                    return CliError(f"{path}:{ln_no}:{col}: not a number: {cell!r}")
-            for col, cell in enumerate(cells, start=1 + has_ids):
-                if pvalues and not 0.0 <= float(cell) <= 1.0:
-                    return CliError(f"{path}:{ln_no}:{col}: p-value {float(cell)} outside [0, 1]")
+    for ln_no, line in _rows(path, "surrogateescape"):
+        try:
+            line.encode()
+        except UnicodeEncodeError as exc:
+            col = line.count(",", 0, exc.start) + 1
+            return CliError(f"{path}:{ln_no}:{col}: not valid UTF-8")
+        if has_ids is None:
+            has_ids = pvalues and not _is_number(line.split(",", 1)[0])
+        cells = [c.strip() for c in line.split(",")][has_ids:]
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            return CliError(f"{path}:{ln_no}:1: expected {width} values, got {len(cells)}")
+        for col, cell in enumerate(cells, start=1 + has_ids):
+            if not _is_number(cell):
+                return CliError(f"{path}:{ln_no}:{col}: not a number: {cell!r}")
+        for col, cell in enumerate(cells, start=1 + has_ids):
+            if pvalues and not 0.0 <= float(cell) <= 1.0:
+                return CliError(f"{path}:{ln_no}:{col}: p-value {float(cell)} outside [0, 1]")
     return None
 
 
@@ -188,10 +194,11 @@ def _write(path, lines) -> None:
 
 
 def write_matrix(path, ids: Iterable[str] | None, values: list[float]) -> None:
-    """One line per value, after its id if there are ids."""
+    """One line per value, after its id if there are ids. Raises
+    ValueError if there are more or fewer ids than values."""
     names = ids if ids is not None else [None] * len(values)
     _write(path, (f"{_fmt(x)}\n" if name is None else f"{name},{_fmt(x)}\n"
-                  for name, x in zip(names, values)))
+                  for name, x in zip(names, values, strict=True)))
 
 
 def read_weights(path: str, m: int) -> WeightScheme:
@@ -249,8 +256,7 @@ def _write_json(path, payload: dict) -> None:
 
 def _row_line(path: str, row: int) -> int:
     """Physical line number of 0-based matrix row ``row`` of ``path``."""
-    with open(path, encoding="utf-8-sig") as fh:
-        return [n for n, ln in enumerate(fh, start=1) if ln.strip()][row]
+    return next(itertools.islice(_rows(path), row, None))[0]
 
 
 def cmd_combine(args) -> int:
@@ -263,7 +269,14 @@ def cmd_combine(args) -> int:
         pc = _pc_pvalues_sorted(_sort_rows_in_place(mat), args.u, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    write_matrix(args.out, read_ids(args.input) if has_ids else None, pc.tolist())
+    ids = read_ids(args.input) if has_ids else None
+    with contextlib.suppress(OSError):  # read_ids reports an input gone since
+        if has_ids and args.out is not None and os.path.samefile(args.out, args.input):
+            ids = list(ids)  # opening --out empties the input the ids are read from
+    try:
+        write_matrix(args.out, ids, pc.tolist())
+    except ValueError:
+        raise CliError(f"{args.input}: changed while it was read") from None
     return 0
 
 
@@ -338,6 +351,8 @@ def cmd_replicate(args) -> int:
     rows = sorted(report.selected)
     names = (list(read_ids(args.input, _index_mask(rows, m))) if has_ids
              else [str(i) for i in rows])
+    if len(names) != len(rows):
+        raise CliError(f"{args.input}: changed while it was read")
     first: dict[str, int] = {}
     for i, name in zip(rows, names):
         if (j := first.setdefault(name, i)) != i:

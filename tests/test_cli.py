@@ -112,6 +112,9 @@ class TestReadWriteMatrix:
         second = tmp_path / "b.csv"
         write_matrix(str(second), read_ids(str(first)), rows[:, 0].tolist())
         assert first.read_text() == second.read_text()
+        for ids in (["r1"] * 3, ["r1"] * 5):
+            with pytest.raises(ValueError):
+                write_matrix(str(second), ids, values)
 
     def test_only_the_matrix_is_held(self, tmp_path):
         # The ids stay in the file: after read_matrix returns, an id matrix
@@ -232,6 +235,34 @@ class TestCombine:
         path = write(tmp_path, "m.csv", "0.5\n")
         assert run(["combine", path, "--method", "simes", "--lambda", "0.5"]) == 2
 
+    def test_out_may_be_the_input(self, tmp_path):
+        # The ids are read back from the input after the values, so opening
+        # --out must not empty it first: through the input's own path, a
+        # symbolic link or a hard link, the result is as to a separate file.
+        path = tmp_path / "m.csv"
+        path.write_bytes(GOLDEN_MATRIX.encode())
+        argv = ["--method", "fisher", "--u", "2", "--out"]
+        assert run(["combine", str(path), *argv, str(tmp_path / "c.csv")]) == 0
+        expected = (tmp_path / "c.csv").read_bytes()
+        (tmp_path / "sym.csv").symlink_to(path)
+        os.link(path, tmp_path / "hard.csv")
+        for out in ("m.csv", "sym.csv", "hard.csv"):
+            path.write_bytes(GOLDEN_MATRIX.encode())
+            assert run(["combine", str(path), *argv, str(tmp_path / out)]) == 0
+            assert path.read_bytes() == expected
+
+    def test_input_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch):
+        # The ids are read in a second pass; a row gone by then is an
+        # error, not a shorter report.
+        path = write(tmp_path, "m.csv", "a,0.1,0.2\nb,0.3,0.4\nc,0.5,0.6\n")
+        pc_pvalues = cli._pc_pvalues_sorted
+        def truncating(*args):
+            Path(path).write_text("a,0.1,0.2\nb,0.3,0.4\n")
+            return pc_pvalues(*args)
+        monkeypatch.setattr(cli, "_pc_pvalues_sorted", truncating)
+        assert run(["combine", path, "--method", "fisher"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
+
 
 class TestPcTest:
     def test_report_matches_golden_file(self, tmp_path):
@@ -332,6 +363,16 @@ class TestReplicate:
         path = write(tmp_path, "m.csv", "g,0.0001,0.0002\n\ng,0.00001,0.5\nh,0.9,0.9\n")
         assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
         assert capsys.readouterr().err == f"error: {path}:3: selected id 'g' also names line 1\n"
+
+    def test_input_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "m.csv", "a,0.8,0.9\nhit,0.0001,0.0002\n")
+        analysis = cli._analysis_in_place
+        def truncating(*args):
+            Path(path).write_text("a,0.8,0.9\n")
+            return analysis(*args)
+        monkeypatch.setattr(cli, "_analysis_in_place", truncating)
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
 
     @pytest.mark.parametrize("rule", sorted(GOLDEN_REPLICATE))
     def test_report_matches_golden_file(self, tmp_path, rule):
