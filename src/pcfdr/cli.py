@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import itertools
 import json
 import os
@@ -181,16 +182,25 @@ def _read_text(path: str) -> str:
 
 
 def _write(path, lines) -> None:
-    """Write the strings ``lines`` to standard output if ``path`` is None,
-    else to the file ``path``; failing to open or write it is a CliError."""
-    if path is None:
-        sys.stdout.writelines(lines)
-        return
+    """Write the strings ``lines`` to standard output, flushed, if ``path``
+    is None, else to the file ``path``; failing to open, write or flush it
+    is a CliError. If standard output fails (a pipe whose reader has gone,
+    say), it is pointed at the null device before the error is raised, so
+    that the interpreter's own flush at exit does not fail on it again."""
     try:
-        with open(path, "w") as fh:
-            fh.writelines(lines)
+        if path is None:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                fh.writelines(lines)
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}") from None
+        if path is None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise CliError(f"cannot write {'standard output' if path is None else path}: "
+                       f"{exc}") from None
 
 
 def write_matrix(path, ids: Iterable[str] | None, values: list[float]) -> None:
@@ -523,7 +533,14 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The ``pcfdr`` script: exit with the status of :func:`run` on the
+    command line. The objects still alive, most of them made by importing
+    numpy and scipy, are first frozen out of the garbage collector, so that
+    its collections at shutdown skip them. Only this entry point freezes: a
+    caller of :func:`run` in its own process keeps its collector as it was."""
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -199,8 +199,10 @@ def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float])
 
 def _unnormalized_total(w: np.ndarray, v: np.ndarray) -> float | None:
     """sum(w * v), added in index order, if it is off len(w) beyond the
-    relative tolerance or not finite; None for normalized weights."""
-    total, n = _volume(w * v), len(w)
+    relative tolerance or not finite; None for normalized weights. A
+    product 0 * inf is NaN without a warning: the NaN total reports it."""
+    with np.errstate(invalid="ignore"):
+        total, n = _volume(w * v), len(w)
     return None if abs(total - n) <= _NORM_RTOL * n else total
 
 

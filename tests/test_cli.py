@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -329,12 +330,15 @@ class TestPcTest:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
-    def test_nan_weight_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row", ["nan,1", "0,inf"])
+    def test_nan_weight_exits_2(self, tmp_path, capsys, row):
         p = write(tmp_path, "p.csv", "0.001\n0.002\n0.5\n")
         g = write(tmp_path, "g.txt", "a\nb\nc\n")
-        w = write(tmp_path, "w.csv", "nan,1\n1,1\n1,1\n")
-        assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
-                    "--groups", g, "--weights", w]) == 2
+        w = write(tmp_path, "w.csv", f"{row}\n1,1\n1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 0 * inf must not warn
+            assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                        "--groups", g, "--weights", w]) == 2
         assert capsys.readouterr().err == f"error: {w}: sum(w_g * v_g) = nan, expected G = 3\n"
 
     def test_label_count_mismatch(self, tmp_path):

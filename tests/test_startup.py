@@ -1,5 +1,8 @@
-"""Start-up cost: importing the CLI and running the scipy-free methods must
-not load scipy; only the methods that call ``scipy.special`` load it."""
+"""Start-up and exit. Importing the CLI and running the scipy-free methods
+must not load scipy; only the methods that call ``scipy.special`` load it.
+The console entry point ``main`` freezes the garbage collector once ``run``
+has returned, and only there; exit status, exit hooks and output are as
+without the freeze."""
 
 import json
 import os
@@ -15,7 +18,7 @@ MODULES = ["cli", "numerics", "combine", "partial_conjunction", "procedures",
            "pc_testing", "replicability", "simulation"]
 
 SCRIPT = """
-import json, sys
+import gc, json, sys
 import pcfdr.cli
 from pcfdr.cli import run
 
@@ -27,8 +30,20 @@ assert run(["combine", matrix, "--method", "simes", "--u", "2", "--out", out]) =
 state["simes"] = "scipy" in sys.modules
 assert run(["combine", matrix, "--method", "fisher", "--out", out]) == 0
 state["fisher"] = "scipy" in sys.modules
+state["frozen"] = gc.get_freeze_count()
 print(json.dumps(state))
 """
+# The console entry point as the installed ``pcfdr`` script runs it, after
+# an exit hook that tells on standard error whether objects were frozen
+# out of the collector by then.
+MAIN = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+from pcfdr.cli import main
+main()
+"""
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +51,9 @@ def state(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("startup")
     matrix = tmp / "m.csv"
     matrix.write_text("hit,0.0001,0.0002,0.3\nmiss,0.8,0.9,0.4\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(matrix), str(tmp / "out"), *MODULES],
-        env=env, capture_output=True, text=True, check=True)
+        env=ENV, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
 
@@ -55,3 +68,66 @@ def test_simes_replicate_and_combine_do_not_load_scipy(state):
 
 def test_fisher_combine_loads_scipy(state):
     assert state["fisher"] is True
+
+
+def test_run_does_not_freeze(state):
+    assert state["frozen"] == 0
+
+
+def pcfdr(cwd, *argv, stdout=subprocess.PIPE):
+    """``pcfdr argv`` through ``main`` in a fresh interpreter in ``cwd``: the
+    exit status, standard output (bytes) and the lines of standard error."""
+    done = subprocess.run([sys.executable, "-c", MAIN, *argv], cwd=cwd, env=ENV,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    return done.returncode, done.stdout, done.stderr.decode().splitlines()
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    (tmp_path / "m.csv").write_text("hit,0.0001,0.0002,0.3\nmiss,0.8,0.9,0.4\n")
+    (tmp_path / "p.csv").write_text("0.001\n0.5\n")
+    (tmp_path / "g.txt").write_text("a\nb\n")
+    # The adaptive step-up of test_cli's test_verify_bound_violation_exits_3.
+    (tmp_path / "s.json").write_text(json.dumps({"checks": [{
+        "check": "fdr_pc",
+        "scenario": {"m": 40, "n": 3, "true_k": [3] * 30 + [0] * 10,
+                     "mu": 4.0, "reps": 300, "seed": 3},
+        "method": "simes", "u": 1, "alpha": 0.05, "adaptive_lambda": 0.5}]}))
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["replicate", "m.csv", "--q", "0.1", "--method", "simes"], 0),
+    (["pc-test", "p.csv", "--alpha", "1.5", "--method", "simes", "--groups", "g.txt"], 2),
+    (["verify", "--scenario", "s.json"], 3),
+], ids=["replicate", "bad-alpha", "verify-violation"])
+def test_main_exits_with_the_status_of_run_after_its_exit_hooks(inputs, argv, code):
+    status, out, err = pcfdr(inputs, *argv)
+    assert status == code
+    assert err[-1] == "frozen: True"
+    assert (code == 2) == any(line.startswith("error: ") for line in err)
+    if code != 2:
+        assert json.loads(out)["schema_version"] == 1
+
+
+def test_combine_to_a_pipe_writes_what_out_writes(inputs):
+    argv = ["combine", "m.csv", "--method", "simes", "--u", "2"]
+    status, piped, _ = pcfdr(inputs, *argv)
+    assert status == 0
+    assert pcfdr(inputs, *argv, "--out", "c.csv")[0] == 0
+    assert piped == (inputs / "c.csv").read_bytes()
+    assert piped.startswith(b"hit,0.000") and piped.count(b"\n") == 2
+
+
+def test_closed_stdout_pipe_exits_2_without_a_traceback(inputs):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        status, _, err = pcfdr(inputs, "replicate", "m.csv", "--q", "0.1",
+                               "--method", "simes", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert status == 2
+    errors = [line for line in err if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write standard output: ")
+    assert not any("Traceback" in line or "Exception ignored" in line for line in err)
