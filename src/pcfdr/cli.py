@@ -21,6 +21,7 @@ import gc
 import itertools
 import json
 import os
+import shutil
 import stat
 import sys
 from collections.abc import Iterable, Iterator
@@ -53,10 +54,6 @@ __all__ = ["main", "run"]
 
 class CliError(Exception):
     """Validation failure with a user-facing diagnostic."""
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _is_number(token: str) -> bool:
@@ -181,33 +178,61 @@ def _read_text(path: str) -> str:
     return text
 
 
+def _out_target(path: str) -> str | None:
+    """Where :func:`_write` renames the report for ``--out path``: the path
+    of a regular or new file, resolved if it is a symbolic link; None for a
+    FIFO or a device, written in place. Raises CliError, creating nothing,
+    if the path is a directory or read-only, or if no file can be made."""
+    if os.path.isdir(path) or os.path.exists(path) and not os.access(path, os.W_OK):
+        raise CliError(f"cannot write {path}: a directory or read-only")
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    if not os.access(folder := os.path.dirname(target) or ".", os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: cannot create a file in {folder}")
+    return target
+
+
 def _write(path, lines) -> None:
     """Write the strings ``lines`` to standard output, flushed, if ``path``
-    is None, else to the file ``path``; failing to open, write or flush it
-    is a CliError. If standard output fails (a pipe whose reader has gone,
-    say), it is pointed at the null device before the error is raised, so
-    that the interpreter's own flush at exit does not fail on it again."""
+    is None, else to the file ``path``; an OSError is a CliError. A regular
+    or new file is written as a temporary file beside it, which takes its
+    permission bits and is renamed over it: it holds the whole report or
+    is left as it was. A failed standard output (a pipe whose reader has
+    gone) is pointed at the null device, so that exit does not fail again."""
+    tmp = None
     try:
         if path is None:
             sys.stdout.writelines(lines)
             sys.stdout.flush()
-        else:
+        elif (target := _out_target(path)) is None:
             with open(path, "w") as fh:
                 fh.writelines(lines)
+        else:
+            name = f".pcfdr-{os.urandom(4).hex()}.tmp"  # short, whatever the target's name
+            with open(os.path.join(os.path.dirname(target), name), "x") as fh:  # umask applies
+                tmp = fh.name
+                fh.writelines(lines)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
     except OSError as exc:
         if path is None:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             os.close(devnull)
         raise CliError(f"cannot write {'standard output' if path is None else path}: "
                        f"{exc}") from None
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):  # gone already once renamed
+                os.remove(tmp)
 
 
 def write_matrix(path, ids: Iterable[str] | None, values: list[float]) -> None:
     """One line per value, after its id if there are ids. Raises
     ValueError if there are more or fewer ids than values."""
     names = ids if ids is not None else [None] * len(values)
-    _write(path, (f"{_fmt(x)}\n" if name is None else f"{name},{_fmt(x)}\n"
+    _write(path, (f"{x:.17g}\n" if name is None else f"{name},{x:.17g}\n"
                   for name, x in zip(names, values, strict=True)))
 
 
@@ -260,8 +285,7 @@ def _json_text(x, depth: int = 0) -> str:
 
 
 def _write_json(path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _write(path, [_json_text(payload), "\n"])
+    _write(path, [_json_text({"schema_version": SCHEMA_VERSION, **payload}), "\n"])
 
 
 def _row_line(path: str, row: int) -> int:
@@ -279,12 +303,8 @@ def cmd_combine(args) -> int:
         pc = _pc_pvalues_sorted(_sort_rows_in_place(mat), args.u, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    ids = read_ids(args.input) if has_ids else None
-    with contextlib.suppress(OSError):  # read_ids reports an input gone since
-        if has_ids and args.out is not None and os.path.samefile(args.out, args.input):
-            ids = list(ids)  # opening --out empties the input the ids are read from
     try:
-        write_matrix(args.out, ids, pc.tolist())
+        write_matrix(args.out, read_ids(args.input) if has_ids else None, pc.tolist())
     except ValueError:
         raise CliError(f"{args.input}: changed while it was read") from None
     return 0
@@ -307,7 +327,8 @@ def cmd_pc_test(args) -> int:
     if args.u_proportion is not None:
         layout = GroupLayout.from_proportion(labels, args.u_proportion)
     else:
-        u = args.u if args.u is not None else 1
+        if (u := 1 if args.u is None else args.u) < 1:
+            raise CliError(f"--u {u} must be at least 1")
         sizes = np.bincount(labels)
         if (small := np.flatnonzero(sizes < u)).size:
             raise CliError(f"{args.groups}: --u {u} exceeds the size "
@@ -421,7 +442,8 @@ def _run_scenario_file(args, enforce: bool) -> int:
         spec = json.loads(_read_text(args.scenario))
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.scenario}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    checks = spec["checks"] if "checks" in spec else [spec]
+    if not isinstance(spec, dict) or not isinstance(checks := spec.get("checks", [spec]), list):
+        raise CliError(f"{args.scenario}: bad check spec: not an object with a list of checks")
     records = []
     all_pass = True
     for chk in checks:
@@ -446,9 +468,7 @@ def _run_scenario_file(args, enforce: bool) -> int:
         records.append({"check": kind, "scenario": scenario.to_dict(),
                         "method": chk["method"], "results": sub, "pass": ok})
     _write_json(args.out, {"records": records, "pass": all_pass})
-    if enforce and not all_pass:
-        return 3
-    return 0
+    return 3 if enforce and not all_pass else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,33 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _output_file(path):
-    """Checks before any work that the ``--out`` file ``path`` (None for
-    standard output) can be written, by opening it to append, which
-    creates a missing file. A file so created is removed if the run fails."""
-    created = False
-    if path is not None:
-        try:
-            created = not os.path.exists(path)
-            open(path, "a").close()
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc}") from None
-    try:
-        yield
-    except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-
-
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        with _output_file(args.out):
-            return args.func(args)
+        if args.out is not None:
+            _out_target(args.out)  # before any work
+        return args.func(args)
     except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import re
+import stat
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -237,9 +239,11 @@ class TestCombine:
         assert run(["combine", path, "--method", "simes", "--lambda", "0.5"]) == 2
 
     def test_out_may_be_the_input(self, tmp_path):
-        # The ids are read back from the input after the values, so opening
-        # --out must not empty it first: through the input's own path, a
-        # symbolic link or a hard link, the result is as to a separate file.
+        # The ids are read back from the input after the values, so writing
+        # --out must not empty it first: through the input's own path or a
+        # symbolic link, the result is as to a separate file. The report is
+        # renamed onto the path, so a hard link becomes a file of its own
+        # holding the report, and the input keeps its text.
         path = tmp_path / "m.csv"
         path.write_bytes(GOLDEN_MATRIX.encode())
         argv = ["--method", "fisher", "--u", "2", "--out"]
@@ -247,10 +251,14 @@ class TestCombine:
         expected = (tmp_path / "c.csv").read_bytes()
         (tmp_path / "sym.csv").symlink_to(path)
         os.link(path, tmp_path / "hard.csv")
-        for out in ("m.csv", "sym.csv", "hard.csv"):
+        for out in ("m.csv", "sym.csv"):
             path.write_bytes(GOLDEN_MATRIX.encode())
             assert run(["combine", str(path), *argv, str(tmp_path / out)]) == 0
             assert path.read_bytes() == expected
+        path.write_bytes(GOLDEN_MATRIX.encode())
+        assert run(["combine", str(path), *argv, str(tmp_path / "hard.csv")]) == 0
+        assert (tmp_path / "hard.csv").read_bytes() == expected
+        assert path.read_bytes() == GOLDEN_MATRIX.encode()
 
     def test_input_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch):
         # The ids are read in a second pass; a row gone by then is an
@@ -320,6 +328,14 @@ class TestPcTest:
                     "--groups", g, "--u", "3"]) == 2
         err = capsys.readouterr().err
         assert "--u 3 exceeds the size 1 of group 'solo'" in err
+
+    @pytest.mark.parametrize("u", ["0", "-1"])
+    def test_u_below_1_exits_2_naming_the_flag(self, tmp_path, capsys, u):
+        p = write(tmp_path, "p.csv", "0.001\n0.002\n")
+        g = write(tmp_path, "g.txt", "a\na\n")
+        assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                    "--groups", g, "--u", u]) == 2
+        assert capsys.readouterr().err == f"error: --u {u} must be at least 1\n"
 
     def test_u_and_u_proportion_together_exit_2(self, tmp_path, capsys):
         p = write(tmp_path, "p.csv", "0.001\n0.002\n0.9\n0.8\n")
@@ -486,6 +502,13 @@ class TestSimulateVerify:
         missing = self.scenario_file(tmp_path, [{"check": "fdr_pc", "scenario": {}}])
         assert run(["verify", "--scenario", missing]) == 2
 
+    @pytest.mark.parametrize("text", ["5", '{"checks": 5}', "[]"])
+    def test_scenario_not_an_object_with_a_list_of_checks_exits_2(self, tmp_path, capsys, text):
+        path = write(tmp_path, "bad.json", text)
+        assert run(["verify", "--scenario", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad check spec: not an object with a list of checks\n")
+
     def test_adaptive_with_non_identity_shape_exits_2(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, [{
             "check": "fdr_pc",
@@ -532,11 +555,12 @@ class TestExitCodes:
         assert run([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
-    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("out", ["missing/r.json", "."])
+    def test_unwritable_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, out):
         def never(*args):
             raise AssertionError("Monte Carlo run started")
         monkeypatch.setattr(cli, "mc_fdr_pc", never)
-        out = tmp_path / "missing" / "r.json"
+        out = tmp_path / out
         assert run(["verify", "--scenario", str(REFERENCE), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
@@ -549,8 +573,120 @@ class TestExitCodes:
         assert run(["combine", bad, "--method", "fisher", "--out", str(out)]) == 2
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_read_only_out_exits_2_and_is_kept(self, tmp_path, capsys):
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        out = tmp_path / "c.csv"
+        out.write_text("kept\n")
+        out.chmod(0o444)
+        assert run(["combine", m, "--method", "simes", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert out.read_text() == "kept\n"
+
     def test_missing_file(self):
         assert run(["combine", "/nonexistent.csv", "--method", "fisher"]) == 2
+
+
+class TestOut:
+    """--out is written as a temporary file beside it and renamed over it;
+    every path a test writes lies under tmp_path."""
+
+    def test_failed_write_keeps_existing_out_and_leaves_no_file(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # The input loses a row between the values pass and the ids pass,
+        # so the run fails while the report is being written.
+        path = write(tmp_path, "m.csv", "a,0.1,0.2\nb,0.3,0.4\nc,0.5,0.6\n")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir / "out.csv"
+        out.write_text("precious\n")
+        pc_pvalues = cli._pc_pvalues_sorted
+        def truncating(*args):
+            Path(path).write_text("a,0.1,0.2\n")
+            return pc_pvalues(*args)
+        monkeypatch.setattr(cli, "_pc_pvalues_sorted", truncating)
+        assert run(["combine", path, "--method", "fisher", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
+        assert out.read_text() == "precious\n"
+        assert os.listdir(outdir) == ["out.csv"]
+
+    def test_directory_holds_only_the_report(self, tmp_path):
+        m = write(tmp_path, "m.csv", "0.01,0.2\n0.3,0.4\n")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir / "c.csv"
+        assert run(["combine", str(tmp_path / "bad.csv"), "--method", "simes",
+                    "--out", str(out)]) == 2
+        assert os.listdir(outdir) == []
+        for _ in range(2):  # new, then replaced
+            assert run(["combine", m, "--method", "simes", "--out", str(out)]) == 0
+            assert os.listdir(outdir) == ["c.csv"]
+            assert out.read_text() == "0.02\n0.40000000000000002\n"
+
+    def test_permission_bits(self, tmp_path):
+        # A new file gets 0o666 less the umask, as open(path, "w") gives
+        # it; an existing file keeps its own bits whatever the umask.
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        old_umask = os.umask(0o077)
+        try:
+            assert run(["combine", m, "--method", "simes", "--out", str(new)]) == 0
+            for mode in (0o600, 0o754):
+                kept.chmod(mode)
+                os.umask(0o022 if mode == 0o600 else 0o077)
+                assert run(["combine", m, "--method", "simes", "--out", str(kept)]) == 0
+                assert kept.stat().st_mode & 0o7777 == mode
+        finally:
+            os.umask(old_umask)
+        assert new.stat().st_mode & 0o7777 == 0o666 & ~0o077
+        assert kept.read_text() == new.read_text() == "0.01\n0.02\n"
+
+    def test_symlinked_out_stays_a_link(self, tmp_path):
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "c.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run(["combine", m, "--method", "simes", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "0.01\n0.02\n"
+        assert sorted(os.listdir(tmp_path / "real")) == ["c.csv"]
+
+    def test_out_path_is_taken_as_open_takes_it(self, tmp_path, capsys):
+        # The temporary file's name does not grow with the target's, so a
+        # name of 254 bytes is written; a trailing slash names a directory.
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        long = tmp_path / ("L" * 250 + ".csv")
+        assert run(["combine", m, "--method", "simes", "--out", str(long)]) == 0
+        assert long.read_text() == "0.01\n0.02\n"
+        out = f"{tmp_path / 'new.csv'}/"
+        assert run(["combine", m, "--method", "simes", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        assert sorted(os.listdir(tmp_path)) == sorted([long.name, "m.csv"])
+
+    def test_fifo_out_is_written_in_place(self, tmp_path):
+        m = write(tmp_path, "m.csv", "0.01\n0.02\n")
+        fifo = tmp_path / "c.fifo"
+        os.mkfifo(fifo)
+        got = []
+        def read():
+            # Each open waits for a writer. Reading until data comes means a
+            # run that opens the FIFO more than once fails instead of hanging.
+            while not any(got):
+                got.append(fifo.read_bytes())
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            assert run(["combine", m, "--method", "simes", "--out", str(fifo)]) == 0
+        finally:
+            reader.join(10)
+            if reader.is_alive():  # the run never wrote it: let the reader go
+                fifo.write_bytes(b"x")
+        assert got == [b"0.01\n0.02\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["c.fifo", "m.csv"]
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=5)
