@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from .combine import CombiningMethod, DegenerateInputError, _sort_rows_in_place
+from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError, _sort_rows_in_place
 from .partial_conjunction import _pc_pvalues_sorted
 from .pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
 from .procedures import (
@@ -249,12 +249,6 @@ def read_weights(path: str, m: int) -> WeightScheme:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _method(args) -> CombiningMethod:
-    if args.lam is not None and args.method != "simes_storey":
-        raise CliError("--lambda only applies to simes_storey")
-    return CombiningMethod(args.method, args.lam)
-
-
 _SHAPES = {"identity": IDENTITY, "reciprocal_sum": RECIPROCAL_SUM}
 
 
@@ -294,7 +288,7 @@ def _row_line(path: str, row: int) -> int:
 
 
 def cmd_combine(args) -> int:
-    method = _method(args)
+    method = CombiningMethod(args.method, args.lam)
     has_ids, mat = read_matrix(args.input)
     if not 1 <= args.u <= mat.shape[1]:
         raise CliError(f"--u {args.u} outside [1, {mat.shape[1]}]")
@@ -311,7 +305,7 @@ def cmd_combine(args) -> int:
 
 
 def cmd_pc_test(args) -> int:
-    method = _method(args)
+    method = CombiningMethod(args.method, args.lam)
     _, mat = read_matrix(args.input)
     if mat.shape[1] != 1:
         raise CliError(f"{args.input}: pc-test expects a single column of p-values")
@@ -327,8 +321,7 @@ def cmd_pc_test(args) -> int:
     if args.u_proportion is not None:
         layout = GroupLayout.from_proportion(labels, args.u_proportion)
     else:
-        if (u := 1 if args.u is None else args.u) < 1:
-            raise CliError(f"--u {u} must be at least 1")
+        u = 1 if args.u is None else args.u
         sizes = np.bincount(labels)
         if (small := np.flatnonzero(sizes < u)).size:
             raise CliError(f"{args.groups}: --u {u} exceeds the size "
@@ -354,24 +347,26 @@ def cmd_pc_test(args) -> int:
 
 
 def _parse_rule(spec: str, q: float, shape: ShapeFunction) -> SelectionRule:
+    kind, _, value = spec.partition("=")
     if spec == "step-up":
         return SelectionRule("step_up_on_combined", alpha=q, shape=shape)
-    if spec.startswith("threshold="):
-        return SelectionRule("fixed_threshold_on_combined",
-                             threshold=float(spec.split("=", 1)[1]))
-    if spec.startswith("column="):
-        return SelectionRule("step_up_on_column", alpha=q, shape=shape,
-                             column=int(spec.split("=", 1)[1]))
-    raise CliError(f"unknown rule {spec!r}; use step-up, threshold=T, or column=J")
+    if kind == "threshold":
+        return SelectionRule("fixed_threshold_on_combined", threshold=float(value))
+    if kind == "column":
+        return SelectionRule("step_up_on_column", alpha=q, shape=shape, column=int(value))
+    raise ValueError("unknown rule; use step-up, threshold=T, or column=J")
 
 
 def cmd_replicate(args) -> int:
-    method = _method(args)
+    method = CombiningMethod(args.method, args.lam)
     shape = _shape(args.shape)
+    try:
+        rule = _parse_rule(args.rule, args.q, shape)
+    except ValueError as exc:
+        raise CliError(f"--rule {args.rule}: {exc}") from None
     has_ids, mat = read_matrix(args.input)
     m = len(mat)
     ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
-    rule = _parse_rule(args.rule, args.q, shape)
     try:
         # The rows are sorted in place, once for both steps: the matrix is
         # used for nothing else.
@@ -475,56 +470,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pcfdr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    methods = ["fisher", "stouffer", "simes", "bonferroni", "hommel", "simes_storey"]
+    # Flags that several subcommands share, each declared once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    combining = argparse.ArgumentParser(add_help=False)
+    combining.add_argument("--method", required=True, choices=list(_ROW_COMBINERS))
+    combining.add_argument("--lambda", dest="lam", type=float, default=None)
+    weighting = argparse.ArgumentParser(add_help=False)
+    weighting.add_argument("--shape", default="identity")
+    weighting.add_argument("--weights", default=None)
 
-    pc = sub.add_parser("combine", help="combine p-values row by row")
+    pc = sub.add_parser("combine", help="combine p-values row by row",
+                        parents=[combining, out])
     pc.add_argument("input")
-    pc.add_argument("--method", required=True, choices=methods)
-    pc.add_argument("--lambda", dest="lam", type=float, default=None)
     pc.add_argument("--u", type=int, default=1)
-    pc.add_argument("--out", default=None)
     pc.set_defaults(func=cmd_combine)
 
-    pt = sub.add_parser("pc-test", help="step-up testing of partial conjunction family")
+    pt = sub.add_parser("pc-test", help="step-up testing of partial conjunction family",
+                        parents=[combining, weighting, out])
     pt.add_argument("input")
     pt.add_argument("--alpha", type=float, required=True)
-    pt.add_argument("--method", required=True, choices=methods)
-    pt.add_argument("--lambda", dest="lam", type=float, default=None)
     pt.add_argument("--groups", required=True)
     pt_u = pt.add_mutually_exclusive_group()
     pt_u.add_argument("--u", type=int, default=None)
     pt_u.add_argument("--u-proportion", type=float, default=None)
-    pt.add_argument("--shape", default="identity")
-    pt.add_argument("--weights", default=None)
-    pt.add_argument("--out", default=None)
     pt.set_defaults(func=cmd_pc_test)
 
-    rp = sub.add_parser("replicate", help="two-step replicability analysis")
+    rp = sub.add_parser("replicate", help="two-step replicability analysis",
+                        parents=[combining, weighting, out])
     rp.add_argument("input")
     rp.add_argument("--q", type=float, required=True)
     rp.add_argument("--rule", default="step-up")
-    rp.add_argument("--method", required=True, choices=methods)
-    rp.add_argument("--lambda", dest="lam", type=float, default=None)
-    rp.add_argument("--shape", default="identity")
-    rp.add_argument("--weights", default=None)
-    rp.add_argument("--out", default=None)
     rp.set_defaults(func=cmd_replicate)
 
     for name, enforce in (("simulate", False), ("verify", True)):
-        sm = sub.add_parser(name, help="Monte Carlo scenario run")
+        sm = sub.add_parser(name, help="Monte Carlo scenario run", parents=[out])
         sm.add_argument("--scenario", required=True)
         sm.add_argument("--reps", type=int, default=None)
         sm.add_argument("--seed", type=int, default=None)
-        sm.add_argument("--out", default=None)
         sm.set_defaults(func=lambda a, e=enforce: _run_scenario_file(a, e))
     return parser
+
+
+def _check_flags(args) -> None:
+    """Raise a CliError naming the first flag out of its range, and its
+    value. The library checks the same ranges, in its own words."""
+    if getattr(args, "lam", None) is not None and args.method != "simes_storey":
+        raise CliError("--lambda only applies to simes_storey")
+    unit = "outside (0, 1]", lambda x: 0.0 < x <= 1.0
+    count = "must be at least 1", lambda x: x >= 1
+    for flag, dest, (rule, ok) in (
+            ("--alpha", "alpha", unit), ("--q", "q", unit),
+            ("--u-proportion", "u_proportion", unit),
+            ("--lambda", "lam", ("outside (0, 1)", lambda x: 0.0 < x < 1.0)),
+            ("--u", "u", count), ("--reps", "reps", count)):
+        if (x := getattr(args, dest, None)) is not None and not ok(x):
+            raise CliError(f"{flag} {x} {rule}")
 
 
 def run(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)  # before any work
         if args.out is not None:
-            _out_target(args.out)  # before any work
+            _out_target(args.out)
         return args.func(args)
     except (CliError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

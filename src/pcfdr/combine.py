@@ -84,8 +84,9 @@ def _check_lambda(lam: float) -> None:
 
 @functools.cache
 def _harmonic(m: int) -> float:
-    """H_m = 1 + 1/2 + ... + 1/m, summed in that order."""
-    return sum(1.0 / j for j in range(1, m + 1))
+    """H_m = 1 + 1/2 + ... + 1/m, m >= 1, added left to right, which
+    ``sum()`` does only before Python 3.12."""
+    return float(np.cumsum(1.0 / np.arange(1, m + 1))[-1])
 
 
 def sort_rows(mat) -> np.ndarray:
@@ -159,7 +160,8 @@ def _hommel_rows(s: np.ndarray) -> np.ndarray:
 
 
 def _storey_pi0_rows(s: np.ndarray, lam: float) -> np.ndarray:
-    """(W(lam) + 1) / ((1 - lam) * k) of each row, W(lam) = #{j: p_j > lam}."""
+    """(W(lam) + 1) / ((1 - lam) * k) of each row, W(lam) = #{j: p_j > lam};
+    the rows need not be sorted."""
     return ((s > lam).sum(axis=1) + 1) / ((1.0 - lam) * s.shape[1])
 
 

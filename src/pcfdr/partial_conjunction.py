@@ -18,11 +18,6 @@ from .combine import CombiningMethod, combine_sorted, sort_rows
 __all__ = ["pc_pvalues", "pc_path", "pc_path_sorted", "pc_pvalue"]
 
 
-def _check_u(u: int, m: int) -> None:
-    if not 1 <= u <= m:
-        raise ValueError(f"u={u} outside [1, {m}]")
-
-
 def pc_pvalues(mat, u: int, method: CombiningMethod) -> np.ndarray:
     """Partial conjunction p-value P^{u/n} of each row of the m x n matrix
     ``mat``: ``method`` applied to the n-u+1 largest entries of the row."""
@@ -32,7 +27,8 @@ def pc_pvalues(mat, u: int, method: CombiningMethod) -> np.ndarray:
 def _pc_pvalues_sorted(s: np.ndarray, u: int, method: CombiningMethod) -> np.ndarray:
     """:func:`pc_pvalues` of rows already validated and sorted ascending
     (see :func:`sort_rows`)."""
-    _check_u(u, s.shape[1])
+    if not 1 <= u <= s.shape[1]:
+        raise ValueError(f"u={u} outside [1, {s.shape[1]}]")
     return combine_sorted(s[:, u - 1:], method)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
-from .procedures import _index_mask, _readonly, _unnormalized_total, _volume_share
+from .procedures import _check_weights, _index_mask, _readonly, _volume_share
 
 __all__ = [
     "GroupLayout",
@@ -66,7 +66,8 @@ class GroupLayout:
 
 @dataclass(frozen=True, eq=False)
 class WeightScheme:
-    """Prior weights w and penalty weights v with sum(w_g * v_g) = G.
+    """Prior weights w >= 0 and penalty weights v > 0 of G groups with
+    sum(w_g * v_g) = G, the rule that ``step_up`` checks too.
 
     Both are held as read-only float64 arrays, so schemes compare and hash
     by identity.
@@ -79,25 +80,14 @@ class WeightScheme:
         w, v = _readonly(self.prior_w), _readonly(self.penalty_v)
         object.__setattr__(self, "prior_w", w)
         object.__setattr__(self, "penalty_v", v)
-        if w.ndim != 1 or w.shape != v.shape:
-            raise ValueError("weight vectors must have equal length")
-        if (w < 0).any():
-            raise ValueError("prior weights must be nonnegative")
-        if (v <= 0).any():
-            raise ValueError("penalty weights must be positive")
-        if (total := _unnormalized_total(w, v)) is not None:
-            raise ValueError(f"sum(w_g * v_g) = {total}, expected G = {len(w)}")
+        _check_weights(w, v)
 
     @classmethod
     def unit(cls, g: int) -> "WeightScheme":
-        """w = v = 1: one read-only array of ones serves as both, and, valid
-        by construction, is neither copied nor checked."""
+        """w = v = 1: one read-only array of ones serves as both."""
         ones = np.ones(g)
         ones.setflags(write=False)
-        scheme = object.__new__(cls)
-        object.__setattr__(scheme, "prior_w", ones)
-        object.__setattr__(scheme, "penalty_v", ones)
-        return scheme
+        return cls(ones, ones)
 
 
 def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import _harmonic, _storey_pi0_rows, sort_rows
+from .combine import _check_lambda, _harmonic, _storey_pi0_rows
 
 __all__ = [
     "ShapeFunction",
@@ -35,7 +35,8 @@ _NORM_RTOL = 1e-9
 
 
 class WeightNormalizationError(ValueError):
-    """Raised when sum(w_i * v_i) deviates from m beyond tolerance."""
+    """Raised when prior weights w and penalty weights v break the rule
+    w >= 0, v > 0, sum(w * v) = len(w)."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,8 @@ class ThresholdCollection:
     prior weights and the identity shape required.
 
     ``prior_w`` is held as a read-only float64 array, so collections
-    compare and hash by identity.
+    compare and hash by identity. The weight rule is checked, with the
+    penalty weights, by ``step_up`` and ``adjusted_pvalues``.
     """
 
     alpha: float
@@ -119,11 +121,8 @@ class ThresholdCollection:
         object.__setattr__(self, "prior_w", w)
         if w.shape != (self.m,):
             raise ValueError("prior_w length mismatch")
-        if (w < 0).any():
-            raise ValueError("prior weights must be nonnegative")
         if self.adaptive_lambda is not None:
-            if not 0.0 < self.adaptive_lambda < 1.0:
-                raise ValueError("adaptive lambda must lie in (0, 1)")
+            _check_lambda(self.adaptive_lambda)
             if (w != 1.0).any():
                 raise ValueError("adaptive thresholds require unit prior weights")
             if self.shape.kind != "identity":
@@ -135,7 +134,7 @@ class ThresholdCollection:
         m * pi0_hat(lambda) of that row."""
         if self.adaptive_lambda is None:
             return np.full(len(P), float(self.m))
-        return self.m * _storey_pi0_rows(sort_rows(P), self.adaptive_lambda)
+        return self.m * _storey_pi0_rows(P, self.adaptive_lambda)
 
     def _levels(self, r: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Delta(i, r) at the (R,) volumes r and scales, written into and
@@ -156,8 +155,8 @@ class RejectionSet:
 
 
 def _volume(a: np.ndarray) -> float:
-    """Sum of the 1-d float array ``a``, added in index order as Python's
-    sum() adds. ``a`` is scratch: it is overwritten with its running sums."""
+    """Sum of the 1-d float array ``a``, added left to right, on every
+    Python. ``a`` is scratch: it is overwritten with its running sums."""
     return float(np.cumsum(a, out=a)[-1]) if a.size else 0.0
 
 
@@ -197,29 +196,34 @@ def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float])
     return float(_volumes(_index_mask(indices, len(v))[None], v)[0])
 
 
-def _unnormalized_total(w: np.ndarray, v: np.ndarray) -> float | None:
-    """sum(w * v), added in index order, if it is off len(w) beyond the
-    relative tolerance or not finite; None for normalized weights. A
+def _check_weights(w: np.ndarray, v: np.ndarray) -> None:
+    """The weight rule of the weighted step-up (Blanchard & Roquain 2008):
+    prior weights w >= 0 and penalty weights v > 0, of equal length G, with
+    sum(w * v) = G, added in index order, to a relative tolerance. A
     product 0 * inf is NaN without a warning: the NaN total reports it."""
+    if w.ndim != 1 or w.shape != v.shape:
+        raise WeightNormalizationError("weight vectors must have equal length")
+    if (w < 0).any():
+        raise WeightNormalizationError("prior weights must be nonnegative")
+    if (v <= 0).any():
+        raise WeightNormalizationError("penalty weights must be positive")
     with np.errstate(invalid="ignore"):
-        total, n = _volume(w * v), len(w)
-    return None if abs(total - n) <= _NORM_RTOL * n else total
+        total, g = _volume(w * v), len(w)
+    if not abs(total - g) <= _NORM_RTOL * g:
+        raise WeightNormalizationError(f"sum(w_g * v_g) = {total}, expected G = {g}")
 
 
-def _inputs(p: Sequence[float], tc: ThresholdCollection,
-            penalty_v: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The p-values and penalty weights as arrays, checked against ``tc``."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != (tc.m,):
-        raise ValueError(f"expected {tc.m} p-values, got {len(p)}")
+def _inputs(P: np.ndarray, tc: ThresholdCollection,
+            penalty_v: Sequence[float] | None) -> np.ndarray:
+    """The penalty weights as an array, checked with every row of the
+    (R, m) float array P against ``tc``."""
+    if P.ndim != 2 or P.shape[1] != tc.m:
+        raise ValueError(f"expected {tc.m} p-values, got {P.shape[-1]}")
+    if (bad := ~((P >= 0.0) & (P <= 1.0))).any():  # NaN too
+        raise ValueError(f"p-value {P.flat[np.argmax(bad)]} outside [0, 1]")
     v = np.ones(tc.m) if penalty_v is None else np.asarray(penalty_v, dtype=float)
-    if v.shape != (tc.m,):
-        raise ValueError("penalty_v length mismatch")
-    if (v < 0).any():
-        raise ValueError("penalty weights must be nonnegative")
-    if (total := _unnormalized_total(tc.prior_w, v)) is not None:
-        raise WeightNormalizationError(f"sum(w_i * v_i) = {total}, expected m = {tc.m}")
-    return p, v
+    _check_weights(tc.prior_w, v)
+    return v
 
 
 def _step_up_rows(P: np.ndarray, tc: ThresholdCollection,
@@ -234,7 +238,7 @@ def _step_up_rows(P: np.ndarray, tc: ThresholdCollection,
     gives the same level set again, and only its moving steps are counted.
     The levels and the volumes of every step share one (R, m) buffer.
     """
-    v = _inputs(P[0], tc, penalty_v)[1]
+    v = _inputs(P, tc, penalty_v)
     scale = tc._scales(P)
     r = np.full(len(P), _volume(v.copy()))
     iterations = np.zeros(len(P), dtype=int)
@@ -280,7 +284,8 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
     underflows keeps the least positive q, as it is not rejected where
     beta is 0.
     """
-    p, v = _inputs(p, tc, penalty_v)
+    p = np.asarray(p, dtype=float)
+    v = _inputs(p[None], tc, penalty_v)
     beta, scale = tc.shape, tc._scales(p[None])[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(p == 0.0, 0.0, np.maximum(p / tc.prior_w, np.nextafter(0.0, 1.0)))

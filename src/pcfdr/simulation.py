@@ -97,8 +97,6 @@ class SimulationScenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationScenario":
-        d = dict(d)
-        d["true_k"] = tuple(d["true_k"])
         return cls(**d)
 
 
@@ -186,8 +184,6 @@ def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
               ws: WeightScheme, tc: ThresholdCollection) -> McEstimate:
     """Monte Carlo estimate of the weighted FDR over the family of
     per-feature partial conjunction hypotheses at parameter u."""
-    if not 1 <= u <= s.n:
-        raise ValueError(f"u={u} outside [1, {s.n}]")
     nulls = np.zeros(s.m, dtype=bool)
     nulls[sorted(s.true_null_features(u))] = True
     fdps = []

@@ -36,8 +36,18 @@ _LOG_FLOOR = 1e-300
 _ORACLE_MAX_M = 20
 
 
+def sum_in_order(xs):
+    """The floats ``xs`` added left to right, as the array code adds them.
+    ``sum()`` adds in that order only before Python 3.12, which made it
+    compensate."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def harmonic(m):
-    return sum(1.0 / j for j in range(1, m + 1))
+    return sum_in_order(1.0 / j for j in range(1, m + 1))
 
 
 def simes(p):
@@ -130,12 +140,12 @@ def step_up(p, tc, penalty_v=None):
     m = tc.m
     v = [1.0] * m if penalty_v is None else [float(x) for x in penalty_v]
     delta = thresholds(tc, p)
-    r = sum(v)
+    r = sum_in_order(v)
     iterations = 0
     while True:
         iterations += 1
         rejected = [i for i in range(m) if p[i] <= delta(i, r)]
-        vol = sum(v[i] for i in rejected)
+        vol = sum_in_order(v[i] for i in rejected)
         if vol == r:
             break
         r = vol
@@ -146,7 +156,7 @@ def khat(mat, selected, method, ws, q, beta):
     """k_hat per selected row: the leading u whose P^{u/n} stay under
     w_i beta(|S|_v) q / m, stopping at the first that does not."""
     m, n = len(mat), len(mat[0])
-    vol = sum(ws.penalty_v[i] for i in selected)
+    vol = sum_in_order(ws.penalty_v[i] for i in sorted(selected))
     out = {}
     for i in sorted(selected):
         t = ws.prior_w[i] * beta(vol, m) * q / m
@@ -187,7 +197,7 @@ def adjusted_pvalues(p, tc, penalty_v=None, tol=1e-10):
 def check_self_consistency(p, tc, penalty_v, candidate):
     """True iff every candidate index i satisfies p_i <= Delta(i, |candidate|_v)."""
     delta = thresholds(tc, p)
-    vol = sum(penalty_v[i] for i in sorted(candidate.indices))
+    vol = sum_in_order(penalty_v[i] for i in sorted(candidate.indices))
     return all(p[i] <= delta(i, vol) for i in candidate.indices)
 
 
@@ -234,10 +244,10 @@ def gen_meta_matrix(s, rep_index):
 
 def weighted_fdp(rejected, nulls, v):
     """Weighted FDP, sums of v added in index order, 0/0 = 0."""
-    total = sum(v[i] for i in sorted(rejected))
+    total = sum_in_order(v[i] for i in sorted(rejected))
     if total == 0.0:
         return 0.0
-    return sum(v[i] for i in sorted(set(rejected) & set(nulls))) / total
+    return sum_in_order(v[i] for i in sorted(set(rejected) & set(nulls))) / total
 
 
 def select(mat, rule, method, ws):
@@ -260,7 +270,7 @@ def replicability_error(mat, selected, method, ws, q, beta, true_k):
     of P^{u/n} stays under w_i beta(|S|_v) q / m, scored against true_k."""
     m, n = mat.shape
     v = ws.penalty_v
-    vol = sum(v[i] for i in sorted(selected))
+    vol = sum_in_order(v[i] for i in sorted(selected))
     path = np.maximum.accumulate(pc_path(mat, method), axis=1)
     bad = []
     for i in sorted(selected):
@@ -272,7 +282,7 @@ def replicability_error(mat, selected, method, ws, q, beta, true_k):
             bad.append(i)
     if vol == 0.0:
         return 0.0
-    return sum(v[i] for i in bad) / vol
+    return sum_in_order(v[i] for i in bad) / vol
 
 
 def mc_fdr_pc(s, u, method, ws, tc):
@@ -307,7 +317,7 @@ def dcc_probe(s, u, method, c_grid, statistic, alpha):
             vol = step_up(pc_pvalues(mat, u, method), tc)[1]
         else:
             mat[probe] = 0.0
-            vol = sum(ws.penalty_v[i] for i in sorted(select(mat, rule, method, ws)))
+            vol = sum_in_order(ws.penalty_v[i] for i in sorted(select(mat, rule, method, ws)))
         pairs.append((p_u, vol))
     return [(float(c), _estimate([(1.0 / v if p <= c * v else 0.0) if v > 0 else 0.0
                                   for p, v in pairs]))

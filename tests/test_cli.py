@@ -586,6 +586,31 @@ class TestExitCodes:
     def test_missing_file(self):
         assert run(["combine", "/nonexistent.csv", "--method", "fisher"]) == 2
 
+    @pytest.mark.parametrize("argv, err", [
+        (["replicate", "M", "--q", "2", "--method", "simes"], "--q 2.0 outside (0, 1]"),
+        (["pc-test", "P", "--alpha", "0", "--method", "simes", "--groups", "G"],
+         "--alpha 0.0 outside (0, 1]"),
+        (["pc-test", "P", "--alpha", "0.05", "--method", "simes", "--groups", "G",
+          "--u-proportion", "0"], "--u-proportion 0.0 outside (0, 1]"),
+        (["combine", "M", "--method", "simes_storey", "--lambda", "1.5"],
+         "--lambda 1.5 outside (0, 1)"),
+        (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "threshold=abc"],
+         "--rule threshold=abc: could not convert string to float: 'abc'"),
+        (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "column=x"],
+         "--rule column=x: invalid literal for int() with base 10: 'x'"),
+        (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "lasso"],
+         "--rule lasso: unknown rule; use step-up, threshold=T, or column=J"),
+        (["simulate", "--scenario", str(REFERENCE), "--reps", "0"],
+         "--reps 0 must be at least 1"),
+    ], ids=["q", "alpha", "u-proportion", "lambda", "rule-threshold", "rule-column",
+          "rule-unknown", "reps"])
+    def test_flag_out_of_range_exits_2_naming_the_flag(self, tmp_path, capsys, argv, err):
+        files = {"M": write(tmp_path, "m.csv", "0.01,0.2\n0.03,0.5\n"),
+                 "P": write(tmp_path, "p.csv", "0.01\n0.2\n"),
+                 "G": write(tmp_path, "g.txt", "a\nb\n")}
+        assert run([files.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+
 
 class TestOut:
     """--out is written as a temporary file beside it and renamed over it;

@@ -14,11 +14,14 @@ from pcfdr.combine import (
     STOUFFER,
     CombiningMethod,
     DegenerateInputError,
+    _harmonic,
     combine_pvalues,
     simes_storey,
     storey_pi0,
 )
 from pcfdr.procedures import ThresholdCollection, adjusted_pvalues
+
+import oracles
 
 ALL_METHODS = [FISHER, STOUFFER, SIMES, BONFERRONI, HOMMEL, simes_storey(0.5)]
 
@@ -177,3 +180,8 @@ def test_simes_superuniform_under_equicorrelated_null():
         ecdf = float((combined <= t).mean())
         se = math.sqrt(t * (1 - t) / n)
         assert ecdf <= t + 3 * se
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1000, 10**5, 10**6])
+def test_harmonic_adds_left_to_right(m):
+    assert _harmonic(m) == oracles.harmonic(m)

@@ -69,6 +69,7 @@ class TestWeightScheme:
     def test_unit(self):
         ws = WeightScheme.unit(3)
         assert ws.prior_w.tolist() == [1.0, 1.0, 1.0]
+        assert ws.penalty_v is ws.prior_w and not ws.prior_w.flags.writeable
 
     def test_weights_are_read_only_copies(self):
         w = np.array([1.5, 0.5])

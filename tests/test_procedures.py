@@ -1,8 +1,11 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from pcfdr.combine import SIMES, combine_pvalues, storey_pi0
+from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
@@ -10,11 +13,13 @@ from pcfdr.procedures import (
     ShapeFunction,
     ThresholdCollection,
     WeightNormalizationError,
+    _step_up_rows,
     adjusted_pvalues,
     step_up,
     weighted_volume,
 )
 
+import oracles
 from oracles import check_self_consistency, check_stability
 
 
@@ -217,3 +222,42 @@ class TestStructuralChecks:
 
     def test_stability_single_hypothesis(self):
         assert check_stability([0.01], ThresholdCollection(alpha=0.05, m=1))
+
+
+MODES = {"unit": ThresholdCollection(alpha=0.05, m=2),
+         "weighted": ThresholdCollection(alpha=0.05, m=2, prior_w=(0.5, 1.5)),
+         "reciprocal_sum": ThresholdCollection(alpha=0.05, m=2, shape=RECIPROCAL_SUM),
+         "adaptive": ThresholdCollection(alpha=0.05, m=2, adaptive_lambda=0.5)}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [step_up, adjusted_pvalues])
+    def test_zero_penalty_weight_raises_as_weight_scheme_does(self, call):
+        msg = "penalty weights must be positive"
+        with pytest.raises(WeightNormalizationError, match=msg):
+            WeightScheme([1.0, 1.0], [0.0, 2.0])
+        with pytest.raises(WeightNormalizationError, match=msg):
+            call([0.01, 0.2], ThresholdCollection(alpha=0.05, m=2), [0.0, 2.0])
+
+    @pytest.mark.parametrize("call", [step_up, adjusted_pvalues])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_pvalue_outside_unit_interval_raises_in_every_mode(self, call, mode, bad):
+        with pytest.raises(ValueError, match=rf"p-value {bad} outside \[0, 1\]"):
+            call([bad, 0.01], MODES[mode])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_every_row_is_checked(self, mode):
+        with pytest.raises(ValueError, match=r"p-value 1.5 outside \[0, 1\]"):
+            _step_up_rows(np.array([[0.01, 0.2], [0.01, 1.5]]), MODES[mode], None)
+
+
+def test_volumes_add_in_index_order():
+    # Left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001; sum() gives
+    # 0.6 from Python 3.12 on, as it compensates.
+    v = [0.1, 0.2, 0.3]
+    tc = ThresholdCollection(alpha=0.05, m=3, prior_w=[1.0 / x for x in v])
+    expected = 0.6000000000000001
+    assert weighted_volume({0, 1, 2}, v) == expected
+    assert oracles.step_up([0.0] * 3, tc, v)[1] == expected
+    assert step_up([0.0] * 3, tc, v).fixed_point_volume == expected

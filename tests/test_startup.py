@@ -1,9 +1,12 @@
-"""Start-up and exit. Importing the CLI and running the scipy-free methods
-must not load scipy; only the methods that call ``scipy.special`` load it.
+"""The package namespace, start-up and exit. ``pcfdr`` exports every name
+in the ``__all__`` of each library module. Importing the CLI and running
+the scipy-free methods must not load scipy; only the methods that call
+``scipy.special`` load it.
 The console entry point ``main`` freezes the garbage collector once ``run``
 has returned, and only there; exit status, exit hooks and output are as
 without the freeze."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -131,3 +134,10 @@ def test_closed_stdout_pipe_exits_2_without_a_traceback(inputs):
     errors = [line for line in err if line.startswith("error: ")]
     assert len(errors) == 1 and errors[0].startswith("error: cannot write standard output: ")
     assert not any("Traceback" in line or "Exception ignored" in line for line in err)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
+def test_package_exports_every_name_in_the_module_all(module):
+    package, mod = importlib.import_module("pcfdr"), importlib.import_module(f"pcfdr.{module}")
+    assert [name for name in mod.__all__
+            if getattr(package, name, None) is not getattr(mod, name)] == []
