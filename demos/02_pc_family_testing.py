@@ -35,8 +35,8 @@ for g, value in enumerate(pc):
     print(f"  group {g}: {value:.6f}")
 
 ws = WeightScheme.unit(len(layout.u))
-tc = ThresholdCollection(alpha=0.05, m=len(layout.u))
-result = step_up(pc, tc, ws.penalty_v)
+tc = ThresholdCollection(alpha=0.05, m=len(layout.u), weights=ws)
+result = step_up(pc, tc)
 print(f"\nrejected groups at alpha=0.05: {sorted(result.indices)}")
 
 # Scoring against the ground truth (groups 2..5 have fewer than u=2

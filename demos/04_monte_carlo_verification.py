@@ -24,8 +24,8 @@ scenario = SimulationScenario(
 ws = WeightScheme.unit(scenario.m)
 
 # FDR over the family of partial conjunction hypotheses at u = 2.
-tc = ThresholdCollection(alpha=0.05, m=scenario.m)
-est = mc_fdr_pc(scenario, 2, SIMES, ws, tc)
+tc = ThresholdCollection(alpha=0.05, m=scenario.m, weights=ws)
+est = mc_fdr_pc(scenario, 2, SIMES, tc)
 bound = 0.05 * 35 / 50
 print(f"FDR_PC estimate: {est.mean:.4f} +/- {est.se:.4f} "
       f"(bound alpha*|M0|/m = {bound:.4f})")

@@ -30,12 +30,13 @@ import numpy as np
 
 from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError, _sort_rows_in_place
 from .partial_conjunction import _pc_pvalues_sorted
-from .pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
+from .pc_testing import GroupLayout, compute_pc_pvalues
 from .procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
+    WeightScheme,
     _index_mask,
     step_up,
 )
@@ -333,9 +334,8 @@ def cmd_pc_test(args) -> int:
         pc = compute_pc_pvalues(p, layout, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.groups}: group {names[exc.row]!r}: {exc}") from None
-    tc = ThresholdCollection(alpha=args.alpha, m=g, prior_w=ws.prior_w,
-                             shape=_shape(args.shape))
-    rej = step_up(pc, tc, ws.penalty_v)
+    rej = step_up(pc, ThresholdCollection(alpha=args.alpha, m=g, weights=ws,
+                                          shape=_shape(args.shape)))
     _write_json(args.out, {
         "groups": names,
         "u": layout.u.tolist(),
@@ -365,7 +365,9 @@ def cmd_replicate(args) -> int:
     except ValueError as exc:
         raise CliError(f"--rule {args.rule}: {exc}") from None
     has_ids, mat = read_matrix(args.input)
-    m = len(mat)
+    m, n = mat.shape
+    if rule.column is not None and not 0 <= rule.column < n:
+        raise CliError(f"--rule {args.rule}: column {rule.column} outside [0, {n})")
     ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
     try:
         # The rows are sorted in place, once for both steps: the matrix is
@@ -397,9 +399,9 @@ def cmd_replicate(args) -> int:
 def _fdr_pc_check(chk, scenario, method, shape, ws):
     """Weighted FDR of the PC family against alpha times the PC-null share."""
     u, alpha = int(chk["u"]), float(chk.get("alpha", 0.05))
-    tc = ThresholdCollection(alpha=alpha, m=scenario.m, shape=shape,
+    tc = ThresholdCollection(alpha=alpha, m=scenario.m, weights=ws, shape=shape,
                              adaptive_lambda=chk.get("adaptive_lambda"))
-    est = mc_fdr_pc(scenario, u, method, ws, tc)
+    est = mc_fdr_pc(scenario, u, method, tc)
     return [({}, est, alpha * len(scenario.true_null_features(u)) / scenario.m)]
 
 

@@ -12,11 +12,10 @@ import numpy as np
 
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
-from .procedures import _check_weights, _index_mask, _readonly, _volume_share
+from .procedures import _index_mask, _volume_share
 
 __all__ = [
     "GroupLayout",
-    "WeightScheme",
     "compute_pc_pvalues",
     "realized_weighted_fdp",
 ]
@@ -62,32 +61,6 @@ class GroupLayout:
         labels = _int_vector(labels, "labels")
         u = np.maximum(1, np.ceil(proportion * np.bincount(labels))).astype(np.intp)
         return cls(labels, u)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightScheme:
-    """Prior weights w >= 0 and penalty weights v > 0 of G groups with
-    sum(w_g * v_g) = G, the rule that ``step_up`` checks too.
-
-    Both are held as read-only float64 arrays, so schemes compare and hash
-    by identity.
-    """
-
-    prior_w: np.ndarray
-    penalty_v: np.ndarray
-
-    def __post_init__(self) -> None:
-        w, v = _readonly(self.prior_w), _readonly(self.penalty_v)
-        object.__setattr__(self, "prior_w", w)
-        object.__setattr__(self, "penalty_v", v)
-        _check_weights(w, v)
-
-    @classmethod
-    def unit(cls, g: int) -> "WeightScheme":
-        """w = v = 1: one read-only array of ones serves as both."""
-        ones = np.ones(g)
-        ones.setflags(write=False)
-        return cls(ones, ones)
 
 
 def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,

@@ -7,7 +7,9 @@ greatest fixed point of r -> |L(r)|_v, found by monotone iteration from
 r0 = sum(v). With unit weights and the identity shape this is the classical
 Benjamini-Hochberg procedure; the reciprocal-sum shape gives the
 Benjamini-Yekutieli correction; the adaptive variant plugs in the Storey
-estimate of the proportion of nulls.
+estimate of the proportion of nulls. A collection holds one
+``WeightScheme`` of prior weights w and penalty weights v, whose weight rule
+is checked once, when the scheme is built.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "ShapeFunction",
     "IDENTITY",
     "RECIPROCAL_SUM",
+    "WeightScheme",
     "ThresholdCollection",
     "RejectionSet",
     "WeightNormalizationError",
@@ -83,14 +86,60 @@ RECIPROCAL_SUM = ShapeFunction("reciprocal_sum")
 
 def _readonly(x) -> np.ndarray:
     """A read-only float64 array of ``x``: ``x`` itself if it is one already
-    and owns its data, as the weights of a ``WeightScheme`` do, so that
-    collections built from a scheme share its weights; else a copy."""
+    and owns its data, as the ones of ``WeightScheme.unit`` are, so that w
+    and v share them; else a copy."""
     if (isinstance(x, np.ndarray) and x.dtype == np.float64
             and x.flags.owndata and not x.flags.writeable):
         return x
     a = np.array(x, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _check_weights(w: np.ndarray, v: np.ndarray) -> None:
+    """The weight rule of the weighted step-up (Blanchard & Roquain 2008):
+    prior weights w >= 0 and penalty weights v > 0, of equal length G, with
+    sum(w * v) = G, added in index order, to a relative tolerance. A
+    product 0 * inf is NaN without a warning: the NaN total reports it."""
+    if w.ndim != 1 or w.shape != v.shape:
+        raise WeightNormalizationError("weight vectors must have equal length")
+    if (w < 0).any():
+        raise WeightNormalizationError("prior weights must be nonnegative")
+    if (v <= 0).any():
+        raise WeightNormalizationError("penalty weights must be positive")
+    with np.errstate(invalid="ignore"):
+        total, g = _volume(w * v), len(w)
+    if not abs(total - g) <= _NORM_RTOL * g:
+        raise WeightNormalizationError(f"sum(w_g * v_g) = {total}, expected G = {g}")
+
+
+@dataclass(frozen=True, eq=False)
+class WeightScheme:
+    """Prior weights w >= 0 and penalty weights v > 0 of G hypotheses with
+    sum(w_g * v_g) = G, checked here, once. Both are held as read-only
+    float64 arrays, so schemes compare and hash by identity."""
+
+    prior_w: np.ndarray
+    penalty_v: np.ndarray
+
+    def __post_init__(self) -> None:
+        w, v = _readonly(self.prior_w), _readonly(self.penalty_v)
+        object.__setattr__(self, "prior_w", w)
+        object.__setattr__(self, "penalty_v", v)
+        _check_weights(w, v)
+
+    @classmethod
+    def unit(cls, g: int) -> "WeightScheme":
+        """w = v = 1: one read-only array of ones serves as both."""
+        ones = np.ones(g)
+        ones.setflags(write=False)
+        return cls(ones, ones)
+
+    def _sized(self, m: int) -> "WeightScheme":
+        """This scheme, if it weighs m hypotheses; else a ValueError."""
+        if len(self.prior_w) != m:
+            raise ValueError("weight scheme sized for a different feature count")
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +150,14 @@ class ThresholdCollection:
     Adaptive:     Delta(r) = alpha * r / (m * pi0_hat(lambda)), with unit
     prior weights and the identity shape required.
 
-    ``prior_w`` is held as a read-only float64 array, so collections
-    compare and hash by identity. The weight rule is checked, with the
-    penalty weights, by ``step_up`` and ``adjusted_pvalues``.
+    ``weights`` holds w and the penalty weights v of the rejection volume;
+    None stands for ``WeightScheme.unit(m)``. Collections compare and hash
+    by identity.
     """
 
     alpha: float
     m: int
-    prior_w: np.ndarray | None = None
+    weights: WeightScheme | None = None
     shape: ShapeFunction = IDENTITY
     adaptive_lambda: float | None = None
 
@@ -117,13 +166,11 @@ class ThresholdCollection:
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.m < 1:
             raise ValueError("m must be positive")
-        w = _readonly(np.ones(self.m) if self.prior_w is None else self.prior_w)
-        object.__setattr__(self, "prior_w", w)
-        if w.shape != (self.m,):
-            raise ValueError("prior_w length mismatch")
+        object.__setattr__(self, "weights", WeightScheme.unit(self.m) if self.weights is None
+                           else self.weights._sized(self.m))
         if self.adaptive_lambda is not None:
             _check_lambda(self.adaptive_lambda)
-            if (w != 1.0).any():
+            if (self.weights.prior_w != 1.0).any():
                 raise ValueError("adaptive thresholds require unit prior weights")
             if self.shape.kind != "identity":
                 raise ValueError("adaptive thresholds require the identity shape")
@@ -139,7 +186,7 @@ class ThresholdCollection:
     def _levels(self, r: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Delta(i, r) at the (R,) volumes r and scales, written into and
         returned as the (R, m) float array ``out``."""
-        np.multiply(self.alpha, self.prior_w, out=out)
+        np.multiply(self.alpha, self.weights.prior_w, out=out)
         out *= self.shape(r, self.m)[:, None]
         out /= scale[:, None]
         return out
@@ -196,49 +243,27 @@ def weighted_volume(indices: Sequence[int] | frozenset[int], v: Sequence[float])
     return float(_volumes(_index_mask(indices, len(v))[None], v)[0])
 
 
-def _check_weights(w: np.ndarray, v: np.ndarray) -> None:
-    """The weight rule of the weighted step-up (Blanchard & Roquain 2008):
-    prior weights w >= 0 and penalty weights v > 0, of equal length G, with
-    sum(w * v) = G, added in index order, to a relative tolerance. A
-    product 0 * inf is NaN without a warning: the NaN total reports it."""
-    if w.ndim != 1 or w.shape != v.shape:
-        raise WeightNormalizationError("weight vectors must have equal length")
-    if (w < 0).any():
-        raise WeightNormalizationError("prior weights must be nonnegative")
-    if (v <= 0).any():
-        raise WeightNormalizationError("penalty weights must be positive")
-    with np.errstate(invalid="ignore"):
-        total, g = _volume(w * v), len(w)
-    if not abs(total - g) <= _NORM_RTOL * g:
-        raise WeightNormalizationError(f"sum(w_g * v_g) = {total}, expected G = {g}")
-
-
-def _inputs(P: np.ndarray, tc: ThresholdCollection,
-            penalty_v: Sequence[float] | None) -> np.ndarray:
-    """The penalty weights as an array, checked with every row of the
-    (R, m) float array P against ``tc``."""
+def _inputs(P: np.ndarray, tc: ThresholdCollection) -> None:
+    """Check every row of the (R, m) float array P against ``tc``."""
     if P.ndim != 2 or P.shape[1] != tc.m:
         raise ValueError(f"expected {tc.m} p-values, got {P.shape[-1]}")
     if (bad := ~((P >= 0.0) & (P <= 1.0))).any():  # NaN too
         raise ValueError(f"p-value {P.flat[np.argmax(bad)]} outside [0, 1]")
-    v = np.ones(tc.m) if penalty_v is None else np.asarray(penalty_v, dtype=float)
-    _check_weights(tc.prior_w, v)
-    return v
 
 
-def _step_up_rows(P: np.ndarray, tc: ThresholdCollection,
-                  penalty_v: Sequence[float] | None
+def _step_up_rows(P: np.ndarray, tc: ThresholdCollection
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step-up procedure on each row of the (R, m) array P, R >= 1, all
-    rows with the same penalty weights: the (R, m) rejection masks, the
-    (R,) fixed-point volumes and the (R,) iteration counts.
+    """The step-up procedure on each row of the (R, m) array P, R >= 1: the
+    (R, m) rejection masks, the (R,) fixed-point volumes and the (R,)
+    iteration counts.
 
     Each row iterates r -> |L(r)|_v from r0 = sum(v) until r is fixed. All
     rows take every step as one array comparison: a row at its fixed point
     gives the same level set again, and only its moving steps are counted.
     The levels and the volumes of every step share one (R, m) buffer.
     """
-    v = _inputs(P, tc, penalty_v)
+    _inputs(P, tc)
+    v = tc.weights.penalty_v
     scale = tc._scales(P)
     r = np.full(len(P), _volume(v.copy()))
     iterations = np.zeros(len(P), dtype=int)
@@ -255,22 +280,20 @@ def _step_up_rows(P: np.ndarray, tc: ThresholdCollection,
         r = vol
 
 
-def step_up(p: Sequence[float], tc: ThresholdCollection,
-            penalty_v: Sequence[float] | None = None) -> RejectionSet:
-    """Step-up procedure: reject L(r_hat) at the greatest fixed point r_hat.
+def step_up(p: Sequence[float], tc: ThresholdCollection) -> RejectionSet:
+    """Step-up procedure: reject L(r_hat) at the greatest fixed point r_hat,
+    with the prior and penalty weights of ``tc.weights``.
 
     The iteration r -> |L(r)|_v starting from r0 = sum(v) is monotonically
     nonincreasing and reaches the greatest fixed point in at most m+1 steps.
     Each level set L(r) = {i: p_i <= Delta(i, r)} is one array comparison.
     """
-    rejected, vol, iterations = _step_up_rows(np.asarray(p, dtype=float)[None],
-                                              tc, penalty_v)
+    rejected, vol, iterations = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
     return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()),
                         float(vol[0]), int(iterations[0]))
 
 
-def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
-                     penalty_v: Sequence[float] | None = None) -> list[float]:
+def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection) -> list[float]:
     """Per-hypothesis minimum rejecting level alpha of ``step_up``, capped
     at 1; ``tc.alpha`` is not used.
 
@@ -285,10 +308,11 @@ def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection,
     beta is 0.
     """
     p = np.asarray(p, dtype=float)
-    v = _inputs(p[None], tc, penalty_v)
+    _inputs(p[None], tc)
+    w, v = tc.weights.prior_w, tc.weights.penalty_v
     beta, scale = tc.shape, tc._scales(p[None])[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(p == 0.0, 0.0, np.maximum(p / tc.prior_w, np.nextafter(0.0, 1.0)))
+        q = np.where(p == 0.0, 0.0, np.maximum(p / w, np.nextafter(0.0, 1.0)))
         order = np.argsort(q, kind="stable")
         q = q[order]
         ratio = np.where(q == 0.0, 0.0, scale * q / beta(np.cumsum(v[order]), tc.m))

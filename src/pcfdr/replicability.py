@@ -22,11 +22,11 @@ from .combine import (
     combine_sorted,
 )
 from .partial_conjunction import pc_path_sorted
-from .pc_testing import WeightScheme
 from .procedures import (
     IDENTITY,
     ShapeFunction,
     ThresholdCollection,
+    WeightScheme,
     _index_mask,
     _step_up_rows,
     _volume_share,
@@ -100,8 +100,7 @@ def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
     ``mats`` ascending in place, validated, the one form that Step 2 reads
     too; the column rule reads its column as it was before the sort."""
     r, m, n = mats.shape
-    if len(ws.prior_w) != m:
-        raise ValueError("weight scheme sized for a different feature count")
+    ws._sized(m)
     if rule.kind == "step_up_on_column":
         if not 0 <= rule.column < n:
             raise ValueError(f"column {rule.column} outside [0, {n})")
@@ -112,9 +111,8 @@ def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
         values = combine_sorted(s, method).reshape(r, m)
         if rule.kind == "fixed_threshold_on_combined":
             return values <= rule.threshold
-    tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
-                             shape=rule.shape)
-    return _step_up_rows(values, tc, ws.penalty_v)[0]
+    tc = ThresholdCollection(alpha=rule.alpha, m=m, weights=ws, shape=rule.shape)
+    return _step_up_rows(values, tc)[0]
 
 
 def select_features(mat, rule: SelectionRule, method: CombiningMethod,
@@ -135,7 +133,7 @@ def _khat_rows(s: np.ndarray, selected: np.ndarray, method: CombiningMethod,
     r, m, n = s.shape
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q={q} outside (0, 1]")
-    vol = _volumes(selected, ws.penalty_v)
+    vol = _volumes(selected, ws._sized(m).penalty_v)
     flat = np.flatnonzero(selected)
     rows, cols = np.divmod(flat, m)
     t = ws.prior_w[cols] * beta(vol, m)[rows] * q / m

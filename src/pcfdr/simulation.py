@@ -23,11 +23,11 @@ import numpy as np
 
 from .combine import CombiningMethod
 from .partial_conjunction import pc_pvalues
-from .pc_testing import WeightScheme
 from .procedures import (
     IDENTITY,
     ShapeFunction,
     ThresholdCollection,
+    WeightScheme,
     _step_up_rows,
     _volume_share,
     _volumes,
@@ -181,7 +181,7 @@ def _chunks(s: SimulationScenario):
 
 
 def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
-              ws: WeightScheme, tc: ThresholdCollection) -> McEstimate:
+              tc: ThresholdCollection) -> McEstimate:
     """Monte Carlo estimate of the weighted FDR over the family of
     per-feature partial conjunction hypotheses at parameter u."""
     nulls = np.zeros(s.m, dtype=bool)
@@ -189,8 +189,8 @@ def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
     fdps = []
     for mats in _chunks(s):
         pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
-        rejected = _step_up_rows(pc, tc, ws.penalty_v)[0]
-        fdps.append(_volume_share(rejected & nulls, rejected, ws.penalty_v))
+        rejected = _step_up_rows(pc, tc)[0]
+        fdps.append(_volume_share(rejected & nulls, rejected, tc.weights.penalty_v))
     return _estimate(np.concatenate(fdps))
 
 
@@ -231,7 +231,6 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     if not nulls:
         raise ValueError("scenario has no true partial conjunction null to probe")
     probe = nulls[0]
-    ws = WeightScheme.unit(s.m)
     tc = ThresholdCollection(alpha=alpha, m=s.m)
     rule = SelectionRule("step_up_on_combined", alpha=alpha)
     p_u, vol = [], []
@@ -239,11 +238,11 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
         pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
         p_u.append(pc[:, probe])
         if statistic == "rejection_volume":
-            vol.append(_step_up_rows(pc, tc, ws.penalty_v)[1])
+            vol.append(_step_up_rows(pc, tc)[1])
         else:
             mats[:, probe] = 0.0
-            selected = _select_rows(mats, rule, method, ws)
-            vol.append(_volumes(selected, ws.penalty_v))
+            selected = _select_rows(mats, rule, method, tc.weights)
+            vol.append(_volumes(selected, tc.weights.penalty_v))
     p_u, vol = np.concatenate(p_u), np.concatenate(vol)
     positive = vol > 0
     inverse = np.divide(1.0, vol, out=np.zeros(len(vol)), where=positive)

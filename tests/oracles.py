@@ -27,8 +27,7 @@ from pcfdr import procedures
 from pcfdr.cli import CliError
 from pcfdr.combine import combine_sorted, sort_rows
 from pcfdr.partial_conjunction import pc_path, pc_pvalues
-from pcfdr.pc_testing import WeightScheme
-from pcfdr.procedures import ThresholdCollection
+from pcfdr.procedures import ThresholdCollection, WeightScheme
 from pcfdr.replicability import SelectionRule
 from pcfdr.simulation import _estimate
 
@@ -130,15 +129,15 @@ def thresholds(tc, p):
         lam = tc.adaptive_lambda
         pi0 = (sum(1 for x in p if x > lam) + 1) / ((1.0 - lam) * m)
         return lambda i, r: tc.alpha * r / (m * pi0)
-    w = tc.prior_w
+    w = tc.weights.prior_w
     return lambda i, r: tc.alpha * w[i] * tc.shape(r, m) / m
 
 
-def step_up(p, tc, penalty_v=None):
+def step_up(p, tc):
     """Greatest fixed point of r -> |{i: p_i <= Delta(i, r)}|_v by monotone
     iteration from sum(v); returns (indices, volume, iterations)."""
     m = tc.m
-    v = [1.0] * m if penalty_v is None else [float(x) for x in penalty_v]
+    v = [float(x) for x in tc.weights.penalty_v]
     delta = thresholds(tc, p)
     r = sum_in_order(v)
     iterations = 0
@@ -169,13 +168,13 @@ def khat(mat, selected, method, ws, q, beta):
     return out
 
 
-def adjusted_pvalues(p, tc, penalty_v=None, tol=1e-10):
+def adjusted_pvalues(p, tc, tol=1e-10):
     """Per-hypothesis minimum rejecting level by bisection over alpha, each
     probe one run of the fixed-point ``step_up``; 1.0 for hypotheses not
     rejected at alpha = 1."""
     def rejected_at(alpha):
-        tc_a = type(tc)(alpha, tc.m, tc.prior_w, tc.shape, tc.adaptive_lambda)
-        return step_up(p, tc_a, penalty_v)[0]
+        tc_a = type(tc)(alpha, tc.m, tc.weights, tc.shape, tc.adaptive_lambda)
+        return step_up(p, tc_a)[0]
 
     adj = []
     top = rejected_at(1.0)
@@ -194,22 +193,22 @@ def adjusted_pvalues(p, tc, penalty_v=None, tol=1e-10):
     return adj
 
 
-def check_self_consistency(p, tc, penalty_v, candidate):
+def check_self_consistency(p, tc, candidate):
     """True iff every candidate index i satisfies p_i <= Delta(i, |candidate|_v)."""
     delta = thresholds(tc, p)
-    vol = sum_in_order(penalty_v[i] for i in sorted(candidate.indices))
+    vol = sum_in_order(tc.weights.penalty_v[i] for i in sorted(candidate.indices))
     return all(p[i] <= delta(i, vol) for i in candidate.indices)
 
 
-def check_stability(p, tc, penalty_v=None):
+def check_stability(p, tc):
     """Witness check: zeroing any one p-value that the array ``step_up``
     rejects leaves its rejection set unchanged; one copy of p per rejected
     hypothesis."""
-    base = procedures.step_up(p, tc, penalty_v).indices
+    base = procedures.step_up(p, tc).indices
     for i in base:
         q = np.array(p, dtype=float)
         q[i] = 0.0
-        if procedures.step_up(q, tc, penalty_v).indices != base:
+        if procedures.step_up(q, tc).indices != base:
             return False
     return True
 
@@ -260,9 +259,8 @@ def select(mat, rule, method, ws):
         values = mat[:, rule.column]
     else:
         values = pc_pvalues(mat, 1, method)
-    tc = ThresholdCollection(alpha=rule.alpha, m=m, prior_w=ws.prior_w,
-                             shape=rule.shape)
-    return step_up(values, tc, ws.penalty_v)[0]
+    tc = ThresholdCollection(alpha=rule.alpha, m=m, weights=ws, shape=rule.shape)
+    return step_up(values, tc)[0]
 
 
 def replicability_error(mat, selected, method, ws, q, beta, true_k):
@@ -285,13 +283,13 @@ def replicability_error(mat, selected, method, ws, q, beta, true_k):
     return sum_in_order(v[i] for i in bad) / vol
 
 
-def mc_fdr_pc(s, u, method, ws, tc):
+def mc_fdr_pc(s, u, method, tc):
     nulls = s.true_null_features(u)
     fdps = []
     for rep in range(s.reps):
         pc = pc_pvalues(gen_meta_matrix(s, rep), u, method)
-        rejected = step_up(pc, tc, ws.penalty_v)[0]
-        fdps.append(weighted_fdp(rejected, nulls, ws.penalty_v))
+        rejected = step_up(pc, tc)[0]
+        fdps.append(weighted_fdp(rejected, nulls, tc.weights.penalty_v))
     return _estimate(fdps)
 
 

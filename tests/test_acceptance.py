@@ -23,11 +23,11 @@ from pcfdr.combine import (
 )
 from pcfdr.numerics import chi_square_survival, std_normal_cdf, std_normal_quantile
 from pcfdr.partial_conjunction import pc_pvalue
-from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
     ThresholdCollection,
+    WeightScheme,
     adjusted_pvalues,
     step_up,
     weighted_volume,
@@ -88,14 +88,13 @@ def test_criterion_2_min_adjusted_links():
 
 
 def test_criterion_3_fdr_bound_simes_family():
-    ws = WeightScheme.unit(200)
     tc = ThresholdCollection(alpha=0.05, m=200)
     lines, ok = [], True
     for method, label in ((SIMES, "simes"), (simes_storey(0.5), "simes_storey")):
         for rho in (0.0, 0.5):
             dep = "equicorrelated_prds" if rho > 0 else "independent"
             s = SimulationScenario(rho=rho, dependence=dep, **FDR_SCENARIO)
-            est = mc_fdr_pc(s, 2, method, ws, tc)
+            est = mc_fdr_pc(s, 2, method, tc)
             bound = 0.05 * 140 / 200 + 3 * est.se
             ok = ok and est.mean <= bound
             lines.append(f"{label}/rho={rho}: {est.mean:.4f} <= {bound:.4f}")
@@ -103,13 +102,12 @@ def test_criterion_3_fdr_bound_simes_family():
 
 
 def test_criterion_4_fdr_bound_fisher_stouffer():
-    ws = WeightScheme.unit(200)
     tc = ThresholdCollection(alpha=0.05, m=200)
     s = SimulationScenario(rho=0.5, dependence="equicorrelated_prds",
                            **FDR_SCENARIO)
     lines, ok = [], True
     for method, label in ((FISHER, "fisher"), (STOUFFER, "stouffer")):
-        est = mc_fdr_pc(s, 2, method, ws, tc)
+        est = mc_fdr_pc(s, 2, method, tc)
         bound = 0.05 + 3 * est.se
         ok = ok and est.mean <= bound
         lines.append(f"{label}: {est.mean:.4f} <= {bound:.4f}")
@@ -117,10 +115,9 @@ def test_criterion_4_fdr_bound_fisher_stouffer():
 
 
 def test_criterion_5_fdr_bound_arbitrary_dependence():
-    ws = WeightScheme.unit(200)
     tc = ThresholdCollection(alpha=0.05, m=200, shape=RECIPROCAL_SUM)
     s = SimulationScenario(dependence="block_arbitrary", **FDR_SCENARIO)
-    est = mc_fdr_pc(s, 2, SIMES, ws, tc)
+    est = mc_fdr_pc(s, 2, SIMES, tc)
     bound = 0.05 + 3 * est.se
     report(5, est.mean <= bound,
            f"FDR_PC under block dependence with reciprocal_sum shape: "
@@ -199,7 +196,7 @@ def test_criterion_9_structural_invariants():
         p = [rng.random() ** rng.choice([1, 2]) for _ in range(m)]
         v = (1.0,) * m
         tc = ThresholdCollection(alpha=0.2, m=m)
-        r = step_up(p, tc, v)
+        r = step_up(p, tc)
         thr = thresholds(tc, p)
         vol = weighted_volume(r.indices, v)
         # self-consistency with equality: R = {i: p_i <= Delta(i, |R|_v)}
@@ -208,10 +205,10 @@ def test_criterion_9_structural_invariants():
             violations += 1
         # non-increasing: lowering p-values never shrinks the volume
         lower = [x * rng.random() for x in p]
-        if weighted_volume(step_up(lower, tc, v).indices, v) < vol:
+        if weighted_volume(step_up(lower, tc).indices, v) < vol:
             violations += 1
         # stability: zeroing any rejected p-value leaves the set unchanged
-        if not check_stability(p, tc, v):
+        if not check_stability(p, tc):
             violations += 1
         # concordance: with p_i fixed at 0, |R^{-i}|_v is non-increasing
         # in the remaining coordinates
@@ -219,10 +216,10 @@ def test_criterion_9_structural_invariants():
             i = rng.randrange(m)
             base = list(p)
             base[i] = 0.0
-            vol_base = step_up(base, tc, v).fixed_point_volume
+            vol_base = step_up(base, tc).fixed_point_volume
             dropped = [x * rng.random() if j != i else 0.0
                        for j, x in enumerate(base)]
-            if step_up(dropped, tc, v).fixed_point_volume < vol_base:
+            if step_up(dropped, tc).fixed_point_volume < vol_base:
                 violations += 1
         max_iter_excess = max(max_iter_excess, r.iterations - (m + 1))
     report(9, violations == 0 and max_iter_excess <= 0,

@@ -598,12 +598,14 @@ class TestExitCodes:
          "--rule threshold=abc: could not convert string to float: 'abc'"),
         (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "column=x"],
          "--rule column=x: invalid literal for int() with base 10: 'x'"),
+        (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "column=5"],
+         "--rule column=5: column 5 outside [0, 2)"),
         (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "lasso"],
          "--rule lasso: unknown rule; use step-up, threshold=T, or column=J"),
         (["simulate", "--scenario", str(REFERENCE), "--reps", "0"],
          "--reps 0 must be at least 1"),
     ], ids=["q", "alpha", "u-proportion", "lambda", "rule-threshold", "rule-column",
-          "rule-unknown", "reps"])
+          "rule-column-range", "rule-unknown", "reps"])
     def test_flag_out_of_range_exits_2_naming_the_flag(self, tmp_path, capsys, argv, err):
         files = {"M": write(tmp_path, "m.csv", "0.01,0.2\n0.03,0.5\n"),
                  "P": write(tmp_path, "p.csv", "0.01\n0.2\n"),

@@ -32,12 +32,13 @@ from pcfdr.combine import (
     simes_storey,
 )
 from pcfdr.partial_conjunction import pc_path, pc_pvalue, pc_pvalues
-from pcfdr.pc_testing import GroupLayout, WeightScheme, compute_pc_pvalues
+from pcfdr.pc_testing import GroupLayout, compute_pc_pvalues
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
+    WeightScheme,
     _step_up_rows,
     adjusted_pvalues,
     step_up,
@@ -155,10 +156,10 @@ def step_up_cases(draw):
     kind = draw(st.sampled_from(["unit", "weighted", "adaptive"]))
     if kind == "adaptive":
         lam = draw(st.sampled_from([0.25, 0.5]))
-        return p, ThresholdCollection(alpha=alpha, m=m, adaptive_lambda=lam), None
+        return p, ThresholdCollection(alpha=alpha, m=m, adaptive_lambda=lam)
     shape = draw(st.sampled_from([IDENTITY, RECIPROCAL_SUM, NU]))
     if kind == "unit":
-        return p, ThresholdCollection(alpha=alpha, m=m, shape=shape), None
+        return p, ThresholdCollection(alpha=alpha, m=m, shape=shape)
     v = draw(st.lists(st.floats(0.1, 3.0), min_size=m, max_size=m))
     raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
                         min_size=m, max_size=m))
@@ -166,15 +167,15 @@ def step_up_cases(draw):
         raw[0] = 1.0
     scale = m / sum(r * x for r, x in zip(raw, v))
     w = tuple(r * scale for r in raw)
-    return p, ThresholdCollection(alpha=alpha, m=m, prior_w=w, shape=shape), v
+    return p, ThresholdCollection(alpha=alpha, m=m, weights=WeightScheme(w, v), shape=shape)
 
 
 @given(case=step_up_cases())
 @settings(max_examples=400, deadline=None)
 def test_step_up_matches_fixed_point_oracle(case):
-    p, tc, v = case
-    got = step_up(p, tc, v)
-    indices, volume, iterations = oracles.step_up(p, tc, v)
+    p, tc = case
+    got = step_up(p, tc)
+    indices, volume, iterations = oracles.step_up(p, tc)
     assert got.indices == indices
     assert got.fixed_point_volume == volume
     assert got.iterations == iterations
@@ -194,32 +195,33 @@ def test_step_up_discrete_nu_shape_matches_oracle():
 @given(case=step_up_cases())
 @settings(max_examples=200, deadline=None)
 def test_adjusted_pvalues_match_bisection_and_step_up(case):
-    p, tc, v = case
-    adj = adjusted_pvalues(p, tc, v)
-    assert max(abs(a - b) for a, b in zip(adj, oracles.adjusted_pvalues(p, tc, v))) <= 1e-10
+    p, tc = case
+    adj = adjusted_pvalues(p, tc)
+    assert max(abs(a - b) for a, b in zip(adj, oracles.adjusted_pvalues(p, tc))) <= 1e-10
     for alpha in (0.01, 0.05, 0.2, 0.5, 1.0):
         if any(abs(a - alpha) <= 1e-9 for a in adj):
             continue  # a boundary: rounding decides either way
-        tc_a = ThresholdCollection(alpha, tc.m, tc.prior_w, tc.shape, tc.adaptive_lambda)
+        tc_a = ThresholdCollection(alpha, tc.m, tc.weights, tc.shape, tc.adaptive_lambda)
         rejected = frozenset(i for i, a in enumerate(adj) if a <= alpha)
-        assert rejected == step_up(p, tc_a, v).indices
+        assert rejected == step_up(p, tc_a).indices
 
 
-@pytest.mark.parametrize("tc, v", [
-    (ThresholdCollection(alpha=0.05, m=4), None),
-    (ThresholdCollection(alpha=0.05, m=4, shape=RECIPROCAL_SUM), None),
+@pytest.mark.parametrize("tc", [
+    ThresholdCollection(alpha=0.05, m=4),
+    ThresholdCollection(alpha=0.05, m=4, shape=RECIPROCAL_SUM),
     # beta(V) = 0 below the first support point of nu
-    (ThresholdCollection(alpha=0.05, m=4, shape=NU), [0.5, 0.5, 1.5, 1.5]),
-    (ThresholdCollection(alpha=0.05, m=4, prior_w=(0.0, 0.5, 2.0, 1.0)),
-     [1.0, 2.0, 1.0, 1.0]),
-    (ThresholdCollection(alpha=0.05, m=4, adaptive_lambda=0.5), None),
+    ThresholdCollection(alpha=0.05, m=4, shape=NU,
+                        weights=WeightScheme([1.0] * 4, [0.5, 0.5, 1.5, 1.5])),
+    ThresholdCollection(alpha=0.05, m=4, weights=WeightScheme((0.0, 0.5, 2.0, 1.0),
+                                                              (1.0, 2.0, 1.0, 1.0))),
+    ThresholdCollection(alpha=0.05, m=4, adaptive_lambda=0.5),
 ], ids=["bh", "by", "nu", "zero-weight", "adaptive"])
-def test_adjusted_pvalue_of_zero_is_zero(tc, v):
+def test_adjusted_pvalue_of_zero_is_zero(tc):
     # p = 0 is rejected at every level; the bisection can only get within
     # its tolerance of 0.
     p = [0.0, 0.3, 0.02, 0.9]
-    assert adjusted_pvalues(p, tc, v)[0] == 0.0
-    assert 0.0 < oracles.adjusted_pvalues(p, tc, v)[0] <= 1e-10
+    assert adjusted_pvalues(p, tc)[0] == 0.0
+    assert 0.0 < oracles.adjusted_pvalues(p, tc)[0] <= 1e-10
 
 
 def test_adjusted_pvalue_of_underflowing_ratio_is_not_zero():
@@ -230,8 +232,8 @@ def test_adjusted_pvalue_of_underflowing_ratio_is_not_zero():
     v = [0.125] + [1.0] * 5 + [0.5] + [1.0] * 6 + [0.25] + [1.0] * 4
     w = [0.0] * 18
     w[13] = 72.0
-    tc = ThresholdCollection(alpha=0.05, m=18, prior_w=w, shape=NU)
-    assert adjusted_pvalues(p, tc, v)[13] == 1.0 == oracles.adjusted_pvalues(p, tc, v)[13]
+    tc = ThresholdCollection(alpha=0.05, m=18, weights=WeightScheme(w, v), shape=NU)
+    assert adjusted_pvalues(p, tc)[13] == 1.0 == oracles.adjusted_pvalues(p, tc)[13]
 
 
 def test_replicate_reciprocal_sum_matches_oracle(tmp_path):
@@ -268,20 +270,20 @@ def test_stacked_step_up_rows_match_fixed_point_oracle():
     v = np.where(np.arange(m) % 2, 0.5, 2.0)
     w = np.where(np.arange(m) % 2, 1.0, 0.75)
     collections = [
-        (ThresholdCollection(alpha=0.3, m=m), None),
-        (ThresholdCollection(alpha=0.3, m=m, shape=RECIPROCAL_SUM), None),
-        (ThresholdCollection(alpha=0.3, m=m, shape=NU), None),
-        (ThresholdCollection(alpha=0.3, m=m, adaptive_lambda=0.5), None),
-        (ThresholdCollection(alpha=0.3, m=m, prior_w=w), v),
+        ThresholdCollection(alpha=0.3, m=m),
+        ThresholdCollection(alpha=0.3, m=m, shape=RECIPROCAL_SUM),
+        ThresholdCollection(alpha=0.3, m=m, shape=NU),
+        ThresholdCollection(alpha=0.3, m=m, adaptive_lambda=0.5),
+        ThresholdCollection(alpha=0.3, m=m, weights=WeightScheme(w, v)),
     ]
     P = rng.random((60, m)) ** rng.integers(1, 6, size=(60, 1))
-    for tc, pv in collections:
-        rejected, volumes, iterations = _step_up_rows(P, tc, pv)
+    for tc in collections:
+        rejected, volumes, iterations = _step_up_rows(P, tc)
         assert len(set(iterations.tolist())) > 1
         for row, rej, vol, it in zip(P.tolist(), rejected, volumes.tolist(),
                                      iterations.tolist()):
             assert (frozenset(np.flatnonzero(rej).tolist()), vol, it) == \
-                oracles.step_up(row, tc, pv)
+                oracles.step_up(row, tc)
 
 
 # Monte Carlo: m = 100 puts 40 replicates in a chunk, so 45 replicates
@@ -339,9 +341,9 @@ def test_mc_fdr_pc_matches_per_replicate_loop(dependence, method, opts):
     weighted = opts.pop("weighted", False)
     for s in (scenario(dependence, block_size=3), scenario(dependence, m=2500, reps=3)):
         ws = dyadic_weights(s.m) if weighted else WeightScheme.unit(s.m)
-        tc = ThresholdCollection(alpha=0.2, m=s.m, prior_w=ws.prior_w, **opts)
-        est = mc_fdr_pc(s, 2, method, ws, tc)
-        assert est == oracles.mc_fdr_pc(s, 2, method, ws, tc)
+        tc = ThresholdCollection(alpha=0.2, m=s.m, weights=ws, **opts)
+        est = mc_fdr_pc(s, 2, method, tc)
+        assert est == oracles.mc_fdr_pc(s, 2, method, tc)
         assert est.reps == s.reps
 
 

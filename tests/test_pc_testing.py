@@ -6,13 +6,8 @@ import pytest
 
 from pcfdr.combine import SIMES, combine_pvalues
 from pcfdr.partial_conjunction import pc_pvalue
-from pcfdr.pc_testing import (
-    GroupLayout,
-    WeightScheme,
-    compute_pc_pvalues,
-    realized_weighted_fdp,
-)
-from pcfdr.procedures import ThresholdCollection, step_up
+from pcfdr.pc_testing import GroupLayout, compute_pc_pvalues, realized_weighted_fdp
+from pcfdr.procedures import ThresholdCollection, WeightScheme, step_up
 
 
 class TestGroupLayout:
@@ -105,29 +100,26 @@ class TestComputePcPvalues:
 class TestTestPcFamily:
     def test_single_group_rejects_iff_below_alpha(self):
         layout = GroupLayout([0, 0, 0], [2])
-        ws = WeightScheme.unit(1)
         tc = ThresholdCollection(alpha=0.05, m=1)
-        low = step_up(compute_pc_pvalues([0.001, 0.2, 0.9], layout, SIMES), tc, ws.penalty_v)
+        low = step_up(compute_pc_pvalues([0.001, 0.2, 0.9], layout, SIMES), tc)
         # two largest are (0.2, 0.9): Simes PC p-value 0.4 exceeds alpha
         assert low.indices == frozenset()
-        hit = step_up(compute_pc_pvalues([0.001, 0.002, 0.003], layout, SIMES), tc,
-                      ws.penalty_v)
+        hit = step_up(compute_pc_pvalues([0.001, 0.002, 0.003], layout, SIMES), tc)
         assert hit.indices == frozenset({0})
 
     def test_bh_on_four_groups(self):
         # groups engineered so the Simes PC p-values are the target values
         p = [0.002, 0.01, 0.2, 0.9]
         layout = GroupLayout([0, 1, 2, 3], [1, 1, 1, 1])
-        ws = WeightScheme.unit(4)
         tc = ThresholdCollection(alpha=0.05, m=4)
-        r = step_up(compute_pc_pvalues(p, layout, SIMES), tc, ws.penalty_v)
+        r = step_up(compute_pc_pvalues(p, layout, SIMES), tc)
         assert r.indices == frozenset({0, 1})
 
     def test_wrong_family_size(self):
         layout = GroupLayout([0, 0], [1])
         with pytest.raises(ValueError):
             step_up(compute_pc_pvalues([0.1, 0.2], layout, SIMES),
-                    ThresholdCollection(alpha=0.05, m=3), WeightScheme.unit(1).penalty_v)
+                    ThresholdCollection(alpha=0.05, m=3))
 
 
 class TestRealizedWeightedFdp:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pcfdr.combine import SIMES, combine_pvalues, storey_pi0
-from pcfdr.pc_testing import WeightScheme
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
@@ -13,6 +12,7 @@ from pcfdr.procedures import (
     ShapeFunction,
     ThresholdCollection,
     WeightNormalizationError,
+    WeightScheme,
     _step_up_rows,
     adjusted_pvalues,
     step_up,
@@ -89,7 +89,7 @@ class TestStepUp:
         assert r.fixed_point_volume == 0.0
 
     def test_prior_weights(self):
-        tc = ThresholdCollection(alpha=0.1, m=2, prior_w=(1.5, 0.5))
+        tc = ThresholdCollection(alpha=0.1, m=2, weights=WeightScheme((1.5, 0.5), (1.0, 1.0)))
         r = step_up([0.05, 0.9], tc)
         assert r.indices == frozenset({0})
 
@@ -121,19 +121,22 @@ class TestStepUp:
             assert r.iterations <= m + 1
 
     def test_weight_normalization_enforced(self):
-        tc = ThresholdCollection(alpha=0.05, m=2, prior_w=(3.0, 3.0))
         with pytest.raises(WeightNormalizationError):
-            step_up([0.01, 0.5], tc)
+            WeightScheme((3.0, 3.0), (1.0, 1.0))
 
     def test_zero_weight_zero_pvalue_edge(self):
         # Delta(i, r) = 0 for w_i = 0; weak inequality rejects p_i = 0.
-        tc = ThresholdCollection(alpha=0.05, m=2, prior_w=(0.0, 2.0))
+        tc = ThresholdCollection(alpha=0.05, m=2, weights=WeightScheme((0.0, 2.0), (1.0, 1.0)))
         assert 0 in step_up([0.0, 0.01], tc).indices
         assert 0 not in step_up([1e-9, 0.01], tc).indices
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             step_up([0.1], ThresholdCollection(alpha=0.05, m=2))
+
+    def test_weight_scheme_of_another_size_raises(self):
+        with pytest.raises(ValueError, match="sized for a different feature count"):
+            ThresholdCollection(alpha=0.05, m=3, weights=WeightScheme.unit(2))
 
 
 class TestAdaptive:
@@ -153,7 +156,7 @@ class TestAdaptive:
 
     def test_requires_unit_prior_weights(self):
         with pytest.raises(ValueError):
-            ThresholdCollection(alpha=0.05, m=2, prior_w=(1.5, 0.5),
+            ThresholdCollection(alpha=0.05, m=2, weights=WeightScheme((1.5, 0.5), (1.0, 1.0)),
                                 adaptive_lambda=0.5)
 
     @pytest.mark.parametrize("shape", [RECIPROCAL_SUM,
@@ -188,27 +191,27 @@ class TestAdjustedPvalues:
             v = [rng.choice([0.5, 1.0, 2.0]) for _ in range(m)]
             scale = m / sum(wi * vi for wi, vi in zip(w, v))
             w = [wi * scale for wi in w]
-            tc = ThresholdCollection(alpha=1.0, m=m, prior_w=tuple(w))
-            adj = adjusted_pvalues(p, tc, v)
+            ws = WeightScheme(w, v)
+            tc = ThresholdCollection(alpha=1.0, m=m, weights=ws)
+            adj = adjusted_pvalues(p, tc)
             for alpha in (0.03, 0.1, 0.33, 0.8):
                 if any(abs(a - alpha) < 1e-7 for a in adj):
                     continue  # too close to a boundary to compare
-                tc_a = ThresholdCollection(alpha=alpha, m=m, prior_w=tuple(w))
-                expected = step_up(p, tc_a, v).indices
+                tc_a = ThresholdCollection(alpha=alpha, m=m, weights=ws)
+                expected = step_up(p, tc_a).indices
                 assert frozenset(i for i, a in enumerate(adj) if a <= alpha) == expected
 
 
 class TestStructuralChecks:
     def test_empty_candidate_self_consistent(self):
         tc = ThresholdCollection(alpha=0.05, m=2)
-        ok = check_self_consistency([0.5, 0.6], tc, (1.0, 1.0),
-                                    RejectionSet(frozenset(), 0.0))
+        ok = check_self_consistency([0.5, 0.6], tc, RejectionSet(frozenset(), 0.0))
         assert ok
 
     def test_large_pvalue_candidate_fails(self):
         tc = ThresholdCollection(alpha=0.05, m=2)
         bad = RejectionSet(frozenset({1}), 1.0)
-        assert not check_self_consistency([0.01, 0.97], tc, (1.0, 1.0), bad)
+        assert not check_self_consistency([0.01, 0.97], tc, bad)
 
     def test_step_up_output_self_consistent_and_stable(self):
         rng = random.Random(55)
@@ -217,7 +220,7 @@ class TestStructuralChecks:
             p = [rng.random() for _ in range(m)]
             tc = ThresholdCollection(alpha=0.1, m=m)
             r = step_up(p, tc)
-            assert check_self_consistency(p, tc, (1.0,) * m, r)
+            assert check_self_consistency(p, tc, r)
             assert check_stability(p, tc)
 
     def test_stability_single_hypothesis(self):
@@ -225,7 +228,8 @@ class TestStructuralChecks:
 
 
 MODES = {"unit": ThresholdCollection(alpha=0.05, m=2),
-         "weighted": ThresholdCollection(alpha=0.05, m=2, prior_w=(0.5, 1.5)),
+         "weighted": ThresholdCollection(alpha=0.05, m=2,
+                                         weights=WeightScheme((0.5, 1.5), (1.0, 1.0))),
          "reciprocal_sum": ThresholdCollection(alpha=0.05, m=2, shape=RECIPROCAL_SUM),
          "adaptive": ThresholdCollection(alpha=0.05, m=2, adaptive_lambda=0.5)}
 
@@ -233,11 +237,11 @@ MODES = {"unit": ThresholdCollection(alpha=0.05, m=2),
 class TestInputChecks:
     @pytest.mark.parametrize("call", [step_up, adjusted_pvalues])
     def test_zero_penalty_weight_raises_as_weight_scheme_does(self, call):
-        msg = "penalty weights must be positive"
-        with pytest.raises(WeightNormalizationError, match=msg):
-            WeightScheme([1.0, 1.0], [0.0, 2.0])
-        with pytest.raises(WeightNormalizationError, match=msg):
-            call([0.01, 0.2], ThresholdCollection(alpha=0.05, m=2), [0.0, 2.0])
+        # The collection holds the scheme, so the rule is checked before
+        # ``call`` can run.
+        with pytest.raises(WeightNormalizationError, match="penalty weights must be positive"):
+            call([0.01, 0.2], ThresholdCollection(alpha=0.05, m=2,
+                                                  weights=WeightScheme([1.0, 1.0], [0.0, 2.0])))
 
     @pytest.mark.parametrize("call", [step_up, adjusted_pvalues])
     @pytest.mark.parametrize("mode", sorted(MODES))
@@ -249,15 +253,15 @@ class TestInputChecks:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_every_row_is_checked(self, mode):
         with pytest.raises(ValueError, match=r"p-value 1.5 outside \[0, 1\]"):
-            _step_up_rows(np.array([[0.01, 0.2], [0.01, 1.5]]), MODES[mode], None)
+            _step_up_rows(np.array([[0.01, 0.2], [0.01, 1.5]]), MODES[mode])
 
 
 def test_volumes_add_in_index_order():
     # Left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001; sum() gives
     # 0.6 from Python 3.12 on, as it compensates.
     v = [0.1, 0.2, 0.3]
-    tc = ThresholdCollection(alpha=0.05, m=3, prior_w=[1.0 / x for x in v])
+    tc = ThresholdCollection(alpha=0.05, m=3, weights=WeightScheme([1.0 / x for x in v], v))
     expected = 0.6000000000000001
     assert weighted_volume({0, 1, 2}, v) == expected
-    assert oracles.step_up([0.0] * 3, tc, v)[1] == expected
-    assert step_up([0.0] * 3, tc, v).fixed_point_volume == expected
+    assert oracles.step_up([0.0] * 3, tc)[1] == expected
+    assert step_up([0.0] * 3, tc).fixed_point_volume == expected

@@ -5,8 +5,13 @@ import pytest
 
 from pcfdr.combine import BONFERRONI, SIMES, _sort_rows_in_place, combine_pvalues
 from pcfdr.partial_conjunction import _pc_pvalues_sorted, pc_path, pc_path_sorted, pc_pvalues
-from pcfdr.pc_testing import WeightScheme
-from pcfdr.procedures import IDENTITY, RECIPROCAL_SUM, ThresholdCollection, step_up
+from pcfdr.procedures import (
+    IDENTITY,
+    RECIPROCAL_SUM,
+    ThresholdCollection,
+    WeightScheme,
+    step_up,
+)
 from pcfdr.replicability import (
     ReplicabilityReport,
     SelectionRule,
@@ -50,6 +55,16 @@ class TestValidateMatrix:
         assert select == frozenset()
         assert khat.khat == {0: 0}
         assert both.selected == frozenset()
+
+    @pytest.mark.parametrize("g", [1, 4, 6])
+    def test_weight_scheme_of_another_size_raises_in_every_step(self, g):
+        mat = np.full((5, 2), 0.5)
+        rule = SelectionRule("fixed_threshold_on_combined", threshold=0.1)
+        for step in (lambda ws: select_features(mat, rule, SIMES, ws),
+                     lambda ws: khat_bounds(mat, [0], SIMES, ws, q=0.1),
+                     lambda ws: replicability_analysis(mat, rule, SIMES, ws, q=0.1)):
+            with pytest.raises(ValueError, match="sized for a different feature count"):
+                step(WeightScheme.unit(g))
 
 
 class TestSelectFeatures:
@@ -152,9 +167,9 @@ class TestKhatBounds:
         sel = select_features(mat, rule, SIMES, ws)
         assert sel == {3, 9, 10} and list(sel) != sorted(sel)
         combined = [combine_pvalues(row, SIMES) for row in mat]
-        tc = ThresholdCollection(alpha=0.1, m=12, prior_w=ws.prior_w)
+        tc = ThresholdCollection(alpha=0.1, m=12, weights=ws)
         report = khat_bounds(mat, sel, SIMES, ws, q=0.1)
-        assert report.selection_volume == step_up(combined, tc, v).fixed_point_volume
+        assert report.selection_volume == step_up(combined, tc).fixed_point_volume
 
 
 def test_public_entry_points_leave_the_callers_matrix_as_it_is():

@@ -3,8 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 from pcfdr.combine import SIMES
-from pcfdr.pc_testing import WeightScheme
-from pcfdr.procedures import ThresholdCollection
+from pcfdr.procedures import ThresholdCollection, WeightScheme
 from pcfdr.replicability import SelectionRule
 from pcfdr.simulation import (
     McEstimate,
@@ -79,23 +78,20 @@ class TestGenMetaMatrix:
 class TestMcFdrPc:
     def test_no_true_nulls_gives_zero(self):
         s = SimulationScenario(m=4, n=3, true_k=(3, 3, 2, 2), mu=4.0, reps=20, seed=1)
-        ws = WeightScheme.unit(4)
         tc = ThresholdCollection(alpha=0.05, m=4)
-        est = mc_fdr_pc(s, 2, SIMES, ws, tc)
+        est = mc_fdr_pc(s, 2, SIMES, tc)
         assert est.mean == 0.0
 
     def test_tiny_alpha_rejects_nothing(self):
         s = null_scenario(m=6, n=3, reps=20, seed=2)
-        ws = WeightScheme.unit(6)
         tc = ThresholdCollection(alpha=1e-12, m=6)
-        est = mc_fdr_pc(s, 1, SIMES, ws, tc)
+        est = mc_fdr_pc(s, 1, SIMES, tc)
         assert est.mean == 0.0
 
     def test_u_range_checked(self):
         s = null_scenario(reps=1)
         with pytest.raises(ValueError):
-            mc_fdr_pc(s, 9, SIMES, WeightScheme.unit(20),
-                      ThresholdCollection(alpha=0.05, m=20))
+            mc_fdr_pc(s, 9, SIMES, ThresholdCollection(alpha=0.05, m=20))
 
 
 class TestMcReplicability:
