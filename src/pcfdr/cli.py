@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import itertools
 import json
@@ -30,10 +31,8 @@ import numpy as np
 
 from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError, _sort_rows_in_place
 from .partial_conjunction import _pc_pvalues_sorted
-from .pc_testing import GroupLayout, compute_pc_pvalues
+from .pc_testing import GroupLayout, _int_vector, compute_pc_pvalues
 from .procedures import (
-    IDENTITY,
-    RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
     WeightScheme,
@@ -250,37 +249,9 @@ def read_weights(path: str, m: int) -> WeightScheme:
         raise CliError(f"{path}: {exc}") from None
 
 
-_SHAPES = {"identity": IDENTITY, "reciprocal_sum": RECIPROCAL_SUM}
-
-
-def _shape(name: str) -> ShapeFunction:
-    if name not in _SHAPES:
-        raise CliError(f"unknown shape {name!r}")
-    return _SHAPES[name]
-
-
-def _json_text(x, depth: int = 0) -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` as it reads nested
-    ``depth`` levels deep. A list or dict of scalars, such as the khat of
-    every selected feature, goes to json's C encoder, which ``indent``
-    would turn off; only the lists and dicts that hold others are laid out
-    here."""
-    if not isinstance(x, (list, tuple, dict)) or not x:
-        return json.dumps(x)
-    items = x.values() if isinstance(x, dict) else x
-    sep = ",\n" + "  " * (depth + 1)
-    if not any(isinstance(y, (list, tuple, dict)) for y in items):
-        body = json.dumps(x, sort_keys=True, separators=(sep, ": "))[1:-1]
-    elif isinstance(x, dict):
-        body = sep.join(f"{json.dumps(k)}: {_json_text(x[k], depth + 1)}" for k in sorted(x))
-    else:
-        body = sep.join(_json_text(y, depth + 1) for y in x)
-    start, end = "{}" if isinstance(x, dict) else "[]"
-    return f"{start}{sep[1:]}{body}\n{'  ' * depth}{end}"
-
-
 def _write_json(path, payload: dict) -> None:
-    _write(path, [_json_text({"schema_version": SCHEMA_VERSION, **payload}), "\n"])
+    _write(path, [json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                             indent=2, sort_keys=True), "\n"])
 
 
 def _row_line(path: str, row: int) -> int:
@@ -335,7 +306,7 @@ def cmd_pc_test(args) -> int:
     except DegenerateInputError as exc:
         raise CliError(f"{args.groups}: group {names[exc.row]!r}: {exc}") from None
     rej = step_up(pc, ThresholdCollection(alpha=args.alpha, m=g, weights=ws,
-                                          shape=_shape(args.shape)))
+                                          shape=ShapeFunction(args.shape)))
     _write_json(args.out, {
         "groups": names,
         "u": layout.u.tolist(),
@@ -359,7 +330,7 @@ def _parse_rule(spec: str, q: float, shape: ShapeFunction) -> SelectionRule:
 
 def cmd_replicate(args) -> int:
     method = CombiningMethod(args.method, args.lam)
-    shape = _shape(args.shape)
+    shape = ShapeFunction(args.shape)
     try:
         rule = _parse_rule(args.rule, args.q, shape)
     except ValueError as exc:
@@ -398,7 +369,8 @@ def cmd_replicate(args) -> int:
 
 def _fdr_pc_check(chk, scenario, method, shape, ws):
     """Weighted FDR of the PC family against alpha times the PC-null share."""
-    u, alpha = int(chk["u"]), float(chk.get("alpha", 0.05))
+    (u,) = _int_vector([chk["u"]], "u").tolist()
+    alpha = float(chk.get("alpha", 0.05))
     tc = ThresholdCollection(alpha=alpha, m=scenario.m, weights=ws, shape=shape,
                              adaptive_lambda=chk.get("adaptive_lambda"))
     est = mc_fdr_pc(scenario, u, method, tc)
@@ -415,7 +387,8 @@ def _replicability_check(chk, scenario, method, shape, ws):
 def _dcc_check(chk, scenario, method, shape, ws):
     """The dependency control condition against each c of the grid."""
     grid = [float(c) for c in chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5])]
-    out = dcc_probe(scenario, int(chk["u"]), method, grid,
+    (u,) = _int_vector([chk["u"]], "u").tolist()
+    out = dcc_probe(scenario, u, method, grid,
                     statistic=chk.get("statistic", "rejection_volume"),
                     alpha=float(chk.get("alpha", 0.05)))
     return [({"c": c}, est, c) for c, est in out]
@@ -450,10 +423,10 @@ def _run_scenario_file(args, enforce: bool) -> int:
                 sc_dict["reps"] = args.reps
             if args.seed is not None:
                 sc_dict["seed"] = args.seed
-            scenario = SimulationScenario.from_dict(sc_dict)
+            scenario = SimulationScenario(**sc_dict)
             kind = chk["check"]
             method = CombiningMethod(chk["method"], chk.get("lambda"))
-            shape = _shape(chk.get("shape", "identity"))
+            shape = ShapeFunction(chk.get("shape", "identity"))
             if kind not in _CHECKS:
                 raise CliError(f"unknown check kind {kind!r}")
             sub = [_result(*r) for r in _CHECKS[kind](
@@ -462,7 +435,7 @@ def _run_scenario_file(args, enforce: bool) -> int:
             raise CliError(f"{args.scenario}: bad check spec: {exc}") from None
         ok = all(r["pass"] for r in sub)
         all_pass = all_pass and ok
-        records.append({"check": kind, "scenario": scenario.to_dict(),
+        records.append({"check": kind, "scenario": dataclasses.asdict(scenario),
                         "method": chk["method"], "results": sub, "pass": ok})
     _write_json(args.out, {"records": records, "pass": all_pass})
     return 3 if enforce and not all_pass else 0
@@ -479,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     combining.add_argument("--method", required=True, choices=list(_ROW_COMBINERS))
     combining.add_argument("--lambda", dest="lam", type=float, default=None)
     weighting = argparse.ArgumentParser(add_help=False)
-    weighting.add_argument("--shape", default="identity")
+    weighting.add_argument("--shape", default="identity",
+                           choices=("identity", "reciprocal_sum"))
     weighting.add_argument("--weights", default=None)
 
     pc = sub.add_parser("combine", help="combine p-values row by row",

@@ -21,10 +21,11 @@ __all__ = [
 ]
 
 def _int_vector(x, name: str) -> np.ndarray:
-    """A read-only intp copy of the 1-d integer array ``x``; floats are
-    rejected, not truncated."""
+    """A read-only intp copy of the 1-d integer array ``x``; floats and
+    booleans are rejected, not truncated or read as 0 and 1."""
     a = np.asarray(x)
-    if a.ndim != 1 or a.dtype.kind not in "iu":
+    if (a.ndim != 1 or a.dtype.kind not in "iu"
+            or isinstance(x, (list, tuple)) and any(isinstance(k, bool) for k in x)):
         raise ValueError(f"{name} must be a 1-d integer array")
     a = a.astype(np.intp)
     a.setflags(write=False)

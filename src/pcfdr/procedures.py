@@ -166,6 +166,8 @@ class ThresholdCollection:
             raise ValueError(f"alpha={self.alpha} outside (0, 1]")
         if self.m < 1:
             raise ValueError("m must be positive")
+        if not isinstance(self.weights, (WeightScheme, type(None))):
+            raise TypeError(f"weights must be a WeightScheme, not {type(self.weights).__name__}")
         object.__setattr__(self, "weights", WeightScheme.unit(self.m) if self.weights is None
                            else self.weights._sized(self.m))
         if self.adaptive_lambda is not None:

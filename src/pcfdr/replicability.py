@@ -29,7 +29,6 @@ from .procedures import (
     WeightScheme,
     _index_mask,
     _step_up_rows,
-    _volume_share,
     _volumes,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "select_features",
     "khat_bounds",
     "replicability_analysis",
-    "realized_replicability_error",
 ]
 
 
@@ -183,16 +181,3 @@ def _analysis_in_place(s: np.ndarray, rule: SelectionRule, method: CombiningMeth
     """:func:`replicability_analysis` of the one-matrix (1, m, n) float
     stack ``s``, whose rows it sorts in place."""
     return _report(s, _select_rows(s, rule, method, ws), method, ws, q, beta)
-
-
-def realized_replicability_error(report: ReplicabilityReport,
-                                 true_k: Sequence[int],
-                                 penalty_v: Sequence[float]) -> float:
-    """Weighted proportion of selected features with k_hat(i) > k(i),
-    with the 0/0 = 0 convention."""
-    v = np.asarray(penalty_v, dtype=float)
-    khat = np.zeros(len(v), dtype=int)
-    khat[list(report.khat)] = list(report.khat.values())
-    selected = _index_mask(report.selected, len(v))
-    return float(_volume_share((selected & (khat > np.asarray(true_k)))[None],
-                               selected[None], v)[0])

@@ -16,13 +16,14 @@ built from them, agree bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .combine import CombiningMethod
 from .partial_conjunction import pc_pvalues
+from .pc_testing import _int_vector
 from .procedures import (
     IDENTITY,
     ShapeFunction,
@@ -71,7 +72,7 @@ class SimulationScenario:
     block_size: int = 4
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "true_k", tuple(int(k) for k in self.true_k))
+        object.__setattr__(self, "true_k", tuple(_int_vector(self.true_k, "true_k").tolist()))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if len(self.true_k) != self.m:
@@ -91,13 +92,6 @@ class SimulationScenario:
 
     def true_null_features(self, u: int) -> frozenset[int]:
         return frozenset(i for i, k in enumerate(self.true_k) if k < u)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulationScenario":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -225,8 +219,8 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     """
     if statistic not in ("rejection_volume", "selection_volume_minus_row"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    if any(c <= 0 for c in c_grid):
-        raise ValueError("c grid must be positive")
+    if len(c_grid) == 0 or any(c <= 0 for c in c_grid):
+        raise ValueError("c grid must be nonempty and positive")
     nulls = sorted(s.true_null_features(u))
     if not nulls:
         raise ValueError("scenario has no true partial conjunction null to probe")

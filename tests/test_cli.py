@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pcfdr import cli
 from pcfdr.cli import CliError, read_ids, read_matrix, run, write_matrix
@@ -346,6 +344,15 @@ class TestPcTest:
         assert exc.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    def test_unknown_shape_exits_2(self, tmp_path, capsys):
+        p = write(tmp_path, "p.csv", "0.001\n0.002\n")
+        g = write(tmp_path, "g.txt", "a\na\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                 "--groups", g, "--shape", "x"])
+        assert exc.value.code == 2
+        assert "argument --shape: invalid choice: 'x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["nan,1", "0,inf"])
     def test_nan_weight_exits_2(self, tmp_path, capsys, row):
         p = write(tmp_path, "p.csv", "0.001\n0.002\n0.5\n")
@@ -508,6 +515,26 @@ class TestSimulateVerify:
         assert run(["verify", "--scenario", path]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: bad check spec: not an object with a list of checks\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"scenario": {"true_k": [1.7] * 10}}, "true_k must be a 1-d integer array"),
+        ({"scenario": {"true_k": [3] + [True] * 9}}, "true_k must be a 1-d integer array"),
+        ({"u": 2.9}, "u must be a 1-d integer array"),
+        ({"u": True}, "u must be a 1-d integer array"),
+        ({"check": "dcc", "u": 2.9}, "u must be a 1-d integer array"),
+        ({"check": "dcc", "c_grid": []}, "c grid must be nonempty and positive"),
+        ({"shape": "x"}, "unknown shape function 'x'"),
+    ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
+            "dcc-empty-grid", "shape"])
+    def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
+        # Nothing is truncated or read as 0 and 1, and no check passes on
+        # an empty grid.
+        chk = {"check": "fdr_pc", "method": "simes", "u": 1,
+               "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}}
+        chk["scenario"].update(change.pop("scenario", {}))
+        path = self.scenario_file(tmp_path, [{**chk, **change}])
+        assert run(["verify", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
 
     def test_adaptive_with_non_identity_shape_exits_2(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, [{
@@ -715,16 +742,3 @@ class TestOut:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["c.fifo", "m.csv"]
 
-
-_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.text(max_size=5)
-                 | st.floats(allow_nan=True, allow_infinity=True))
-
-
-@given(x=st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
-                      | st.tuples(inner, inner)
-                      | st.dictionaries(st.text(max_size=5), inner, max_size=4),
-                      max_leaves=20))
-@settings(max_examples=300, deadline=None)
-def test_json_text_is_indented_json_dumps(x):
-    payload = {"schema_version": 1, "x": x}
-    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)

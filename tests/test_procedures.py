@@ -235,6 +235,11 @@ MODES = {"unit": ThresholdCollection(alpha=0.05, m=2),
 
 
 class TestInputChecks:
+    def test_weights_that_are_no_scheme_raise_type_error(self):
+        # The old positional form passed prior weights where the scheme goes.
+        with pytest.raises(TypeError, match="weights must be a WeightScheme, not tuple"):
+            ThresholdCollection(0.05, 2, (1.5, 0.5))
+
     @pytest.mark.parametrize("call", [step_up, adjusted_pvalues])
     def test_zero_penalty_weight_raises_as_weight_scheme_does(self, call):
         # The collection holds the scheme, so the rule is checked before

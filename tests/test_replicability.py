@@ -13,11 +13,9 @@ from pcfdr.procedures import (
     step_up,
 )
 from pcfdr.replicability import (
-    ReplicabilityReport,
     SelectionRule,
     _analysis_in_place,
     khat_bounds,
-    realized_replicability_error,
     replicability_analysis,
     select_features,
 )
@@ -202,20 +200,6 @@ def test_public_entry_points_leave_the_callers_matrix_as_it_is():
         assert np.array_equal(mat, saved)
     assert np.array_equal(pc_path(mat, SIMES), pc_path_sorted(in_place, SIMES))
     assert np.array_equal(mat, saved)
-
-
-class TestRealizedError:
-    def test_empty_selection(self):
-        report = ReplicabilityReport(frozenset(), {}, {}, 0.0)
-        assert realized_replicability_error(report, [0], (1.0,)) == 0.0
-
-    def test_no_violations(self):
-        report = ReplicabilityReport(frozenset({0, 1}), {0: 1, 1: 2}, {}, 2.0)
-        assert realized_replicability_error(report, [1, 2], (1.0, 1.0)) == 0.0
-
-    def test_half_violations(self):
-        report = ReplicabilityReport(frozenset({0, 1}), {0: 2, 1: 3}, {}, 2.0)
-        assert realized_replicability_error(report, [2, 2], (1.0, 1.0)) == 0.5
 
 
 class TestSelectionRuleProperties:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -25,6 +27,8 @@ class TestScenario:
             SimulationScenario(m=2, n=3, true_k=(0,))  # length mismatch
         with pytest.raises(ValueError):
             SimulationScenario(m=1, n=3, true_k=(4,))  # k > n
+        with pytest.raises(ValueError, match="true_k must be a 1-d integer array"):
+            SimulationScenario(m=2, n=3, true_k=("3", True))  # not read as (3, 1)
         with pytest.raises(ValueError):
             SimulationScenario(m=1, n=3, true_k=(1,), rho=1.5)
         with pytest.raises(ValueError):
@@ -38,7 +42,7 @@ class TestScenario:
     def test_dict_roundtrip(self):
         s = SimulationScenario(m=2, n=3, true_k=(1, 0), mu=2.0, rho=0.3,
                                dependence="equicorrelated_prds", reps=5, seed=9)
-        assert SimulationScenario.from_dict(s.to_dict()) == s
+        assert SimulationScenario(**dataclasses.asdict(s)) == s
 
 
 class TestGenMetaMatrix:
