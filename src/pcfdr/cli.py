@@ -16,6 +16,7 @@ a schema_version field. Exit status: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import gc
@@ -42,12 +43,15 @@ from .procedures import (
 from .replicability import SelectionRule, _analysis_in_place
 from .simulation import (
     SimulationScenario,
+    _number,
     dcc_probe,
     mc_fdr_pc,
     mc_replicability_error,
 )
 
 SCHEMA_VERSION = 1
+# write_matrix formats this many values per block.
+_WRITE_BLOCK = 8192
 
 __all__ = ["main", "run"]
 
@@ -124,11 +128,13 @@ def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
     """The ids of the matrix ``path`` (one that :func:`read_matrix` found
     ids in), read back from the file: the first cell of each row, stripped,
     for the rows where ``mask`` is true (every row if None). They come one
-    at a time, so that they never all exist as strings at once."""
-    rows = _rows(path)
+    at a time, so that they never all exist as strings at once. A list
+    mask is walked fastest, as it holds Python bools."""
     try:
-        for _, line in rows if mask is None else itertools.compress(rows, mask):
-            yield line.split(",", 1)[0].strip()
+        with open(path, encoding="utf-8-sig") as fh:
+            rows = itertools.filterfalse(str.isspace, fh)  # as _rows skips them
+            for line in rows if mask is None else itertools.compress(rows, mask):
+                yield line.split(",", 1)[0].strip()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
@@ -176,6 +182,25 @@ def _read_text(path: str) -> str:
         line, col = head.count("\n") + 1, exc.start - head.rfind("\n")
         raise CliError(f"{path}:{line}:{col}: not valid UTF-8") from None
     return text
+
+
+def _group_labels(path: str) -> tuple[np.ndarray, list[str]]:
+    """The group label file ``path``, one name per nonblank line, stripped:
+    a read-only intp array of 0-based codes, in order of first appearance,
+    and the names in that order. The file is coded line by line, so its
+    text is never held whole; if it cannot be read or is not UTF-8,
+    :func:`_read_text` gives the diagnostic."""
+    codes: dict[str, int] = collections.defaultdict()
+    codes.default_factory = codes.__len__  # a new name is coded len(codes)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            labels = np.fromiter(map(codes.__getitem__, filter(None, map(str.strip, fh))),
+                                 dtype=np.intp)
+    except (OSError, UnicodeDecodeError) as exc:
+        _read_text(path)  # raises, unless the file changed between the reads
+        raise CliError(f"cannot read {path}: {exc}") from None
+    labels.setflags(write=False)  # so that GroupLayout keeps it as it is
+    return labels, list(codes)
 
 
 def _out_target(path: str) -> str | None:
@@ -228,12 +253,17 @@ def _write(path, lines) -> None:
                 os.remove(tmp)
 
 
-def write_matrix(path, ids: Iterable[str] | None, values: list[float]) -> None:
-    """One line per value, after its id if there are ids. Raises
-    ValueError if there are more or fewer ids than values."""
-    names = ids if ids is not None else [None] * len(values)
+def write_matrix(path, ids: Iterable[str] | None, values) -> None:
+    """One line per value of the 1-d ``values``, after its id if there
+    are ids. Raises ValueError if there are more or fewer ids than values.
+    The values become Python floats one block of rows at a time, never all
+    at once."""
+    values = np.asarray(values, dtype=float)
+    floats = itertools.chain.from_iterable(
+        values[i:i + _WRITE_BLOCK].tolist() for i in range(0, len(values), _WRITE_BLOCK))
+    names = ids if ids is not None else itertools.repeat(None, len(values))
     _write(path, (f"{x:.17g}\n" if name is None else f"{name},{x:.17g}\n"
-                  for name, x in zip(names, values, strict=True)))
+                  for name, x in zip(names, floats, strict=True)))
 
 
 def read_weights(path: str, m: int) -> WeightScheme:
@@ -269,8 +299,9 @@ def cmd_combine(args) -> int:
         pc = _pc_pvalues_sorted(_sort_rows_in_place(mat), args.u, method)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
+    del mat  # pc holds all the output needs; this lowers its peak
     try:
-        write_matrix(args.out, read_ids(args.input) if has_ids else None, pc.tolist())
+        write_matrix(args.out, read_ids(args.input) if has_ids else None, pc)
     except ValueError:
         raise CliError(f"{args.input}: changed while it was read") from None
     return 0
@@ -282,12 +313,7 @@ def cmd_pc_test(args) -> int:
     if mat.shape[1] != 1:
         raise CliError(f"{args.input}: pc-test expects a single column of p-values")
     p = mat[:, 0]
-    # Codes are 0-based in order of first appearance, as are the names.
-    codes: dict[str, int] = {}
-    labels = np.array([codes.setdefault(name, len(codes))
-                       for ln in _read_text(args.groups).split("\n")
-                       if (name := ln.strip())], dtype=np.intp)
-    names = list(codes)
+    labels, names = _group_labels(args.groups)
     if len(labels) != len(p):
         raise CliError(f"{args.groups}: expected {len(p)} group labels, got {len(labels)}")
     if args.u_proportion is not None:
@@ -348,7 +374,7 @@ def cmd_replicate(args) -> int:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
     del mat  # the report holds all the JSON needs; this lowers its peak
     rows = sorted(report.selected)
-    names = (list(read_ids(args.input, _index_mask(rows, m))) if has_ids
+    names = (list(read_ids(args.input, _index_mask(rows, m).tolist())) if has_ids
              else [str(i) for i in rows])
     if len(names) != len(rows):
         raise CliError(f"{args.input}: changed while it was read")
@@ -370,7 +396,7 @@ def cmd_replicate(args) -> int:
 def _fdr_pc_check(chk, scenario, method, shape, ws):
     """Weighted FDR of the PC family against alpha times the PC-null share."""
     (u,) = _int_vector([chk["u"]], "u").tolist()
-    alpha = float(chk.get("alpha", 0.05))
+    alpha = _number(chk.get("alpha", 0.05), "alpha")
     tc = ThresholdCollection(alpha=alpha, m=scenario.m, weights=ws, shape=shape,
                              adaptive_lambda=chk.get("adaptive_lambda"))
     est = mc_fdr_pc(scenario, u, method, tc)
@@ -379,18 +405,18 @@ def _fdr_pc_check(chk, scenario, method, shape, ws):
 
 def _replicability_check(chk, scenario, method, shape, ws):
     """Replicability error of the two-step procedure against q."""
-    q = float(chk.get("q", 0.05))
+    q = _number(chk.get("q", 0.05), "q")
     rule = _parse_rule(chk.get("rule", "step-up"), q, shape)
     return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
 
 
 def _dcc_check(chk, scenario, method, shape, ws):
     """The dependency control condition against each c of the grid."""
-    grid = [float(c) for c in chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5])]
+    grid = [_number(c, "c_grid") for c in chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5])]
     (u,) = _int_vector([chk["u"]], "u").tolist()
     out = dcc_probe(scenario, u, method, grid,
                     statistic=chk.get("statistic", "rejection_volume"),
-                    alpha=float(chk.get("alpha", 0.05)))
+                    alpha=_number(chk.get("alpha", 0.05), "alpha"))
     return [({"c": c}, est, c) for c, est in out]
 
 

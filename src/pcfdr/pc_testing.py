@@ -21,12 +21,17 @@ __all__ = [
 ]
 
 def _int_vector(x, name: str) -> np.ndarray:
-    """A read-only intp copy of the 1-d integer array ``x``; floats and
-    booleans are rejected, not truncated or read as 0 and 1."""
+    """A read-only intp array of the 1-d integer array ``x``: ``x`` itself
+    if it is one already and owns its data, as ``procedures._readonly``
+    keeps float arrays, so that a label vector is handed over uncopied;
+    else a copy. Floats and booleans are rejected, not truncated or read
+    as 0 and 1."""
     a = np.asarray(x)
     if (a.ndim != 1 or a.dtype.kind not in "iu"
             or isinstance(x, (list, tuple)) and any(isinstance(k, bool) for k in x)):
         raise ValueError(f"{name} must be a 1-d integer array")
+    if a.dtype == np.intp and a.flags.owndata and not a.flags.writeable:
+        return a
     a = a.astype(np.intp)
     a.setflags(write=False)
     return a

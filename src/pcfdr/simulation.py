@@ -16,6 +16,7 @@ built from them, agree bitwise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,6 +55,17 @@ _DEPENDENCE = ("independent", "equicorrelated_prds", "block_arbitrary")
 _CHUNK_ROWS = 4096
 
 
+def _number(x, name: str, kind: type = float):
+    """``kind(x)`` for an integer ``x`` if ``kind`` is int, for any real
+    ``x`` if it is float; a boolean or a string, which a scenario file may
+    hold where a number belongs, is a ValueError naming ``name``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if kind is int
+                                             else numbers.Real):
+        raise ValueError(f"{name}: must be {'an integer' if kind is int else 'a real number'}"
+                         f", not {x!r}")
+    return kind(x)
+
+
 @dataclass(frozen=True)
 class SimulationScenario:
     """Ground truth and sampling model for one Monte Carlo experiment.
@@ -72,6 +84,10 @@ class SimulationScenario:
     block_size: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "reps", "seed", "block_size"):
+            _number(getattr(self, name), name, int)
+        for name in ("mu", "rho"):
+            _number(getattr(self, name), name)
         object.__setattr__(self, "true_k", tuple(_int_vector(self.true_k, "true_k").tolist()))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")

@@ -117,6 +117,24 @@ class TestReadWriteMatrix:
             with pytest.raises(ValueError):
                 write_matrix(str(second), ids, values)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocks_write_as_one_list(self, tmp_path, offset):
+        # The values are formatted a block of rows at a time; the lines are
+        # those of one list of floats, on either side of a block boundary.
+        m = cli._WRITE_BLOCK + offset
+        values = np.random.default_rng(offset + 1).random(m)
+        values[:3] = (0.0, 1.0, 1e-300)
+        ids = [f"r{i}" for i in range(m)]
+        for names, expected in (
+                (None, "".join(f"{x:.17g}\n" for x in values.tolist())),
+                (ids, "".join(f"{i},{x:.17g}\n" for i, x in zip(ids, values.tolist())))):
+            out = tmp_path / "o.csv"
+            write_matrix(str(out), names, values)
+            assert out.read_text() == expected
+        for names in (ids[:-1], ids + ["extra"]):
+            with pytest.raises(ValueError):
+                write_matrix(str(tmp_path / "o.csv"), iter(names), values)
+
     def test_only_the_matrix_is_held(self, tmp_path):
         # The ids stay in the file: after read_matrix returns, an id matrix
         # holds no more memory than its values.
@@ -270,6 +288,28 @@ class TestCombine:
         assert run(["combine", path, "--method", "fisher"]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
 
+    def test_matrix_is_released_before_output(self, tmp_path):
+        # 50,000 x 5 p-values, Simes at u = 2. The matrix is dropped once
+        # the PC p-values exist, and they become Python floats a block at
+        # a time, so the traced peak of the run, about 1.4 times the matrix,
+        # is set by reading and combining. Holding the matrix and a list of
+        # m floats while writing took about 2.2 times it.
+        rng = np.random.default_rng(2)
+        m, n = 50_000, 5
+        path = tmp_path / "m.csv"
+        np.savetxt(path, rng.random((m, n)), delimiter=",", fmt="%.17g")
+        argv = ["combine", str(path), "--method", "simes", "--u", "2",
+                "--out", str(tmp_path / "c.csv")]
+        assert run(argv) == 0  # imports and caches are not traced below
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * m * n * 8
+        assert len((tmp_path / "c.csv").read_text().splitlines()) == m
+
 
 class TestPcTest:
     def test_report_matches_golden_file(self, tmp_path):
@@ -369,6 +409,39 @@ class TestPcTest:
         g = write(tmp_path, "g.txt", "a\n")
         assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
                     "--groups", g]) == 2
+
+    def test_labels_are_coded_line_by_line(self, tmp_path, monkeypatch):
+        # 200,000 labels of 8,000 interleaved groups. The label file is
+        # coded from the open file, a line at a time, into a read-only code
+        # vector that the layout keeps as it is: from the start of the run
+        # to the layout, the traced peak is about 20 bytes a label. Holding
+        # the text, one string per line and a list of codes took about 75.
+        rng = np.random.default_rng(5)
+        m, g = 200_000, 8_000
+        codes = rng.integers(0, g, m)
+        codes[:g] = np.arange(g)
+        labels = write(tmp_path, "g.txt", "".join(f"grp{c:05d}\n" for c in codes))
+        held = [rng.random((m, 1))]
+        monkeypatch.setattr(cli, "read_matrix", lambda path, pvalues=True: (False, held.pop()))
+        from_proportion = cli.GroupLayout.from_proportion
+        seen = []
+        def recording(labels, proportion):
+            layout = from_proportion(labels, proportion)
+            seen.append((tracemalloc.get_traced_memory()[1], layout.labels is labels))
+            return layout
+        monkeypatch.setattr(cli.GroupLayout, "from_proportion", recording)
+        tracemalloc.start()
+        try:
+            assert run(["pc-test", "p.csv", "--alpha", "0.05", "--method", "fisher",
+                        "--groups", labels, "--u-proportion", "0.5",
+                        "--out", str(tmp_path / "r.json")]) == 0
+        finally:
+            tracemalloc.stop()
+        [(peak, handed_over)] = seen
+        assert peak <= 30 * m
+        assert handed_over
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["groups"] == [f"grp{c:05d}" for c in range(g)]
 
 
 class TestReplicate:
@@ -524,8 +597,20 @@ class TestSimulateVerify:
         ({"check": "dcc", "u": 2.9}, "u must be a 1-d integer array"),
         ({"check": "dcc", "c_grid": []}, "c grid must be nonempty and positive"),
         ({"shape": "x"}, "unknown shape function 'x'"),
+        ({"scenario": {"m": True}}, "m: must be an integer, not True"),
+        ({"scenario": {"n": "3"}}, "n: must be an integer, not '3'"),
+        ({"scenario": {"reps": True}}, "reps: must be an integer, not True"),
+        ({"scenario": {"seed": True}}, "seed: must be an integer, not True"),
+        ({"scenario": {"block_size": True}}, "block_size: must be an integer, not True"),
+        ({"scenario": {"mu": "1.5"}}, "mu: must be a real number, not '1.5'"),
+        ({"scenario": {"rho": True}}, "rho: must be a real number, not True"),
+        ({"alpha": True}, "alpha: must be a real number, not True"),
+        ({"check": "replicability", "q": "0.1"}, "q: must be a real number, not '0.1'"),
+        ({"check": "dcc", "c_grid": [True, "0.1"]}, "c_grid: must be a real number, not True"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
-            "dcc-empty-grid", "shape"])
+            "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
+            "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
+            "c_grid-bool"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
         # Nothing is truncated or read as 0 and 1, and no check passes on
         # an empty grid.

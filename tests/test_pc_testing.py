@@ -47,6 +47,23 @@ class TestGroupLayout:
         for arr in (layout.labels, layout.u):
             assert arr.dtype == np.intp and not arr.flags.writeable
 
+    def test_read_only_labels_are_handed_over(self):
+        # A read-only intp vector that owns its data is kept as it is, by
+        # the layout and by from_proportion; a writeable one, a view or
+        # another dtype is copied.
+        labels = np.array([0, 1, 0], dtype=np.intp)
+        labels.setflags(write=False)
+        assert GroupLayout(labels, [1, 1]).labels is labels
+        assert GroupLayout.from_proportion(labels, 0.5).labels is labels
+        writeable = np.array([0, 1, 0], dtype=np.intp)
+        view = labels[:]
+        wide = np.array([0, 1, 0], dtype=np.int32)
+        wide.setflags(write=False)
+        for other in (writeable, view, wide):
+            kept = GroupLayout(other, [1, 1]).labels
+            assert kept is not other and not np.shares_memory(kept, other)
+            assert kept.tolist() == [0, 1, 0]
+
 
 class TestWeightScheme:
     def test_normalization_enforced(self):
