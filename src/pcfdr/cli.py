@@ -319,12 +319,13 @@ def cmd_pc_test(args) -> int:
     if args.u_proportion is not None:
         layout = GroupLayout.from_proportion(labels, args.u_proportion)
     else:
-        u = 1 if args.u is None else args.u
-        sizes = np.bincount(labels)
-        if (small := np.flatnonzero(sizes < u)).size:
-            raise CliError(f"{args.groups}: --u {u} exceeds the size "
-                           f"{sizes[small[0]]} of group {names[small[0]]!r}")
-        layout = GroupLayout(labels, np.full(len(names), u))
+        try:
+            layout = GroupLayout(labels, np.full(len(names), args.u))
+        except ValueError:  # a group smaller than u: count them again to name it
+            sizes = np.bincount(labels)
+            small = np.flatnonzero(sizes < args.u)[0]
+            raise CliError(f"{args.groups}: --u {args.u} exceeds the size "
+                           f"{sizes[small]} of group {names[small]!r}") from None
     g = len(names)
     ws = read_weights(args.weights, g) if args.weights else WeightScheme.unit(g)
     try:
@@ -424,6 +425,9 @@ def _dcc_check(chk, scenario, method, shape, ws):
 # Carlo estimate and the base of its bound.
 _CHECKS = {"fdr_pc": _fdr_pc_check, "replicability": _replicability_check,
            "dcc": _dcc_check}
+# The fields that a check reads; any other is rejected, not ignored.
+_CHECK_FIELDS = {"check", "scenario", "method", "lambda", "shape", "u", "alpha",
+                 "adaptive_lambda", "q", "rule", "c_grid", "statistic"}
 
 
 def _result(extra: dict, est, base: float) -> dict:
@@ -445,11 +449,18 @@ def _run_scenario_file(args, enforce: bool) -> int:
     for chk in checks:
         try:
             sc_dict = dict(chk["scenario"])
+            if unknown := [k for k in chk if k not in _CHECK_FIELDS]:
+                raise ValueError(f"unknown field {unknown[0]!r}")
             if args.reps is not None:
                 sc_dict["reps"] = args.reps
             if args.seed is not None:
                 sc_dict["seed"] = args.seed
             scenario = SimulationScenario(**sc_dict)
+            if scenario.reps < 2:  # one replicate has no standard error
+                raise ValueError(f"reps: a check needs at least 2, not {scenario.reps}")
+            for name in ("lambda", "adaptive_lambda"):
+                if chk.get(name) is not None:
+                    _number(chk[name], name)
             kind = chk["check"]
             method = CombiningMethod(chk["method"], chk.get("lambda"))
             shape = ShapeFunction(chk.get("shape", "identity"))
@@ -494,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--alpha", type=float, required=True)
     pt.add_argument("--groups", required=True)
     pt_u = pt.add_mutually_exclusive_group()
-    pt_u.add_argument("--u", type=int, default=None)
+    pt_u.add_argument("--u", type=int, default=1)
     pt_u.add_argument("--u-proportion", type=float, default=None)
     pt.set_defaults(func=cmd_pc_test)
 

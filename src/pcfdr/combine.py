@@ -40,12 +40,6 @@ __all__ = [
 
 DEFAULT_LAMBDA = 0.5
 
-# Floor applied before log in Fisher's statistic, so that p = 0 gives a
-# finite statistic and no divide-by-zero warning. The combined p-value is
-# then small but not 0: p = (0, 0.5) gives 3.46e-298, and so does
-# (1e-310, 0.5), whose unfloored value is 3.58e-308.
-_LOG_FLOOR = 1e-300
-
 
 class DegenerateInputError(ValueError):
     """Raised when a combiner receives an input it cannot order, e.g.
@@ -119,9 +113,11 @@ def _sort_rows_in_place(s: np.ndarray) -> np.ndarray:
 # Each row combiner takes a (rows, k) array sorted along axis 1, k >= 1.
 
 def _fisher_rows(s: np.ndarray) -> np.ndarray:
-    """Chi-square survival of -2 * sum(log p_i) with 2k degrees of freedom."""
+    """Chi-square survival of -2 * sum(log p_i) with 2k degrees of freedom;
+    0 if a p_i is 0, whose log is -inf."""
     from scipy.special import chdtrc
-    stat = -2.0 * np.log(np.maximum(s, _LOG_FLOOR)).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        stat = -2.0 * np.log(s).sum(axis=1)
     return chdtrc(2 * s.shape[1], stat)
 
 

@@ -5,14 +5,14 @@ score procedures in simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .combine import CombiningMethod, DegenerateInputError
 from .partial_conjunction import pc_pvalues
-from .procedures import _index_mask, _volume_share
+from .procedures import _index_mask, _readonly, _volume_share
 
 __all__ = [
     "GroupLayout",
@@ -21,31 +21,27 @@ __all__ = [
 ]
 
 def _int_vector(x, name: str) -> np.ndarray:
-    """A read-only intp array of the 1-d integer array ``x``: ``x`` itself
-    if it is one already and owns its data, as ``procedures._readonly``
-    keeps float arrays, so that a label vector is handed over uncopied;
-    else a copy. Floats and booleans are rejected, not truncated or read
-    as 0 and 1."""
+    """A read-only intp array of the 1-d integer array ``x``, which
+    ``procedures._readonly`` hands over uncopied if it can. Floats and
+    booleans are rejected, not truncated or read as 0 and 1."""
     a = np.asarray(x)
     if (a.ndim != 1 or a.dtype.kind not in "iu"
             or isinstance(x, (list, tuple)) and any(isinstance(k, bool) for k in x)):
         raise ValueError(f"{name} must be a 1-d integer array")
-    if a.dtype == np.intp and a.flags.owndata and not a.flags.writeable:
-        return a
-    a = a.astype(np.intp)
-    a.setflags(write=False)
-    return a
+    return _readonly(a, np.intp)
 
 
 @dataclass(frozen=True, eq=False)
 class GroupLayout:
     """Partition of M hypotheses into G groups as a label vector:
-    ``labels[i]`` is the 0-based group of hypothesis i, and ``u[g]`` the
-    partial conjunction parameter of group g. Both are held as read-only
-    integer arrays, so layouts compare and hash by identity."""
+    ``labels[i]`` is the 0-based group of hypothesis i, ``u[g]`` the
+    partial conjunction parameter of group g and ``sizes[g]`` its number of
+    hypotheses, counted once, here. All three are held as read-only integer
+    arrays, so layouts compare and hash by identity."""
 
     labels: np.ndarray
     u: np.ndarray
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         labels, u = _int_vector(self.labels, "labels"), _int_vector(self.u, "u")
@@ -54,6 +50,8 @@ class GroupLayout:
         if labels.size and not (0 <= labels.min() and labels.max() < len(u)):
             raise ValueError(f"labels must lie in [0, {len(u)})")
         sizes = np.bincount(labels, minlength=len(u))
+        sizes.setflags(write=False)
+        object.__setattr__(self, "sizes", sizes)
         if (bad := np.flatnonzero((u < 1) | (u > sizes))).size:
             g = bad[0]
             raise ValueError(f"u[{g}]={u[g]} outside [1, {sizes[g]}]")
@@ -75,18 +73,16 @@ def compute_pc_pvalues(p: Sequence[float], layout: GroupLayout,
     groups. Groups of equal size and u are combined as one matrix, in the
     order of each such bucket's first group, and a DegenerateInputError
     names the first degenerate group of the first bucket that has one."""
-    labels, u = layout.labels, layout.u
+    labels, u, sizes = layout.labels, layout.u, layout.sizes
     if len(p) != len(labels):
         raise ValueError(f"expected {len(labels)} p-values, got {len(p)}")
     p = np.asarray(p, dtype=float)
-    sizes = np.bincount(labels, minlength=len(u))
     # members[starts[g]:starts[g] + sizes[g]] are group g's hypotheses, in index order.
     members = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    _, first, bucket = np.unique(sizes * (len(labels) + 1) + u,
-                                 return_index=True, return_inverse=True)
-    by_bucket = np.split(np.argsort(bucket, kind="stable"),
-                         np.cumsum(np.bincount(bucket))[:-1])
+    _, first, bucket, counts = np.unique(sizes * (len(labels) + 1) + u, return_index=True,
+                                         return_inverse=True, return_counts=True)
+    by_bucket = np.split(np.argsort(bucket, kind="stable"), np.cumsum(counts)[:-1])
     out = np.empty(len(u))
     for gs in (by_bucket[b] for b in np.argsort(first)):
         rows = p[members[starts[gs, None] + np.arange(sizes[gs[0]])]]

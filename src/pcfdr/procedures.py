@@ -84,14 +84,14 @@ IDENTITY = ShapeFunction("identity")
 RECIPROCAL_SUM = ShapeFunction("reciprocal_sum")
 
 
-def _readonly(x) -> np.ndarray:
-    """A read-only float64 array of ``x``: ``x`` itself if it is one already
-    and owns its data, as the ones of ``WeightScheme.unit`` are, so that w
-    and v share them; else a copy."""
-    if (isinstance(x, np.ndarray) and x.dtype == np.float64
+def _readonly(x, dtype=np.float64) -> np.ndarray:
+    """A read-only ``dtype`` array of ``x``: ``x`` itself if it is one
+    already and owns its data, as the ones of ``WeightScheme.unit`` are, so
+    that w and v share them; else a copy."""
+    if (isinstance(x, np.ndarray) and x.dtype == dtype
             and x.flags.owndata and not x.flags.writeable):
         return x
-    a = np.array(x, dtype=float)
+    a = np.array(x, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -254,32 +254,29 @@ def _inputs(P: np.ndarray, tc: ThresholdCollection) -> None:
 
 
 def _step_up_rows(P: np.ndarray, tc: ThresholdCollection
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
     """The step-up procedure on each row of the (R, m) array P, R >= 1: the
-    (R, m) rejection masks, the (R,) fixed-point volumes and the (R,)
-    iteration counts.
+    (R, m) rejection masks, the (R,) fixed-point volumes and the number of
+    passes, which for one row is its iteration count.
 
     Each row iterates r -> |L(r)|_v from r0 = sum(v) until r is fixed. All
-    rows take every step as one array comparison: a row at its fixed point
-    gives the same level set again, and only its moving steps are counted.
-    The levels and the volumes of every step share one (R, m) buffer.
+    rows take each pass as one array comparison, until every row is fixed:
+    a fixed row gives its level set again. Levels and volumes share a buffer.
     """
     _inputs(P, tc)
     v = tc.weights.penalty_v
     scale = tc._scales(P)
     r = np.full(len(P), _volume(v.copy()))
-    iterations = np.zeros(len(P), dtype=int)
-    moving = np.ones(len(P), dtype=bool)
     buf = np.empty(P.shape)
     rejected = np.empty(P.shape, dtype=bool)
+    passes = 1
     while True:
-        iterations += moving
         np.less_equal(P, tc._levels(r, scale, out=buf), out=rejected)
         vol = _volumes(rejected, v, out=buf)
-        moving = vol != r
-        if not moving.any():
-            return rejected, r, iterations
+        if (vol == r).all():
+            return rejected, r, passes
         r = vol
+        passes += 1
 
 
 def step_up(p: Sequence[float], tc: ThresholdCollection) -> RejectionSet:
@@ -290,9 +287,8 @@ def step_up(p: Sequence[float], tc: ThresholdCollection) -> RejectionSet:
     nonincreasing and reaches the greatest fixed point in at most m+1 steps.
     Each level set L(r) = {i: p_i <= Delta(i, r)} is one array comparison.
     """
-    rejected, vol, iterations = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
-    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()),
-                        float(vol[0]), int(iterations[0]))
+    rejected, vol, passes = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
+    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()), float(vol[0]), passes)
 
 
 def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection) -> list[float]:

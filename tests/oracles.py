@@ -31,7 +31,6 @@ from pcfdr.procedures import ThresholdCollection, WeightScheme
 from pcfdr.replicability import SelectionRule
 from pcfdr.simulation import _estimate
 
-_LOG_FLOOR = 1e-300
 _ORACLE_MAX_M = 20
 
 
@@ -76,7 +75,7 @@ def combine(p, method):
     if method.kind == "simes_storey":
         return simes_storey(p, method.lam)
     if method.kind == "fisher":
-        stat = -2.0 * sum(math.log(max(x, _LOG_FLOOR)) for x in p)
+        stat = -2.0 * sum(math.log(x) if x else -math.inf for x in p)
         return float(chdtrc(2 * m, stat))
     if 0.0 in p and 1.0 in p:
         raise ValueError("Stouffer combiner with both p=0 and p=1")

@@ -367,6 +367,22 @@ class TestPcTest:
         err = capsys.readouterr().err
         assert "--u 3 exceeds the size 1 of group 'solo'" in err
 
+    @pytest.mark.parametrize("flag, value, u, counts", [("--u", "2", [2, 2], 1),
+                                                        ("--u-proportion", "0.5", [1, 1], 2)])
+    def test_labels_are_counted_once_per_layout(self, tmp_path, capsys, monkeypatch,
+                                                flag, value, u, counts):
+        # The layout counts the labels once and compute_pc_pvalues reads
+        # its sizes; only the proportion counts before building it.
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(a) or bincount(*a, **kw))
+        p = write(tmp_path, "p.csv", "0.001\n0.9\n0.002\n0.8\n")
+        g = write(tmp_path, "g.txt", "a\nb\na\nb\n")
+        assert run(["pc-test", p, "--alpha", "0.05", "--method", "simes",
+                    "--groups", g, flag, value]) == 0
+        assert json.loads(capsys.readouterr().out)["u"] == u
+        assert len(calls) == counts
+
     @pytest.mark.parametrize("u", ["0", "-1"])
     def test_u_below_1_exits_2_naming_the_flag(self, tmp_path, capsys, u):
         p = write(tmp_path, "p.csv", "0.001\n0.002\n")
@@ -607,13 +623,18 @@ class TestSimulateVerify:
         ({"alpha": True}, "alpha: must be a real number, not True"),
         ({"check": "replicability", "q": "0.1"}, "q: must be a real number, not '0.1'"),
         ({"check": "dcc", "c_grid": [True, "0.1"]}, "c_grid: must be a real number, not True"),
+        ({"method": "simes_storey", "lambda": "0.5"}, "lambda: must be a real number, not '0.5'"),
+        ({"adaptive_lambda": "0.5"}, "adaptive_lambda: must be a real number, not '0.5'"),
+        ({"alhpa": 0.5}, "unknown field 'alhpa'"),
+        ({"scenario": {"reps": 1}}, "reps: a check needs at least 2, not 1"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
-            "c_grid-bool"])
+            "c_grid-bool", "lambda-string", "adaptive_lambda-string", "unknown-field",
+            "one-rep"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
-        # Nothing is truncated or read as 0 and 1, and no check passes on
-        # an empty grid.
+        # Nothing is truncated, read as 0 and 1 or ignored, and no check
+        # passes on an empty grid or without a standard error.
         chk = {"check": "fdr_pc", "method": "simes", "u": 1,
                "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}}
         chk["scenario"].update(change.pop("scenario", {}))
@@ -716,8 +737,11 @@ class TestExitCodes:
          "--rule lasso: unknown rule; use step-up, threshold=T, or column=J"),
         (["simulate", "--scenario", str(REFERENCE), "--reps", "0"],
          "--reps 0 must be at least 1"),
+        # One replicate has no standard error, so its bound would be the base.
+        (["verify", "--scenario", str(REFERENCE), "--reps", "1"],
+         f"{REFERENCE}: bad check spec: reps: a check needs at least 2, not 1"),
     ], ids=["q", "alpha", "u-proportion", "lambda", "rule-threshold", "rule-column",
-          "rule-column-range", "rule-unknown", "reps"])
+          "rule-column-range", "rule-unknown", "reps", "reps-one"])
     def test_flag_out_of_range_exits_2_naming_the_flag(self, tmp_path, capsys, argv, err):
         files = {"M": write(tmp_path, "m.csv", "0.01,0.2\n0.03,0.5\n"),
                  "P": write(tmp_path, "p.csv", "0.01\n0.2\n"),

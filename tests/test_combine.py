@@ -1,10 +1,12 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from pcfdr.combine import (
     BONFERRONI,
@@ -41,6 +43,17 @@ class TestFisher:
 
     def test_zero_dominates(self):
         assert combine_pvalues([0.0, 0.7], FISHER) == pytest.approx(0.0, abs=1e-290)
+
+    def test_log_of_zero_is_not_floored(self):
+        # log(0) = -inf makes the statistic inf and the p-value exactly 0,
+        # without a warning; a p below 1e-300 keeps its own value.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert combine_pvalues([0.0, 0.5], FISHER) == 0.0
+            got = combine_pvalues([1e-310, 0.5], FISHER)
+        stat = -2.0 * (math.log(1e-310) + math.log(0.5))
+        assert got == pytest.approx(float(chdtrc(4, stat)), rel=1e-12)
+        assert got == pytest.approx(3.5775e-308, rel=1e-4)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

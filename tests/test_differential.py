@@ -264,7 +264,8 @@ def test_replicate_reciprocal_sum_matches_oracle(tmp_path):
 
 def test_stacked_step_up_rows_match_fixed_point_oracle():
     # Rows of one stack reach their fixed points after different numbers
-    # of steps; each row's set, volume and count must be its own.
+    # of steps; each row's set and volume must be its own, and the stack
+    # takes as many passes as its slowest row.
     rng = np.random.default_rng(11)
     m = 40
     v = np.where(np.arange(m) % 2, 0.5, 2.0)
@@ -278,12 +279,12 @@ def test_stacked_step_up_rows_match_fixed_point_oracle():
     ]
     P = rng.random((60, m)) ** rng.integers(1, 6, size=(60, 1))
     for tc in collections:
-        rejected, volumes, iterations = _step_up_rows(P, tc)
-        assert len(set(iterations.tolist())) > 1
-        for row, rej, vol, it in zip(P.tolist(), rejected, volumes.tolist(),
-                                     iterations.tolist()):
-            assert (frozenset(np.flatnonzero(rej).tolist()), vol, it) == \
-                oracles.step_up(row, tc)
+        rejected, volumes, passes = _step_up_rows(P, tc)
+        expected = [oracles.step_up(row, tc) for row in P.tolist()]
+        assert len({it for _, _, it in expected}) > 1
+        assert passes == max(it for _, _, it in expected)
+        for rej, vol, (indices, volume, _) in zip(rejected, volumes.tolist(), expected):
+            assert (frozenset(np.flatnonzero(rej).tolist()), vol) == (indices, volume)
 
 
 # Monte Carlo: m = 100 puts 40 replicates in a chunk, so 45 replicates

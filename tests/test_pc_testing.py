@@ -39,6 +39,19 @@ class TestGroupLayout:
         with pytest.raises(ValueError, match=r"u\[1\]=2 outside \[1, 1\]"):
             GroupLayout([0, 1, 0], [1, 2])
 
+    def test_sizes_are_counted_once(self, monkeypatch):
+        # The layout keeps the sizes of its one count, read-only, and
+        # compute_pc_pvalues reads them instead of counting again.
+        layout = GroupLayout([1, 0, 1, 1, 2], [1, 2, 1])
+        assert layout.sizes.tolist() == [1, 3, 1]
+        assert layout.sizes.dtype == np.intp and not layout.sizes.flags.writeable
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("np.bincount called")
+
+        monkeypatch.setattr(np, "bincount", no_count)
+        assert compute_pc_pvalues([0.1, 0.2, 0.3, 0.4, 0.5], layout, SIMES) == [0.2, 0.4, 0.5]
+
     def test_arrays_are_read_only_copies(self):
         labels = np.array([0, 1, 0])
         layout = GroupLayout(labels, [1, 1])
