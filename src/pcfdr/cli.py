@@ -16,6 +16,7 @@ a schema_version field. Exit status: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import codecs
 import collections
 import contextlib
 import dataclasses
@@ -24,9 +25,13 @@ import itertools
 import json
 import os
 import shutil
+import signal
 import stat
 import sys
+import threading
+import warnings
 from collections.abc import Iterable, Iterator
+from typing import NoReturn
 
 import numpy as np
 
@@ -52,6 +57,12 @@ from .simulation import (
 SCHEMA_VERSION = 1
 # write_matrix formats this many values per block.
 _WRITE_BLOCK = 8192
+# read_matrix parses a file in byte ranges of at least this size, one per
+# usable core. Parsing takes about 14 ms a MB; a fork and its pipe about
+# 2.4 ms, and counting lines to place the ranges about 0.7 ms a MB.
+_MIN_CHUNK = 1 << 20
+# _line_counts and _bounds read this many bytes at a time.
+_SCAN_BLOCK = 1 << 16
 
 __all__ = ["main", "run"]
 
@@ -96,12 +107,14 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     The first nonblank line fixes the width and whether there are ids.
     ``np.loadtxt`` parses each row into a zero-width id field, which keeps
     no bytes, and the values, so it rejects a row of another width itself.
-    It cannot skip a whitespace-only line, so on failure the nonblank lines
-    are parsed again; only if that fails too is the file read once more to
-    locate the bad cell.
+    A file of two or more ``_MIN_CHUNK`` bytes is parsed on up to as many
+    cores at once (:func:`_loadtxt`). ``np.loadtxt`` cannot skip a
+    whitespace-only line, so on any failure the nonblank lines are parsed
+    again in this process alone; only if that fails too is the file read
+    once more to locate the bad cell.
     """
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
+        if not stat.S_ISREG((st := os.stat(path)).st_mode):
             raise CliError(f"{path}: not a regular file")
         _, head = next(_rows(path, "surrogateescape"), (None, None))
     except OSError as exc:
@@ -114,14 +127,165 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
               delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
     try:
         try:
-            mat = np.loadtxt(path, **kw)["p"]
-        except ValueError:
+            mat = _loadtxt(path, st.st_size, kw)["p"]
+        except (OSError, ValueError):
             mat = np.loadtxt((line for _, line in _rows(path)), **kw)["p"]
         if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
             raise ValueError("p-value outside [0, 1]")
     except ValueError as exc:
         raise _bad_cell(path, pvalues) or CliError(f"{path}: {exc}") from None
     return has_ids, mat
+
+
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _loadtxt(path: str, size: int, kw: dict) -> np.ndarray:
+    """``np.loadtxt(path, **kw)`` for the ``size``-byte file ``path``.
+
+    With k = min(usable cores, size // _MIN_CHUNK) of 2 or more, ``os.fork``
+    and no other Python thread, the file is cut into k byte ranges that
+    each end a line. This process parses the first range while one forked
+    child per other range parses that one, each with the same keywords
+    from the path, and the children's rows come back through pipes. The
+    result is the same array, bit for bit. Numpy's OpenBLAS joins its
+    worker thread before a fork, so a child holds one thread; it runs no
+    exit hook and flushes no inherited buffer. Raises ValueError if a
+    range fails to parse, a child exits other than 0 or a row count
+    differs, and OSError if a pipe or a fork fails; no child outlives the
+    call.
+    """
+    k = min(_cores(), size // _MIN_CHUNK)
+    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return np.loadtxt(path, **kw)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        bounds = _bounds(fd, size, k)
+        ranges = [(start, end, end == bounds[-1]) for start, end in zip(bounds, bounds[1:])]
+        pids, reads = [], []
+        try:
+            for span in ranges[1:]:
+                r, w = os.pipe()
+                reads.append(r)
+                try:
+                    if (pid := os.fork()) == 0:
+                        _child(path, kw, fd, span, w, reads)
+                finally:
+                    os.close(w)
+                pids.append(pid)
+            own = _load_range(path, kw, fd, *ranges[0])
+            counts = np.zeros(len(reads), np.int64)
+            for i, r in enumerate(reads):
+                _read_into(r, counts[i:i + 1])
+            first = len(own)
+            # Grown by realloc: no second array holds all the rows.
+            own.resize(first + int(counts.sum()), refcheck=False)
+            for r, count in zip(reads, counts.tolist()):
+                _read_into(r, own["p"][first:first + count])
+                first += count
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for r in reads:
+                os.close(r)
+            failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    finally:
+        os.close(fd)
+    if failed:
+        raise ValueError(f"{failed} parse worker(s) failed")
+    return own
+
+
+def _bounds(fd: int, size: int, k: int) -> list[int]:
+    """The byte offsets that cut the open file ``fd`` of ``size`` bytes
+    into at most k ranges of whole lines: the start of its text (past a
+    byte-order mark), the first line start at or after i * size / k for
+    each 0 < i < k that has one, and ``size``."""
+    cuts = {size}
+    for i in range(1, k):
+        pos = i * size // k
+        while block := os.pread(fd, _SCAN_BLOCK, pos):
+            if (nl := block.find(b"\n")) >= 0:
+                cuts.add(pos + nl + 1)
+                break
+            pos += len(block)
+    bom = os.pread(fd, len(codecs.BOM_UTF8), 0) == codecs.BOM_UTF8
+    return [len(codecs.BOM_UTF8) if bom else 0, *sorted(cuts)]
+
+
+def _line_counts(fd: int, start: int, end: int) -> tuple[int, int]:
+    """(lines, blank lines) in bytes [start, end) of the open file ``fd``,
+    as text mode splits them ("\\n", "\\r\\n" and "\\r" end a line), for a
+    range that starts a line and, unless empty, ends one. It is read a
+    block at a time, each counted with the byte before it."""
+    lines = blank = 0
+    last = b"\n"  # start starts a line
+    for pos in range(start, end, _SCAN_BLOCK):
+        block = os.pread(fd, min(_SCAN_BLOCK, end - pos), pos)
+        a = np.frombuffer(last + block, np.uint8)
+        lf, cr = a == ord("\n"), a == ord("\r")
+        ends, crlf = lf | cr, np.count_nonzero(cr[:-1] & lf[1:])
+        lines += int(np.count_nonzero(ends[1:])) - crlf
+        blank += int(np.count_nonzero(ends[:-1] & ends[1:])) - crlf
+        last = block[-1:]
+    return lines, blank
+
+
+def _load_range(path: str, kw: dict, fd: int, start: int, end: int,
+                last: bool) -> np.ndarray:
+    """``np.loadtxt`` of the lines of ``path`` in bytes [start, end) of its
+    open file ``fd``; the last range's lines run to the end of the file.
+    Raises ValueError unless a range other than the last gives one row per
+    line that is not blank."""
+    skip, _ = _line_counts(fd, 0, start)
+    rows = None
+    if not last:
+        lines, blank = _line_counts(fd, start, end)
+        rows = lines - blank
+    with warnings.catch_warnings():
+        # A blank line among max_rows, or a range of blank lines, warns.
+        warnings.simplefilter("ignore", UserWarning)
+        arr = np.loadtxt(path, skiprows=skip, max_rows=rows, **kw)
+    if rows is not None and len(arr) != rows:
+        raise ValueError(f"expected {rows} rows, read {len(arr)}")
+    return arr
+
+
+def _child(path: str, kw: dict, fd: int, span: tuple[int, int, bool], out: int,
+           reads: list[int]) -> NoReturn:
+    """In a forked child: parse the range ``span`` and write its row count
+    and values to the pipe ``out``. Exits with os._exit, 0 once all is
+    written, else 1, so that no exit hook runs and no buffer inherited
+    from the parent is flushed."""
+    status = 1
+    try:
+        gc.disable()  # a collection could run a finalizer of the parent's
+        for r in reads:  # so that a pipe's writer sees a dead parent
+            os.close(r)
+        arr = _load_range(path, kw, fd, *span)
+        with open(out, "wb") as fh:
+            fh.write(np.array([len(arr)], np.int64))
+            fh.write(arr["p"])
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_into(fd: int, buf: np.ndarray) -> None:
+    """Fill the C-contiguous array ``buf`` from the pipe ``fd``; raises
+    ValueError if the pipe ends first."""
+    view = memoryview(buf.reshape(-1).view(np.uint8))
+    while view:
+        if not (got := os.readv(fd, [view])):
+            raise ValueError("a parse worker ended early")
+        view = view[got:]
 
 
 def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
@@ -425,9 +589,11 @@ def _dcc_check(chk, scenario, method, shape, ws):
 # Carlo estimate and the base of its bound.
 _CHECKS = {"fdr_pc": _fdr_pc_check, "replicability": _replicability_check,
            "dcc": _dcc_check}
-# The fields that a check reads; any other is rejected, not ignored.
-_CHECK_FIELDS = {"check", "scenario", "method", "lambda", "shape", "u", "alpha",
-                 "adaptive_lambda", "q", "rule", "c_grid", "statistic"}
+# The fields that each check kind reads; any other is rejected, not ignored.
+_CHECK_FIELDS = {kind: {"check", "scenario", "method", "lambda", *fields} for kind, fields in (
+    ("fdr_pc", ("u", "alpha", "shape", "adaptive_lambda")),
+    ("replicability", ("q", "rule", "shape")),
+    ("dcc", ("u", "alpha", "c_grid", "statistic")))}
 
 
 def _result(extra: dict, est, base: float) -> dict:
@@ -449,7 +615,11 @@ def _run_scenario_file(args, enforce: bool) -> int:
     for chk in checks:
         try:
             sc_dict = dict(chk["scenario"])
-            if unknown := [k for k in chk if k not in _CHECK_FIELDS]:
+            if (kind := chk["check"]) not in _CHECKS:
+                raise ValueError(f"unknown check kind {kind!r}")
+            if unknown := [k for k in chk if k not in _CHECK_FIELDS[kind]]:
+                if any(unknown[0] in fields for fields in _CHECK_FIELDS.values()):
+                    raise ValueError(f"field {unknown[0]!r} does not apply to a {kind} check")
                 raise ValueError(f"unknown field {unknown[0]!r}")
             if args.reps is not None:
                 sc_dict["reps"] = args.reps
@@ -461,11 +631,8 @@ def _run_scenario_file(args, enforce: bool) -> int:
             for name in ("lambda", "adaptive_lambda"):
                 if chk.get(name) is not None:
                     _number(chk[name], name)
-            kind = chk["check"]
             method = CombiningMethod(chk["method"], chk.get("lambda"))
             shape = ShapeFunction(chk.get("shape", "identity"))
-            if kind not in _CHECKS:
-                raise CliError(f"unknown check kind {kind!r}")
             sub = [_result(*r) for r in _CHECKS[kind](
                 chk, scenario, method, shape, WeightScheme.unit(scenario.m))]
         except (KeyError, TypeError, ValueError) as exc:

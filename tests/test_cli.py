@@ -2,8 +2,10 @@ import json
 import math
 import os
 import re
+import signal
 import stat
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -227,6 +229,216 @@ class TestReadWriteMatrix:
                 if flag == "--groups" else ["verify", "--scenario", str(path)])
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+
+def matrix_text(ids, newline, bom, final, rows=60, long_last=False):
+    """A p-value matrix of 17-digit values, with a blank first line and a
+    blank line after every fifth row. ``newline`` "mixed" cycles through
+    LF, CRLF and CR line ends."""
+    rng = np.random.default_rng(rows)
+    ends = ["\n", "\r\n", "\r"] if newline == "mixed" else [newline]
+    lines = [""]
+    for i, row in enumerate(rng.random((rows, 4)).tolist()):
+        cells = [f"{x:.17g}" for x in row]
+        if long_last and i == rows - 1:
+            cells = [f"{x:.17g}" + " " * 2000 for x in row]
+        lines.append(",".join([f"g{i}"] * ids + cells))
+        if i % 5 == 4 and i < rows - 1:
+            lines.append("")
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    if not final:
+        text = text.rstrip("\r\n")
+    return "\ufeff" * bom + text
+
+
+class TestChunkedParse:
+    """A file of two or more _MIN_CHUNK bytes is parsed in one range of
+    lines per usable core, the first in this process and each other one in
+    a forked child. The matrix is the one a single np.loadtxt gives, bit
+    for bit, failures give the single parse's message, and no child is
+    left behind."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """A function that sets the usable core count, and so k on these
+        small files, and returns the counts of forks and of walks over the
+        file's rows (the first line, and the serial parse after a
+        failure), which the test may reset."""
+        calls = {"forks": 0, "rows": 0}
+        fork, rows = os.fork, cli._rows
+
+        def counting_fork():
+            calls["forks"] += 1
+            return fork()
+
+        def counting_rows(*args):
+            calls["rows"] += 1
+            return rows(*args)
+
+        def cores(k):
+            monkeypatch.setattr(cli, "_cores", lambda: k)
+            return calls
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_rows", counting_rows)
+        monkeypatch.setattr(cli, "_MIN_CHUNK", 512)
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", 7)  # so that CRLF pairs straddle blocks
+        yield cores
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def serial(split, path):
+        split(1)
+        return read_matrix(path)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("ids", [False, True], ids=["values", "ids"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "mixed"], ids=["lf", "crlf", "mixed"])
+    @pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
+    def test_parse_equals_one_loadtxt(self, tmp_path, split, k, ids, newline, bom, final):
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(ids, newline, bom, final).encode())
+        assert path.stat().st_size >= 3 * 1024
+        has_ids, expected = self.serial(split, str(path))
+        calls = split(k)
+        calls.update(forks=0, rows=0)
+        got_ids, mat = read_matrix(str(path))
+        assert calls == {"forks": k - 1, "rows": 1}  # the first line, and no second parse
+        assert (got_ids, mat.shape, mat.dtype) == (has_ids, expected.shape, expected.dtype)
+        assert mat.tobytes() == expected.tobytes()
+        assert mat.shape == (60, 4)
+
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
+    def test_cut_on_the_last_line(self, tmp_path, split, final):
+        # The last line is longer than a third of the file, so the second
+        # cut falls on it and only two ranges are parsed.
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(True, "\n", False, final, long_last=True).encode())
+        _, expected = self.serial(split, str(path))
+        calls = split(3)
+        calls.update(forks=0, rows=0)
+        _, mat = read_matrix(str(path))
+        assert calls == {"forks": 1, "rows": 1}
+        assert mat.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_range_of_blank_lines_has_no_rows(self, tmp_path, split, k):
+        # About the middle third (k = 3) or the last half (k = 2) of the
+        # file is blank lines, so one range holds no row.
+        head = matrix_text(True, "\n", False, True, rows=30)
+        text = head + "\n" * len(head) + (head if k == 3 else "")
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        _, expected = self.serial(split, str(path))
+        calls = split(k)
+        calls.update(forks=0, rows=0)
+        _, mat = read_matrix(str(path))
+        assert calls == {"forks": k - 1, "rows": 1}
+        assert mat.tobytes() == expected.tobytes()
+        assert len(mat) == 30 * (k - 1)
+
+    @pytest.mark.parametrize("row, bad", [
+        (45, "g45,0.1,oops,0.3,0.4"),
+        (45, "g45,0.1,0.2,0.3"),
+        (45, "g45,0.1,0.2,0.3,0.4,0.5"),
+        (45, "g45,0.1,\xff,0.3,0.4"),
+        (45, "g45,0.1,1.5,0.3,0.4"),
+        (45, "  \t"),
+        (5, "g5,0.1,oops,0.3,0.4"),
+    ], ids=["not-a-number", "short-row", "long-row", "not-utf-8", "p-above-1",
+            "whitespace-only", "first-range"])
+    def test_a_bad_row_gives_the_message_of_one_parse(self, tmp_path, capsys, split, row, bad):
+        # Row 45 of 60 lies in the second of two ranges; row 5 in the first.
+        lines = matrix_text(True, "\n", False, True).split("\n")
+        lines[lines.index(next(line for line in lines if line.startswith(f"g{row},")))] = bad
+        path = tmp_path / "m.csv"
+        path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape")
+                         .replace(b"\xc3\xbf", b"\xff"))
+        argv = ["replicate", str(path), "--q", "0.1", "--method", "simes", "--out",
+                str(tmp_path / "r.json")]
+        split(1)
+        code = run(argv)
+        expected = capsys.readouterr().err, (tmp_path / "r.json").read_bytes() if code == 0 else None
+        calls = split(2)
+        calls.update(forks=0)
+        assert run(argv) == code
+        assert (capsys.readouterr().err,
+                (tmp_path / "r.json").read_bytes() if code == 0 else None) == expected
+        assert calls["forks"] == 1
+        assert (code == 0) == (bad.strip() == "")
+        if code:
+            line = 1 + lines.index(bad)
+            assert expected[0].startswith(f"error: {path}:{line}:")
+
+    def test_a_child_that_dies_gives_the_serial_matrix(self, tmp_path, split, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(True, "\n", False, True).encode())
+        _, expected = self.serial(split, str(path))
+        load_range = cli._load_range
+
+        def dying(path, kw, fd, start, end, last):
+            if start > 0:  # in the child
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_range(path, kw, fd, start, end, last)
+
+        monkeypatch.setattr(cli, "_load_range", dying)
+        calls = split(2)
+        calls.update(forks=0, rows=0)
+        _, mat = read_matrix(str(path))
+        assert calls == {"forks": 1, "rows": 2}  # the first line, then the second parse
+        assert mat.tobytes() == expected.tobytes()
+
+    def test_a_child_exit_status_other_than_0_is_a_failure(self, tmp_path, split, monkeypatch):
+        # The child writes all its rows and then exits 7: the rows are
+        # parsed again in this process.
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(True, "\n", False, True).encode())
+        _, expected = self.serial(split, str(path))
+        exit = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit(status or 7))
+        calls = split(2)
+        calls.update(forks=0, rows=0)
+        _, mat = read_matrix(str(path))
+        assert calls == {"forks": 1, "rows": 2}
+        assert mat.tobytes() == expected.tobytes()
+
+    def test_children_are_killed_when_this_process_raises(self, tmp_path, split, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(False, "\n", False, True).encode())
+        load_range = cli._load_range
+
+        def interrupted(path, kw, fd, start, end, last):
+            if start > 0:  # in the child, which only a kill ends in time
+                time.sleep(60)
+                return load_range(path, kw, fd, start, end, last)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_load_range", interrupted)
+        split(3)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            read_matrix(str(path))
+        assert time.monotonic() - t0 < 30
+
+    def test_another_thread_keeps_one_process(self, tmp_path, split):
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(True, "\n", False, True).encode())
+        _, expected = self.serial(split, str(path))
+        calls = split(2)
+        calls.update(forks=0)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            _, mat = read_matrix(str(path))
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert calls["forks"] == 0
+        assert mat.tobytes() == expected.tobytes()
 
 
 class TestCombine:
@@ -621,24 +833,33 @@ class TestSimulateVerify:
         ({"scenario": {"mu": "1.5"}}, "mu: must be a real number, not '1.5'"),
         ({"scenario": {"rho": True}}, "rho: must be a real number, not True"),
         ({"alpha": True}, "alpha: must be a real number, not True"),
-        ({"check": "replicability", "q": "0.1"}, "q: must be a real number, not '0.1'"),
+        ({"check": "replicability", "u": None, "q": "0.1"},
+         "q: must be a real number, not '0.1'"),
         ({"check": "dcc", "c_grid": [True, "0.1"]}, "c_grid: must be a real number, not True"),
         ({"method": "simes_storey", "lambda": "0.5"}, "lambda: must be a real number, not '0.5'"),
         ({"adaptive_lambda": "0.5"}, "adaptive_lambda: must be a real number, not '0.5'"),
         ({"alhpa": 0.5}, "unknown field 'alhpa'"),
         ({"scenario": {"reps": 1}}, "reps: a check needs at least 2, not 1"),
+        ({"check": "fdr_cp"}, "unknown check kind 'fdr_cp'"),
+        ({"statistic": "bogus"}, "field 'statistic' does not apply to a fdr_pc check"),
+        ({"check": "dcc", "shape": "identity"}, "field 'shape' does not apply to a dcc check"),
+        ({"check": "replicability"}, "field 'u' does not apply to a replicability check"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
             "c_grid-bool", "lambda-string", "adaptive_lambda-string", "unknown-field",
-            "one-rep"])
+            "one-rep", "unknown-kind", "fdr_pc-statistic", "dcc-shape",
+            "replicability-u"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
-        # Nothing is truncated, read as 0 and 1 or ignored, and no check
-        # passes on an empty grid or without a standard error.
+        # Nothing is truncated, read as 0 and 1 or ignored, no check
+        # passes on an empty grid or without a standard error, and a field
+        # of another kind of check is not taken as this kind's. A change to
+        # None drops the field.
         chk = {"check": "fdr_pc", "method": "simes", "u": 1,
                "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}}
         chk["scenario"].update(change.pop("scenario", {}))
-        path = self.scenario_file(tmp_path, [{**chk, **change}])
+        chk = {k: v for k, v in {**chk, **change}.items() if v is not None}
+        path = self.scenario_file(tmp_path, [chk])
         assert run(["verify", "--scenario", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
 

@@ -4,7 +4,8 @@ the scipy-free methods must not load scipy; only the methods that call
 ``scipy.special`` load it.
 The console entry point ``main`` freezes the garbage collector once ``run``
 has returned, and only there; exit status, exit hooks and output are as
-without the freeze."""
+without the freeze. A run that parses part of its matrix in a forked child
+loads no process pool, and its exit hooks and output happen once."""
 
 import importlib
 import json
@@ -44,6 +45,36 @@ import atexit, gc, sys
 atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
 from pcfdr.cli import main
 main()
+"""
+# Prepended to a script: read_matrix parses any matrix of 1 KB or more in
+# two ranges, the second in a forked child, and FORKS counts the forks.
+SPLIT = """
+import os
+import pcfdr.cli
+pcfdr.cli._MIN_CHUNK, pcfdr.cli._cores = 512, lambda: 2
+FORKS, fork = [], os.fork
+os.fork = lambda: FORKS.append(1) or fork()
+"""
+# A split replicate run: the forks and which of the modules that a process
+# pool or Fisher's method would load were loaded, as JSON.
+SPLIT_RUN = SPLIT + """
+import json, sys
+assert pcfdr.cli.run(["replicate", sys.argv[1], "--q", "0.1", "--method", "simes",
+                      "--out", sys.argv[2]]) == 0
+print(json.dumps({"forks": len(FORKS), "loaded": [
+    m for m in ("multiprocessing", "concurrent.futures", "scipy") if m in sys.modules]}))
+"""
+# The console entry point after a split: an exit hook appends a line to the
+# file named by the first argument, and a line is written to standard
+# output, unflushed, before main runs.
+SPLIT_MAIN = SPLIT + """
+import atexit, sys
+def hook(log=sys.argv.pop(1)):
+    with open(log, "a") as fh:
+        fh.write(f"forks {len(FORKS)}\\n")
+atexit.register(hook)
+sys.stdout.write("before main\\n")
+pcfdr.cli.main()
 """
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -141,3 +172,36 @@ def test_package_exports_every_name_in_the_module_all(module):
     package, mod = importlib.import_module("pcfdr"), importlib.import_module(f"pcfdr.{module}")
     assert [name for name in mod.__all__
             if getattr(package, name, None) is not getattr(mod, name)] == []
+
+
+def split_matrix(tmp_path):
+    """A 60-row matrix with ids, 2 KB or more."""
+    path = tmp_path / "big.csv"
+    path.write_text("".join(f"g{i},{0.5 ** (i % 30):.17g},0.12345678901234567,0.3\n"
+                            for i in range(60)))
+    assert path.stat().st_size >= 2048
+    return path
+
+
+def test_split_replicate_loads_no_pool_and_no_scipy(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-c", SPLIT_RUN, str(split_matrix(tmp_path)), str(tmp_path / "r.json")],
+        env=ENV, capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stdout) == {"forks": 1, "loaded": []}
+
+
+def test_forked_parse_runs_exit_hooks_and_writes_output_once(tmp_path):
+    # Standard output is a pipe, so "before main" stays in its buffer,
+    # which the child inherits, unless the interpreter is unbuffered.
+    matrix, log = split_matrix(tmp_path), tmp_path / "hook.log"
+    done = subprocess.run(
+        [sys.executable, "-c", SPLIT_MAIN, str(log), "replicate", str(matrix),
+         "--q", "0.1", "--method", "simes"],
+        env={k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"},
+        capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert log.read_text() == "forks 1\n"
+    head, report = done.stdout.split(b"\n", 1)
+    assert head == b"before main"
+    assert json.loads(report)["schema_version"] == 1  # one report, nothing after it
+    assert done.stderr == b""
