@@ -21,6 +21,7 @@ import collections
 import contextlib
 import dataclasses
 import gc
+import io
 import itertools
 import json
 import os
@@ -48,7 +49,7 @@ from .procedures import (
 from .replicability import SelectionRule, _analysis_in_place
 from .simulation import (
     SimulationScenario,
-    _number,
+    _typed,
     dcc_probe,
     mc_fdr_pc,
     mc_replicability_error,
@@ -58,10 +59,10 @@ SCHEMA_VERSION = 1
 # write_matrix formats this many values per block.
 _WRITE_BLOCK = 8192
 # read_matrix parses a file in byte ranges of at least this size, one per
-# usable core. Parsing takes about 14 ms a MB; a fork and its pipe about
-# 2.4 ms, and counting lines to place the ranges about 0.7 ms a MB.
+# usable core. A range parses at about 11 ms a MB, and a fork, its pipe and
+# its reap take about 2 ms, so splitting a file under 2 MiB gains nothing.
 _MIN_CHUNK = 1 << 20
-# _line_counts and _bounds read this many bytes at a time.
+# _bounds reads this many bytes at a time.
 _SCAN_BLOCK = 1 << 16
 
 __all__ = ["main", "run"]
@@ -108,10 +109,10 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     ``np.loadtxt`` parses each row into a zero-width id field, which keeps
     no bytes, and the values, so it rejects a row of another width itself.
     A file of two or more ``_MIN_CHUNK`` bytes is parsed on up to as many
-    cores at once (:func:`_loadtxt`). ``np.loadtxt`` cannot skip a
-    whitespace-only line, so on any failure the nonblank lines are parsed
-    again in this process alone; only if that fails too is the file read
-    once more to locate the bad cell.
+    cores at once, each from its own byte range (:func:`_loadtxt`).
+    ``np.loadtxt`` cannot skip a whitespace-only line, so on any failure
+    the nonblank lines are parsed again in this process alone; only if
+    that fails too is the file read once more to locate the bad cell.
     """
     try:
         if not stat.S_ISREG((st := os.stat(path)).st_mode):
@@ -151,14 +152,13 @@ def _loadtxt(path: str, size: int, kw: dict) -> np.ndarray:
     With k = min(usable cores, size // _MIN_CHUNK) of 2 or more, ``os.fork``
     and no other Python thread, the file is cut into k byte ranges that
     each end a line. This process parses the first range while one forked
-    child per other range parses that one, each with the same keywords
-    from the path, and the children's rows come back through pipes. The
-    result is the same array, bit for bit. Numpy's OpenBLAS joins its
-    worker thread before a fork, so a child holds one thread; it runs no
-    exit hook and flushes no inherited buffer. Raises ValueError if a
-    range fails to parse, a child exits other than 0 or a row count
-    differs, and OSError if a pipe or a fork fails; no child outlives the
-    call.
+    child per other range parses that one, each from its own bytes with the
+    same keywords (:func:`_load_range`), and the children's rows come back
+    through pipes. The result is the same array, bit for bit. Numpy's
+    OpenBLAS joins its worker thread before a fork, so a child holds one
+    thread; it runs no exit hook and flushes no inherited buffer. Raises
+    ValueError if a range fails to parse or a child exits other than 0,
+    and OSError if a pipe or a fork fails; no child outlives the call.
     """
     k = min(_cores(), size // _MIN_CHUNK)
     if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
@@ -166,7 +166,7 @@ def _loadtxt(path: str, size: int, kw: dict) -> np.ndarray:
     fd = os.open(path, os.O_RDONLY)
     try:
         bounds = _bounds(fd, size, k)
-        ranges = [(start, end, end == bounds[-1]) for start, end in zip(bounds, bounds[1:])]
+        ranges = list(zip(bounds, bounds[1:]))
         pids, reads = [], []
         try:
             for span in ranges[1:]:
@@ -174,11 +174,11 @@ def _loadtxt(path: str, size: int, kw: dict) -> np.ndarray:
                 reads.append(r)
                 try:
                     if (pid := os.fork()) == 0:
-                        _child(path, kw, fd, span, w, reads)
+                        _child(kw, fd, span, w, reads)
                 finally:
                     os.close(w)
                 pids.append(pid)
-            own = _load_range(path, kw, fd, *ranges[0])
+            own = _load_range(kw, fd, *ranges[0])
             counts = np.zeros(len(reads), np.int64)
             for i, r in enumerate(reads):
                 _read_into(r, counts[i:i + 1])
@@ -220,46 +220,34 @@ def _bounds(fd: int, size: int, k: int) -> list[int]:
     return [len(codecs.BOM_UTF8) if bom else 0, *sorted(cuts)]
 
 
-def _line_counts(fd: int, start: int, end: int) -> tuple[int, int]:
-    """(lines, blank lines) in bytes [start, end) of the open file ``fd``,
-    as text mode splits them ("\\n", "\\r\\n" and "\\r" end a line), for a
-    range that starts a line and, unless empty, ends one. It is read a
-    block at a time, each counted with the byte before it."""
-    lines = blank = 0
-    last = b"\n"  # start starts a line
-    for pos in range(start, end, _SCAN_BLOCK):
-        block = os.pread(fd, min(_SCAN_BLOCK, end - pos), pos)
-        a = np.frombuffer(last + block, np.uint8)
-        lf, cr = a == ord("\n"), a == ord("\r")
-        ends, crlf = lf | cr, np.count_nonzero(cr[:-1] & lf[1:])
-        lines += int(np.count_nonzero(ends[1:])) - crlf
-        blank += int(np.count_nonzero(ends[:-1] & ends[1:])) - crlf
-        last = block[-1:]
-    return lines, blank
+class _Range(io.RawIOBase):
+    """Bytes [start, end) of the open file ``fd``, read with ``os.pread``,
+    which neither reads nor moves the file offset that a fork shares."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        self.fd, self.pos, self.end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self.fd, min(len(buf), self.end - self.pos), self.pos)
+        buf[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
 
 
-def _load_range(path: str, kw: dict, fd: int, start: int, end: int,
-                last: bool) -> np.ndarray:
-    """``np.loadtxt`` of the lines of ``path`` in bytes [start, end) of its
-    open file ``fd``; the last range's lines run to the end of the file.
-    Raises ValueError unless a range other than the last gives one row per
-    line that is not blank."""
-    skip, _ = _line_counts(fd, 0, start)
-    rows = None
-    if not last:
-        lines, blank = _line_counts(fd, start, end)
-        rows = lines - blank
+def _load_range(kw: dict, fd: int, start: int, end: int) -> np.ndarray:
+    """``np.loadtxt`` of bytes [start, end) of the open file ``fd``, read as
+    UTF-8 text whose "\\n", "\\r\\n" and "\\r" end a line, as ``open`` reads
+    it. Range 0 starts past a byte-order mark, so any other U+FEFF is text."""
+    text = io.TextIOWrapper(io.BufferedReader(_Range(fd, start, end)), encoding="utf-8")
     with warnings.catch_warnings():
-        # A blank line among max_rows, or a range of blank lines, warns.
-        warnings.simplefilter("ignore", UserWarning)
-        arr = np.loadtxt(path, skiprows=skip, max_rows=rows, **kw)
-    if rows is not None and len(arr) != rows:
-        raise ValueError(f"expected {rows} rows, read {len(arr)}")
-    return arr
+        warnings.simplefilter("ignore", UserWarning)  # a range of blank lines warns
+        return np.loadtxt(text, **kw)
 
 
-def _child(path: str, kw: dict, fd: int, span: tuple[int, int, bool], out: int,
-           reads: list[int]) -> NoReturn:
+def _child(kw: dict, fd: int, span: tuple[int, int], out: int, reads: list[int]) -> NoReturn:
     """In a forked child: parse the range ``span`` and write its row count
     and values to the pipe ``out``. Exits with os._exit, 0 once all is
     written, else 1, so that no exit hook runs and no buffer inherited
@@ -269,7 +257,7 @@ def _child(path: str, kw: dict, fd: int, span: tuple[int, int, bool], out: int,
         gc.disable()  # a collection could run a finalizer of the parent's
         for r in reads:  # so that a pipe's writer sees a dead parent
             os.close(r)
-        arr = _load_range(path, kw, fd, *span)
+        arr = _load_range(kw, fd, *span)
         with open(out, "wb") as fh:
             fh.write(np.array([len(arr)], np.int64))
             fh.write(arr["p"])
@@ -561,7 +549,7 @@ def cmd_replicate(args) -> int:
 def _fdr_pc_check(chk, scenario, method, shape, ws):
     """Weighted FDR of the PC family against alpha times the PC-null share."""
     (u,) = _int_vector([chk["u"]], "u").tolist()
-    alpha = _number(chk.get("alpha", 0.05), "alpha")
+    alpha = _typed(chk.get("alpha", 0.05), "alpha")
     tc = ThresholdCollection(alpha=alpha, m=scenario.m, weights=ws, shape=shape,
                              adaptive_lambda=chk.get("adaptive_lambda"))
     est = mc_fdr_pc(scenario, u, method, tc)
@@ -570,18 +558,19 @@ def _fdr_pc_check(chk, scenario, method, shape, ws):
 
 def _replicability_check(chk, scenario, method, shape, ws):
     """Replicability error of the two-step procedure against q."""
-    q = _number(chk.get("q", 0.05), "q")
-    rule = _parse_rule(chk.get("rule", "step-up"), q, shape)
+    q = _typed(chk.get("q", 0.05), "q")
+    rule = _parse_rule(_typed(chk.get("rule", "step-up"), "rule", str), q, shape)
     return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
 
 
 def _dcc_check(chk, scenario, method, shape, ws):
     """The dependency control condition against each c of the grid."""
-    grid = [_number(c, "c_grid") for c in chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5])]
+    grid = _typed(chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5]), "c_grid", list)
+    grid = [_typed(c, "c_grid") for c in grid]
     (u,) = _int_vector([chk["u"]], "u").tolist()
     out = dcc_probe(scenario, u, method, grid,
-                    statistic=chk.get("statistic", "rejection_volume"),
-                    alpha=_number(chk.get("alpha", 0.05), "alpha"))
+                    statistic=_typed(chk.get("statistic", "rejection_volume"), "statistic", str),
+                    alpha=_typed(chk.get("alpha", 0.05), "alpha"))
     return [({"c": c}, est, c) for c, est in out]
 
 
@@ -608,19 +597,26 @@ def _run_scenario_file(args, enforce: bool) -> int:
         spec = json.loads(_read_text(args.scenario))
     except json.JSONDecodeError as exc:
         raise CliError(f"{args.scenario}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if not isinstance(spec, dict) or not isinstance(checks := spec.get("checks", [spec]), list):
+    if (not isinstance(spec, dict) or not isinstance(checks := spec.get("checks", [spec]), list)
+            or not all(isinstance(chk, dict) for chk in checks)):
         raise CliError(f"{args.scenario}: bad check spec: not an object with a list of checks")
     records = []
     all_pass = True
+    sc_fields = {f.name: f.default for f in dataclasses.fields(SimulationScenario)}
     for chk in checks:
         try:
-            sc_dict = dict(chk["scenario"])
-            if (kind := chk["check"]) not in _CHECKS:
+            if (kind := _typed(chk["check"], "check", str)) not in _CHECKS:
                 raise ValueError(f"unknown check kind {kind!r}")
             if unknown := [k for k in chk if k not in _CHECK_FIELDS[kind]]:
                 if any(unknown[0] in fields for fields in _CHECK_FIELDS.values()):
                     raise ValueError(f"field {unknown[0]!r} does not apply to a {kind} check")
                 raise ValueError(f"unknown field {unknown[0]!r}")
+            sc_dict = _typed(chk["scenario"], "scenario", dict)
+            if unknown := [k for k in sc_dict if k not in sc_fields]:
+                raise ValueError(f"scenario: unknown field {unknown[0]!r}")
+            if missing := [k for k, v in sc_fields.items()
+                           if v is dataclasses.MISSING and k not in sc_dict]:
+                raise ValueError(f"scenario: missing field {missing[0]!r}")
             if args.reps is not None:
                 sc_dict["reps"] = args.reps
             if args.seed is not None:
@@ -630,12 +626,14 @@ def _run_scenario_file(args, enforce: bool) -> int:
                 raise ValueError(f"reps: a check needs at least 2, not {scenario.reps}")
             for name in ("lambda", "adaptive_lambda"):
                 if chk.get(name) is not None:
-                    _number(chk[name], name)
-            method = CombiningMethod(chk["method"], chk.get("lambda"))
-            shape = ShapeFunction(chk.get("shape", "identity"))
+                    _typed(chk[name], name)
+            method = CombiningMethod(_typed(chk["method"], "method", str), chk.get("lambda"))
+            shape = ShapeFunction(_typed(chk.get("shape", "identity"), "shape", str))
             sub = [_result(*r) for r in _CHECKS[kind](
                 chk, scenario, method, shape, WeightScheme.unit(scenario.m))]
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:  # a field that the check reads is not there
+            raise CliError(f"{args.scenario}: bad check spec: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
             raise CliError(f"{args.scenario}: bad check spec: {exc}") from None
         ok = all(r["pass"] for r in sub)
         all_pass = all_pass and ok

@@ -55,14 +55,15 @@ _DEPENDENCE = ("independent", "equicorrelated_prds", "block_arbitrary")
 _CHUNK_ROWS = 4096
 
 
-def _number(x, name: str, kind: type = float):
+def _typed(x, name: str, kind: type = float):
     """``kind(x)`` for an integer ``x`` if ``kind`` is int, for any real
-    ``x`` if it is float; a boolean or a string, which a scenario file may
-    hold where a number belongs, is a ValueError naming ``name``."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral if kind is int
-                                             else numbers.Real):
-        raise ValueError(f"{name}: must be {'an integer' if kind is int else 'a real number'}"
-                         f", not {x!r}")
+    ``x`` if it is float, else for an ``x`` of type ``kind``. Any other
+    value, which a scenario file may hold in any field, is a ValueError
+    naming ``name``; a boolean is never a number."""
+    cls, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
+                 str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}[kind]
+    if isinstance(x, bool) or not isinstance(x, cls):
+        raise ValueError(f"{name}: must be {what}, not {x!r}")
     return kind(x)
 
 
@@ -85,9 +86,9 @@ class SimulationScenario:
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "reps", "seed", "block_size"):
-            _number(getattr(self, name), name, int)
+            _typed(getattr(self, name), name, int)
         for name in ("mu", "rho"):
-            _number(getattr(self, name), name)
+            _typed(getattr(self, name), name)
         object.__setattr__(self, "true_k", tuple(_int_vector(self.true_k, "true_k").tolist()))
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")

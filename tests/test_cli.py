@@ -282,7 +282,7 @@ class TestChunkedParse:
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(cli, "_rows", counting_rows)
         monkeypatch.setattr(cli, "_MIN_CHUNK", 512)
-        monkeypatch.setattr(cli, "_SCAN_BLOCK", 7)  # so that CRLF pairs straddle blocks
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", 7)  # so that _bounds scans in short blocks
         yield cores
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -372,16 +372,69 @@ class TestChunkedParse:
             line = 1 + lines.index(bad)
             assert expected[0].startswith(f"error: {path}:{line}:")
 
+    def test_a_range_reads_only_its_own_bytes(self, tmp_path, monkeypatch):
+        # The second of two ranges is parsed from its own bytes alone, not
+        # after the lines before it.
+        text = matrix_text(True, "\r\n", False, True).encode()
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        kw = dict(dtype=[("id", "S"), ("p", float, (4,))], delimiter=",", comments=None,
+                  ndmin=1, encoding="utf-8-sig")
+        reads, pread = [], os.pread
+
+        def spy(fd, n, pos):
+            reads.append((pos, pos + n))
+            return pread(fd, n, pos)
+
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            start, end = cli._bounds(fd, len(text), 2)[1:]
+            monkeypatch.setattr(os, "pread", spy)
+            arr = cli._load_range(kw, fd, start, end)
+        finally:
+            os.close(fd)
+        assert 0 < start < end == len(text)
+        assert reads and all(start <= a <= b <= end for a, b in reads)
+        tail = np.loadtxt(text[start:].decode().splitlines(), **kw)
+        assert len(arr) == len(tail) > 0
+        assert arr["p"].tobytes() == tail["p"].tobytes()
+
+    def test_a_byte_order_mark_that_starts_a_later_range_is_not_a_number(
+            self, tmp_path, capsys, split):
+        # Only the start of the file may hold a byte-order mark. No line is
+        # blank, so the second range starts with a row.
+        text = matrix_text(False, "\n", False, True).replace("\n\n", "\n").lstrip().encode()
+        fd = os.open(path := tmp_path / "m.csv", os.O_RDWR | os.O_CREAT)
+        try:
+            os.write(fd, text)
+            cut = cli._bounds(fd, len(text), 2)[1]
+            text = text[:cut] + "\ufeff".encode() + text[cut:]
+            os.pwrite(fd, text, 0)
+            assert cli._bounds(fd, len(text), 2)[1] == cut
+        finally:
+            os.close(fd)
+        argv = ["replicate", str(path), "--q", "0.1", "--method", "simes"]
+        split(1)
+        assert run(argv) == 2
+        expected = capsys.readouterr().err
+        calls = split(2)
+        calls.update(forks=0)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == expected
+        assert calls["forks"] == 1
+        line = text[:cut].count(b"\n") + 1
+        assert expected.startswith(f"error: {path}:{line}:1: not a number: '\\ufeff")
+
     def test_a_child_that_dies_gives_the_serial_matrix(self, tmp_path, split, monkeypatch):
         path = tmp_path / "m.csv"
         path.write_bytes(matrix_text(True, "\n", False, True).encode())
         _, expected = self.serial(split, str(path))
         load_range = cli._load_range
 
-        def dying(path, kw, fd, start, end, last):
+        def dying(kw, fd, start, end):
             if start > 0:  # in the child
                 os.kill(os.getpid(), signal.SIGKILL)
-            return load_range(path, kw, fd, start, end, last)
+            return load_range(kw, fd, start, end)
 
         monkeypatch.setattr(cli, "_load_range", dying)
         calls = split(2)
@@ -409,10 +462,10 @@ class TestChunkedParse:
         path.write_bytes(matrix_text(False, "\n", False, True).encode())
         load_range = cli._load_range
 
-        def interrupted(path, kw, fd, start, end, last):
+        def interrupted(kw, fd, start, end):
             if start > 0:  # in the child, which only a kill ends in time
                 time.sleep(60)
-                return load_range(path, kw, fd, start, end, last)
+                return load_range(kw, fd, start, end)
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "_load_range", interrupted)
@@ -810,7 +863,7 @@ class TestSimulateVerify:
         missing = self.scenario_file(tmp_path, [{"check": "fdr_pc", "scenario": {}}])
         assert run(["verify", "--scenario", missing]) == 2
 
-    @pytest.mark.parametrize("text", ["5", '{"checks": 5}', "[]"])
+    @pytest.mark.parametrize("text", ["5", '{"checks": 5}', "[]", '{"checks": [5]}'])
     def test_scenario_not_an_object_with_a_list_of_checks_exits_2(self, tmp_path, capsys, text):
         path = write(tmp_path, "bad.json", text)
         assert run(["verify", "--scenario", path]) == 2
@@ -844,21 +897,39 @@ class TestSimulateVerify:
         ({"statistic": "bogus"}, "field 'statistic' does not apply to a fdr_pc check"),
         ({"check": "dcc", "shape": "identity"}, "field 'shape' does not apply to a dcc check"),
         ({"check": "replicability"}, "field 'u' does not apply to a replicability check"),
+        ({"check": None}, "missing field 'check'"),
+        ({"scenario": None}, "missing field 'scenario'"),
+        ({"method": None}, "missing field 'method'"),
+        ({"u": None}, "missing field 'u'"),
+        ({"check": "dcc", "u": None}, "missing field 'u'"),
+        ({"scenario": [1, 2]}, "scenario: must be an object, not [1, 2]"),
+        ({"scenario": {"mm": 10}}, "scenario: unknown field 'mm'"),
+        ({"scenario": {"true_k": None}}, "scenario: missing field 'true_k'"),
+        ({"check": ["x"]}, "check: must be a string, not ['x']"),
+        ({"method": [1]}, "method: must be a string, not [1]"),
+        ({"shape": 5}, "shape: must be a string, not 5"),
+        ({"check": "replicability", "u": None, "rule": 5}, "rule: must be a string, not 5"),
+        ({"check": "dcc", "statistic": 5}, "statistic: must be a string, not 5"),
+        ({"check": "dcc", "c_grid": 5}, "c_grid: must be a list, not 5"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
             "c_grid-bool", "lambda-string", "adaptive_lambda-string", "unknown-field",
             "one-rep", "unknown-kind", "fdr_pc-statistic", "dcc-shape",
-            "replicability-u"])
+            "replicability-u", "no-check", "no-scenario", "no-method", "no-u", "dcc-no-u",
+            "scenario-list", "scenario-unknown-field", "scenario-no-true_k", "check-list",
+            "method-list", "shape-int", "rule-int", "statistic-int", "c_grid-int"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
         # Nothing is truncated, read as 0 and 1 or ignored, no check
-        # passes on an empty grid or without a standard error, and a field
-        # of another kind of check is not taken as this kind's. A change to
-        # None drops the field.
+        # passes on an empty grid or without a standard error, a field of
+        # another kind of check is not taken as this kind's, and every
+        # message names the field. A change to None drops the field; a
+        # scenario change that is an object changes the scenario's fields.
         chk = {"check": "fdr_pc", "method": "simes", "u": 1,
                "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}}
-        chk["scenario"].update(change.pop("scenario", {}))
-        chk = {k: v for k, v in {**chk, **change}.items() if v is not None}
+        if isinstance(sc := change.pop("scenario", {}), dict):
+            sc = {k: v for k, v in {**chk["scenario"], **sc}.items() if v is not None}
+        chk = {k: v for k, v in {**chk, **change, "scenario": sc}.items() if v is not None}
         path = self.scenario_file(tmp_path, [chk])
         assert run(["verify", "--scenario", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
