@@ -26,16 +26,14 @@ import itertools
 import json
 import os
 import shutil
-import signal
 import stat
 import sys
-import threading
 import warnings
 from collections.abc import Iterable, Iterator
-from typing import NoReturn
 
 import numpy as np
 
+from . import _fork
 from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError, _sort_rows_in_place
 from .partial_conjunction import _pc_pvalues_sorted
 from .pc_testing import GroupLayout, _int_vector, compute_pc_pvalues
@@ -138,69 +136,22 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     return has_ids, mat
 
 
-def _cores() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity outside Linux
-        return os.cpu_count() or 1
-
-
 def _loadtxt(path: str, size: int, kw: dict) -> np.ndarray:
-    """``np.loadtxt(path, **kw)`` for the ``size``-byte file ``path``.
-
-    With k = min(usable cores, size // _MIN_CHUNK) of 2 or more, ``os.fork``
-    and no other Python thread, the file is cut into k byte ranges that
-    each end a line. This process parses the first range while one forked
-    child per other range parses that one, each from its own bytes with the
-    same keywords (:func:`_load_range`), and the children's rows come back
-    through pipes. The result is the same array, bit for bit. Numpy's
-    OpenBLAS joins its worker thread before a fork, so a child holds one
-    thread; it runs no exit hook and flushes no inherited buffer. Raises
-    ValueError if a range fails to parse or a child exits other than 0,
-    and OSError if a pipe or a fork fails; no child outlives the call.
+    """``np.loadtxt(path, **kw)`` for the ``size``-byte file ``path``, the
+    same array bit for bit. With k = min(usable cores, size // _MIN_CHUNK)
+    processes of 2 or more (:func:`_fork.processes`), the file is cut into
+    k byte ranges that each end a line, and each process parses one from
+    its own bytes (:func:`_load_range`). Raises ValueError if a range fails
+    to parse, and OSError if a child, a pipe or a fork fails.
     """
-    k = min(_cores(), size // _MIN_CHUNK)
-    if k < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if (k := _fork.processes(size // _MIN_CHUNK)) < 2:
         return np.loadtxt(path, **kw)
     fd = os.open(path, os.O_RDONLY)
     try:
         bounds = _bounds(fd, size, k)
-        ranges = list(zip(bounds, bounds[1:]))
-        pids, reads = [], []
-        try:
-            for span in ranges[1:]:
-                r, w = os.pipe()
-                reads.append(r)
-                try:
-                    if (pid := os.fork()) == 0:
-                        _child(kw, fd, span, w, reads)
-                finally:
-                    os.close(w)
-                pids.append(pid)
-            own = _load_range(kw, fd, *ranges[0])
-            counts = np.zeros(len(reads), np.int64)
-            for i, r in enumerate(reads):
-                _read_into(r, counts[i:i + 1])
-            first = len(own)
-            # Grown by realloc: no second array holds all the rows.
-            own.resize(first + int(counts.sum()), refcheck=False)
-            for r, count in zip(reads, counts.tolist()):
-                _read_into(r, own["p"][first:first + count])
-                first += count
-        except BaseException:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for r in reads:
-                os.close(r)
-            failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+        return _fork.map_rows(lambda span: _load_range(kw, fd, *span), [*zip(bounds, bounds[1:])])
     finally:
         os.close(fd)
-    if failed:
-        raise ValueError(f"{failed} parse worker(s) failed")
-    return own
 
 
 def _bounds(fd: int, size: int, k: int) -> list[int]:
@@ -245,35 +196,6 @@ def _load_range(kw: dict, fd: int, start: int, end: int) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a range of blank lines warns
         return np.loadtxt(text, **kw)
-
-
-def _child(kw: dict, fd: int, span: tuple[int, int], out: int, reads: list[int]) -> NoReturn:
-    """In a forked child: parse the range ``span`` and write its row count
-    and values to the pipe ``out``. Exits with os._exit, 0 once all is
-    written, else 1, so that no exit hook runs and no buffer inherited
-    from the parent is flushed."""
-    status = 1
-    try:
-        gc.disable()  # a collection could run a finalizer of the parent's
-        for r in reads:  # so that a pipe's writer sees a dead parent
-            os.close(r)
-        arr = _load_range(kw, fd, *span)
-        with open(out, "wb") as fh:
-            fh.write(np.array([len(arr)], np.int64))
-            fh.write(arr["p"])
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _read_into(fd: int, buf: np.ndarray) -> None:
-    """Fill the C-contiguous array ``buf`` from the pipe ``fd``; raises
-    ValueError if the pipe ends first."""
-    view = memoryview(buf.reshape(-1).view(np.uint8))
-    while view:
-        if not (got := os.readv(fd, [view])):
-            raise ValueError("a parse worker ended early")
-        view = view[got:]
 
 
 def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
@@ -559,7 +481,13 @@ def _fdr_pc_check(chk, scenario, method, shape, ws):
 def _replicability_check(chk, scenario, method, shape, ws):
     """Replicability error of the two-step procedure against q."""
     q = _typed(chk.get("q", 0.05), "q")
-    rule = _parse_rule(_typed(chk.get("rule", "step-up"), "rule", str), q, shape)
+    if not 0.0 < q <= 1.0:  # as --q; the threshold rule would not check it
+        raise ValueError(f"q: {q} outside (0, 1]")
+    spec = _typed(chk.get("rule", "step-up"), "rule", str)
+    try:
+        rule = _parse_rule(spec, q, shape)
+    except ValueError as exc:
+        raise ValueError(f"rule: {exc}") from None
     return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
 
 
@@ -701,7 +629,8 @@ def _check_flags(args) -> None:
             ("--alpha", "alpha", unit), ("--q", "q", unit),
             ("--u-proportion", "u_proportion", unit),
             ("--lambda", "lam", ("outside (0, 1)", lambda x: 0.0 < x < 1.0)),
-            ("--u", "u", count), ("--reps", "reps", count)):
+            ("--u", "u", count), ("--reps", "reps", count),
+            ("--seed", "seed", ("outside [0, 2**64)", lambda x: 0 <= x < 2**64))):
         if (x := getattr(args, dest, None)) is not None and not ok(x):
             raise CliError(f"{flag} {x} {rule}")
 

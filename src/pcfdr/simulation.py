@@ -10,7 +10,10 @@ The Monte Carlo functions draw, combine, step up and score chunks of
 replicates stacked as (R, m, n) arrays, about 4,096 rows of m features per
 chunk. Every step works row by row with the same floating-point operations
 as on one matrix, so stacked and one-at-a-time draws, and the estimates
-built from them, agree bitwise.
+built from them, agree bitwise. For the same reason the replicates may be
+split over the usable cores, in contiguous spans that forked children
+draw and score (:func:`_map_chunks`): the estimates are the same, bit for
+bit, on any number of cores.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _fork
 from .combine import CombiningMethod
 from .partial_conjunction import pc_pvalues
 from .pc_testing import _int_vector
@@ -53,18 +57,26 @@ _DEPENDENCE = ("independent", "equicorrelated_prds", "block_arbitrary")
 # Replicates are stacked in chunks of about this many rows of m features,
 # which keeps every chunk array near _CHUNK_ROWS * n floats.
 _CHUNK_ROWS = 4096
+# Replicates are split over one process per this many drawn values: a fork,
+# its pipe and its reap take about 2 ms, the work about 45 ns a value, so a
+# split in two breaks even at about twice this many.
+_MIN_DRAWS = 1 << 16
 
 
 def _typed(x, name: str, kind: type = float):
     """``kind(x)`` for an integer ``x`` if ``kind`` is int, for any real
     ``x`` if it is float, else for an ``x`` of type ``kind``. Any other
-    value, which a scenario file may hold in any field, is a ValueError
-    naming ``name``; a boolean is never a number."""
+    value, which a scenario file may hold in any field, or an integer too
+    large for a float, is a ValueError naming ``name``; a boolean is never
+    a number."""
     cls, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
                  str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}[kind]
     if isinstance(x, bool) or not isinstance(x, cls):
         raise ValueError(f"{name}: must be {what}, not {x!r}")
-    return kind(x)
+    try:
+        return kind(x)
+    except OverflowError as exc:  # an integer beyond the range of a float
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,8 @@ class SimulationScenario:
         for name in ("mu", "rho"):
             _typed(getattr(self, name), name)
         object.__setattr__(self, "true_k", tuple(_int_vector(self.true_k, "true_k").tolist()))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed: {self.seed} outside [0, 2**64)")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         if len(self.true_k) != self.m:
@@ -144,7 +158,7 @@ def _draw(s: SimulationScenario, r0: int, r1: int) -> np.ndarray:
     rng = np.random.Generator(bits)
     fresh = bits.state
     for j, rep in enumerate(range(r0, r1)):
-        fresh["state"]["key"] = np.array([s.seed & 0xFFFFFFFFFFFFFFFF, rep], dtype=np.uint64)
+        fresh["state"]["key"] = np.array([s.seed, rep], dtype=np.uint64)
         bits.state = fresh
         rng.standard_normal(out=z[j])
         if prds:
@@ -183,12 +197,27 @@ def gen_meta_matrix(s: SimulationScenario, rep_index: int) -> np.ndarray:
     return _draw(s, rep_index, rep_index + 1)[0]
 
 
-def _chunks(s: SimulationScenario):
-    """The stacked draws of all replicates, one chunk at a time: about
-    _CHUNK_ROWS // m replicates each, at least one."""
+def _map_chunks(s: SimulationScenario, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``fn`` of the stacked draws of all replicates, about _CHUNK_ROWS // m
+    at a time, each a float array with a row per replicate, concatenated.
+    Replicates are split into k = min(usable cores, reps, drawn values //
+    _MIN_DRAWS) contiguous spans, mapped by :func:`_fork.map_rows`. If a
+    child, a pipe or a fork fails, this process maps them all again, so
+    that an error raises as it does here.
+    """
+    k = _fork.processes(min(s.reps, s.reps * s.m * s.n // _MIN_DRAWS))
+    cuts = [s.reps * i // k for i in range(k + 1)]
     step = max(1, _CHUNK_ROWS // s.m)
-    for r0 in range(0, s.reps, step):
-        yield _draw(s, r0, min(s.reps, r0 + step))
+
+    def mapped(span):
+        return np.concatenate([fn(_draw(s, r0, min(span[1], r0 + step)))
+                               for r0 in range(*span, step)])
+
+    import scipy.special  # noqa: F401  loaded before any fork, not in each child
+    try:
+        return _fork.map_rows(mapped, [*zip(cuts, cuts[1:])])
+    except OSError:  # a failed child, pipe or fork
+        return mapped((0, s.reps))
 
 
 def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
@@ -197,12 +226,13 @@ def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
     per-feature partial conjunction hypotheses at parameter u."""
     nulls = np.zeros(s.m, dtype=bool)
     nulls[sorted(s.true_null_features(u))] = True
-    fdps = []
-    for mats in _chunks(s):
+
+    def fdps(mats):
         pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
         rejected = _step_up_rows(pc, tc)[0]
-        fdps.append(_volume_share(rejected & nulls, rejected, tc.weights.penalty_v))
-    return _estimate(np.concatenate(fdps))
+        return _volume_share(rejected & nulls, rejected, tc.weights.penalty_v)
+
+    return _estimate(_map_chunks(s, fdps))
 
 
 def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
@@ -211,14 +241,15 @@ def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
     """Monte Carlo estimate of the weighted proportion of selected features
     with an erroneous replicability lower bound."""
     true_k = np.asarray(s.true_k)
-    errors = []
-    for mats in _chunks(s):
+
+    def errors(mats):
         selected = _select_rows(mats, rule, method, ws)
         wrong = np.zeros_like(selected)
         wrong[selected] = (_khat_rows(mats, selected, method, ws, q, beta)[0]
                            > np.broadcast_to(true_k, selected.shape)[selected])
-        errors.append(_volume_share(wrong, selected, ws.penalty_v))
-    return _estimate(np.concatenate(errors))
+        return _volume_share(wrong, selected, ws.penalty_v)
+
+    return _estimate(_map_chunks(s, errors))
 
 
 def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
@@ -244,17 +275,16 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     probe = nulls[0]
     tc = ThresholdCollection(alpha=alpha, m=s.m)
     rule = SelectionRule("step_up_on_combined", alpha=alpha)
-    p_u, vol = [], []
-    for mats in _chunks(s):
+
+    def probed(mats):
         pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
-        p_u.append(pc[:, probe])
         if statistic == "rejection_volume":
-            vol.append(_step_up_rows(pc, tc)[1])
-        else:
-            mats[:, probe] = 0.0
-            selected = _select_rows(mats, rule, method, tc.weights)
-            vol.append(_volumes(selected, tc.weights.penalty_v))
-    p_u, vol = np.concatenate(p_u), np.concatenate(vol)
+            return np.stack([pc[:, probe], _step_up_rows(pc, tc)[1]], axis=1)
+        mats[:, probe] = 0.0
+        selected = _select_rows(mats, rule, method, tc.weights)
+        return np.stack([pc[:, probe], _volumes(selected, tc.weights.penalty_v)], axis=1)
+
+    p_u, vol = _map_chunks(s, probed).T
     positive = vol > 0
     inverse = np.divide(1.0, vol, out=np.zeros(len(vol)), where=positive)
     return [(float(c), _estimate(np.where(positive & (p_u <= c * vol), inverse, 0.0)))

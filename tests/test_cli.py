@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcfdr import cli
+from pcfdr import _fork, cli
 from pcfdr.cli import CliError, read_ids, read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
@@ -276,7 +276,7 @@ class TestChunkedParse:
             return rows(*args)
 
         def cores(k):
-            monkeypatch.setattr(cli, "_cores", lambda: k)
+            monkeypatch.setattr(_fork, "_cores", lambda: k)
             return calls
 
         monkeypatch.setattr(os, "fork", counting_fork)
@@ -911,6 +911,26 @@ class TestSimulateVerify:
         ({"check": "replicability", "u": None, "rule": 5}, "rule: must be a string, not 5"),
         ({"check": "dcc", "statistic": 5}, "statistic: must be a string, not 5"),
         ({"check": "dcc", "c_grid": 5}, "c_grid: must be a list, not 5"),
+        ({"alpha": 10**400}, "alpha: int too large to convert to float"),
+        ({"scenario": {"mu": 10**400}}, "mu: int too large to convert to float"),
+        ({"scenario": {"rho": 10**400}}, "rho: int too large to convert to float"),
+        ({"check": "replicability", "u": None, "q": 10**400},
+         "q: int too large to convert to float"),
+        ({"check": "dcc", "c_grid": [0.1, 10**400]}, "c_grid: int too large to convert to float"),
+        ({"method": "simes_storey", "lambda": 10**400}, "lambda: int too large to convert to float"),
+        ({"adaptive_lambda": 10**400}, "adaptive_lambda: int too large to convert to float"),
+        ({"scenario": {"seed": 2**64 + 1}}, "seed: 18446744073709551617 outside [0, 2**64)"),
+        ({"scenario": {"seed": -1}}, "seed: -1 outside [0, 2**64)"),
+        ({"check": "replicability", "u": None, "rule": "threshold=abc"},
+         "rule: could not convert string to float: 'abc'"),
+        ({"check": "replicability", "u": None, "rule": "column=1.5"},
+         "rule: invalid literal for int() with base 10: '1.5'"),
+        ({"check": "replicability", "u": None, "rule": "threshold=2"},
+         "rule: fixed threshold rule needs threshold in [0, 1]"),
+        ({"check": "replicability", "u": None, "rule": "lasso"},
+         "rule: unknown rule; use step-up, threshold=T, or column=J"),
+        ({"check": "replicability", "u": None, "q": 2, "rule": "threshold=0.1"},
+         "q: 2.0 outside (0, 1]"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
@@ -918,7 +938,11 @@ class TestSimulateVerify:
             "one-rep", "unknown-kind", "fdr_pc-statistic", "dcc-shape",
             "replicability-u", "no-check", "no-scenario", "no-method", "no-u", "dcc-no-u",
             "scenario-list", "scenario-unknown-field", "scenario-no-true_k", "check-list",
-            "method-list", "shape-int", "rule-int", "statistic-int", "c_grid-int"])
+            "method-list", "shape-int", "rule-int", "statistic-int", "c_grid-int",
+            "alpha-overflow", "mu-overflow", "rho-overflow", "q-overflow", "c_grid-overflow",
+            "lambda-overflow", "adaptive_lambda-overflow", "seed-above", "seed-negative",
+            "rule-threshold", "rule-column", "rule-threshold-range", "rule-unknown",
+            "q-range"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
         # Nothing is truncated, read as 0 and 1 or ignored, no check
         # passes on an empty grid or without a standard error, a field of
@@ -1032,8 +1056,13 @@ class TestExitCodes:
         # One replicate has no standard error, so its bound would be the base.
         (["verify", "--scenario", str(REFERENCE), "--reps", "1"],
          f"{REFERENCE}: bad check spec: reps: a check needs at least 2, not 1"),
+        (["verify", "--scenario", str(REFERENCE), "--seed", "-1"],
+         "--seed -1 outside [0, 2**64)"),
+        (["simulate", "--scenario", str(REFERENCE), "--seed", str(2**64)],
+         "--seed 18446744073709551616 outside [0, 2**64)"),
     ], ids=["q", "alpha", "u-proportion", "lambda", "rule-threshold", "rule-column",
-          "rule-column-range", "rule-unknown", "reps", "reps-one"])
+          "rule-column-range", "rule-unknown", "reps", "reps-one", "seed-negative",
+          "seed-above"])
     def test_flag_out_of_range_exits_2_naming_the_flag(self, tmp_path, capsys, argv, err):
         files = {"M": write(tmp_path, "m.csv", "0.01,0.2\n0.03,0.5\n"),
                  "P": write(tmp_path, "p.csv", "0.01\n0.2\n"),

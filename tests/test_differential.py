@@ -6,7 +6,8 @@ fixed-point iteration of ``oracles``; the closed-form adjusted p-values with
 the bisection of ``oracles`` and with the step-up's rejection sets; a
 ``replicate`` run with the reciprocal-sum shape end to end with both; the
 stacked Monte Carlo functions with the one-replicate-at-a-time loops of
-``oracles``, estimate for estimate; the CLI's CSV reader with the
+``oracles``, estimate for estimate, in one process and split over two
+and three; the CLI's CSV reader with the
 per-line reader of ``oracles`` on random text, and its number test and the
 ``np.loadtxt`` behaviour it relies on with ``np.loadtxt`` itself; the
 bucketed ``compute_pc_pvalues`` over interleaved group labels with
@@ -15,12 +16,14 @@ bucketed ``compute_pc_pvalues`` over interleaved group labels with
 
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcfdr import _fork, simulation
 from pcfdr.cli import CliError, _is_number, read_ids, read_matrix, run
 from pcfdr.combine import (
     BONFERRONI,
@@ -335,9 +338,23 @@ FDR_CASES = [
 ]
 
 
+@pytest.fixture(params=[1, 2, 3], ids=["1-core", "2-cores", "3-cores"])
+def cores(request, monkeypatch):
+    """The usable core count, patched, with any Monte Carlo work worth a
+    split, so that each call maps its replicates on min(cores, reps)
+    processes; yields the core count and the list of forks so far."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(_fork, "_cores", lambda: request.param)
+    monkeypatch.setattr(simulation, "_MIN_DRAWS", 1)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    yield request.param, forks
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("dependence, method, opts", FDR_CASES,
                          ids=[f"{d}-{m.kind}-{'-'.join(o) or 'bh'}" for d, m, o in FDR_CASES])
-def test_mc_fdr_pc_matches_per_replicate_loop(dependence, method, opts):
+def test_mc_fdr_pc_matches_per_replicate_loop(dependence, method, opts, cores):
     opts = dict(opts)
     weighted = opts.pop("weighted", False)
     for s in (scenario(dependence, block_size=3), scenario(dependence, m=2500, reps=3)):
@@ -346,6 +363,7 @@ def test_mc_fdr_pc_matches_per_replicate_loop(dependence, method, opts):
         est = mc_fdr_pc(s, 2, method, tc)
         assert est == oracles.mc_fdr_pc(s, 2, method, tc)
         assert est.reps == s.reps
+    assert len(cores[1]) == 2 * (cores[0] - 1)
 
 
 REP_CASES = [
@@ -360,23 +378,26 @@ REP_CASES = [
 @pytest.mark.parametrize("dependence, method, rule, weighted", REP_CASES,
                          ids=[f"{d}-{m.kind}-{r.kind}{'-weighted' * w}"
                               for d, m, r, w in REP_CASES])
-def test_mc_replicability_error_matches_per_replicate_loop(dependence, method, rule, weighted):
+def test_mc_replicability_error_matches_per_replicate_loop(dependence, method, rule, weighted,
+                                                           cores):
     for s in (scenario(dependence, block_size=3), scenario(dependence, m=2500, reps=3)):
         ws = dyadic_weights(s.m) if weighted else WeightScheme.unit(s.m)
         est = mc_replicability_error(s, rule, method, ws, 0.2, rule.shape)
         assert est == oracles.mc_replicability_error(s, rule, method, ws, 0.2, rule.shape)
         assert est.reps == s.reps
+    assert len(cores[1]) == 2 * (cores[0] - 1)
 
 
 @pytest.mark.parametrize("statistic", ["rejection_volume", "selection_volume_minus_row"])
 @pytest.mark.parametrize("method", [FISHER, simes_storey(0.5)], ids=lambda m: m.kind)
-def test_dcc_probe_matches_per_replicate_loop(statistic, method):
+def test_dcc_probe_matches_per_replicate_loop(statistic, method, cores):
     # m = 20 puts 204 replicates in a chunk.
     s = scenario("equicorrelated_prds", m=20, reps=300)
     grid = [0.02, 0.1, 0.5]
     got = dcc_probe(s, 2, method, grid, statistic=statistic, alpha=0.2)
     assert got == oracles.dcc_probe(s, 2, method, grid, statistic, 0.2)
     assert any(est.mean > 0 for _, est in got)
+    assert len(cores[1]) == cores[0] - 1
 
 
 # Random CSV text: blank and whitespace-only lines (ASCII and not), ids

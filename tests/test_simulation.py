@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import kstest
 
+from pcfdr import _fork, simulation
 from pcfdr.combine import SIMES
 from pcfdr.procedures import ThresholdCollection, WeightScheme
 from pcfdr.replicability import SelectionRule
@@ -33,6 +38,18 @@ class TestScenario:
             SimulationScenario(m=1, n=3, true_k=(1,), rho=1.5)
         with pytest.raises(ValueError):
             SimulationScenario(m=1, n=3, true_k=(1,), dependence="copula")
+        for seed in (-1, 2**64, 2**64 + 1):  # not read as seed mod 2**64
+            with pytest.raises(ValueError, match=f"seed: {seed} outside"):
+                SimulationScenario(m=1, n=3, true_k=(1,), seed=seed)
+        for name in ("mu", "rho"):
+            with pytest.raises(ValueError, match=f"{name}: int too large"):
+                SimulationScenario(m=1, n=3, true_k=(1,), **{name: 10**400})
+
+    def test_largest_seed_keys_its_own_stream(self):
+        s = null_scenario(m=3, n=2, seed=2**64 - 1)
+        key = np.array([2**64 - 1, 7], dtype=np.uint64)
+        z = np.random.Generator(np.random.Philox(key=key)).standard_normal((3, 2))
+        assert np.array_equal(gen_meta_matrix(s, 7), ndtr(-z))
 
     def test_true_null_features(self):
         s = SimulationScenario(m=3, n=4, true_k=(0, 2, 4))
@@ -148,3 +165,69 @@ def test_replicate_order_invariance():
     again = [gen_meta_matrix(s, r) for r in reversed(range(10))]
     for a, b in zip(mats, reversed(again)):
         assert np.array_equal(a, b)
+
+
+class TestForkedMap:
+    """Replicates split over forked children: a failing child leaves no
+    process and raises as one process does; another thread keeps one
+    process. The estimates equal the oracle's on 1 to 3 processes in
+    test_differential."""
+
+    S = SimulationScenario(m=20, n=3, true_k=(0,) * 10 + (3,) * 10, mu=3.0, reps=50, seed=9)
+    TC = ThresholdCollection(alpha=0.2, m=20)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Any work splits over two processes; the list of forks."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(_fork, "_cores", lambda: 2)
+        monkeypatch.setattr(simulation, "_MIN_DRAWS", 1)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def serial(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(_fork, "_cores", lambda: 1)
+            return mc_fdr_pc(self.S, 2, SIMES, self.TC)
+
+    def test_an_error_in_a_child_raises_as_in_one_process(self, forks, monkeypatch):
+        draw = simulation._draw
+
+        def failing(s, r0, r1):
+            if r1 == s.reps:  # the last chunk, which a child draws
+                raise ValueError("no draw")
+            return draw(s, r0, r1)
+
+        monkeypatch.setattr(simulation, "_draw", failing)
+        with pytest.raises(ValueError, match="no draw"):
+            mc_fdr_pc(self.S, 2, SIMES, self.TC)
+        assert len(forks) == 1
+
+    def test_a_child_that_dies_gives_the_serial_estimate(self, forks, monkeypatch):
+        expected = self.serial(monkeypatch)
+        parent, draw = os.getpid(), simulation._draw
+
+        def dying(s, r0, r1):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return draw(s, r0, r1)
+
+        monkeypatch.setattr(simulation, "_draw", dying)
+        assert mc_fdr_pc(self.S, 2, SIMES, self.TC) == expected
+        assert len(forks) == 1
+
+    def test_another_thread_keeps_one_process(self, forks, monkeypatch):
+        expected = self.serial(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            est = mc_fdr_pc(self.S, 2, SIMES, self.TC)
+        finally:
+            release.set()
+            other.join(30)
+        assert not other.is_alive()
+        assert forks == []
+        assert est == expected

@@ -5,7 +5,8 @@ the scipy-free methods must not load scipy; only the methods that call
 The console entry point ``main`` freezes the garbage collector once ``run``
 has returned, and only there; exit status, exit hooks and output are as
 without the freeze. A run that parses part of its matrix in a forked child
-loads no process pool, and its exit hooks and output happen once."""
+loads no process pool, and its exit hooks and output happen once, as in a
+verify run whose Monte Carlo check forks."""
 
 import importlib
 import json
@@ -47,11 +48,13 @@ from pcfdr.cli import main
 main()
 """
 # Prepended to a script: read_matrix parses any matrix of 1 KB or more in
-# two ranges, the second in a forked child, and FORKS counts the forks.
+# two ranges, and a Monte Carlo check splits its replicates in two, the
+# second part in a forked child; FORKS counts the forks.
 SPLIT = """
 import os
 import pcfdr.cli
-pcfdr.cli._MIN_CHUNK, pcfdr.cli._cores = 512, lambda: 2
+pcfdr.cli._MIN_CHUNK, pcfdr._fork._cores = 512, lambda: 2
+pcfdr.simulation._MIN_DRAWS = 1
 FORKS, fork = [], os.fork
 os.fork = lambda: FORKS.append(1) or fork()
 """
@@ -190,18 +193,32 @@ def test_split_replicate_loads_no_pool_and_no_scipy(tmp_path):
     assert json.loads(done.stdout) == {"forks": 1, "loaded": []}
 
 
-def test_forked_parse_runs_exit_hooks_and_writes_output_once(tmp_path):
-    # Standard output is a pipe, so "before main" stays in its buffer,
-    # which the child inherits, unless the interpreter is unbuffered.
-    matrix, log = split_matrix(tmp_path), tmp_path / "hook.log"
+def split_main(tmp_path, *argv):
+    """``pcfdr argv`` through ``main`` after SPLIT_MAIN's set-up, run to
+    completion; its exit hook has run once, after one fork, and it has
+    written one report after "before main". Standard output is a pipe,
+    so "before main" stays in its buffer, which a child inherits, unless
+    the interpreter is unbuffered."""
+    log = tmp_path / "hook.log"
     done = subprocess.run(
-        [sys.executable, "-c", SPLIT_MAIN, str(log), "replicate", str(matrix),
-         "--q", "0.1", "--method", "simes"],
+        [sys.executable, "-c", SPLIT_MAIN, str(log), *argv],
         env={k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"},
-        capture_output=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+        cwd=tmp_path, capture_output=True, timeout=120)
     assert log.read_text() == "forks 1\n"
     head, report = done.stdout.split(b"\n", 1)
     assert head == b"before main"
     assert json.loads(report)["schema_version"] == 1  # one report, nothing after it
+    return done
+
+
+def test_forked_parse_runs_exit_hooks_and_writes_output_once(tmp_path):
+    done = split_main(tmp_path, "replicate", str(split_matrix(tmp_path)),
+                      "--q", "0.1", "--method", "simes")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+
+
+def test_forked_verify_runs_exit_hooks_writes_output_once_and_exits_3(inputs):
+    done = split_main(inputs, "verify", "--scenario", "s.json")
+    assert done.returncode == 3, done.stderr
     assert done.stderr == b""
