@@ -355,7 +355,7 @@ def read_weights(path: str, m: int) -> WeightScheme:
 
 def _write_json(path, payload: dict) -> None:
     _write(path, [json.dumps({"schema_version": SCHEMA_VERSION, **payload},
-                             indent=2, sort_keys=True), "\n"])
+                             indent=2, sort_keys=True, allow_nan=False), "\n"])
 
 
 def _row_line(path: str, row: int) -> int:
@@ -649,10 +649,15 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     """The ``pcfdr`` script: exit with the status of :func:`run` on the
-    command line. The objects still alive, most of them made by importing
-    numpy and scipy, are first frozen out of the garbage collector, so that
-    its collections at shutdown skip them. Only this entry point freezes: a
-    caller of :func:`run` in its own process keeps its collector as it was."""
+    command line. pcfdr makes no BLAS call, so OpenBLAS is capped at one
+    thread unless ``OPENBLAS_NUM_THREADS`` is already set: the copy that
+    ``scipy.special`` loads then starts no worker, which would otherwise
+    spin on a core the run needs. The objects still alive, most of them
+    made by importing numpy and scipy, are frozen out of the garbage
+    collector after the run, so that its collections at shutdown skip
+    them. Only this entry point does either: a caller of :func:`run` in
+    its own process keeps its environment and collector as they were."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run(sys.argv[1:])
     gc.freeze()
     sys.exit(code)

@@ -122,19 +122,15 @@ def _fisher_rows(s: np.ndarray) -> np.ndarray:
 
 
 def _stouffer_rows(s: np.ndarray) -> np.ndarray:
-    """1 - Phi(sum(Phi^{-1}(1 - p_i)) / sqrt(k)); 0 if a p_i is 0, 1 if a
-    p_i is 1."""
+    """Phi(sum(Phi^{-1}(p_i)) / sqrt(k)), equal to
+    1 - Phi(sum(Phi^{-1}(1 - p_i)) / sqrt(k)) but taken in the lower tail,
+    where neither 1 - p nor 1 - Phi rounds strong evidence to 0; 0 if a p_i
+    is 0, 1 if a p_i is 1."""
     from scipy.special import ndtr, ndtri
-    zero, one = s[:, 0] == 0.0, s[:, -1] == 1.0
-    both = zero & one
+    both = (s[:, 0] == 0.0) & (s[:, -1] == 1.0)
     if both.any():
         raise DegenerateInputError(int(np.argmax(both)))
-    with np.errstate(invalid="ignore"):  # inf - inf in rows overwritten below
-        z = ndtri(1.0 - s).sum(axis=1)
-    out = 1.0 - ndtr(z / math.sqrt(s.shape[1]))
-    out[zero] = 0.0
-    out[one] = 1.0
-    return out
+    return ndtr(ndtri(s).sum(axis=1) / math.sqrt(s.shape[1]))
 
 
 def _simes_rows(s: np.ndarray) -> np.ndarray:

@@ -64,19 +64,22 @@ _MIN_DRAWS = 1 << 16
 
 
 def _typed(x, name: str, kind: type = float):
-    """``kind(x)`` for an integer ``x`` if ``kind`` is int, for any real
-    ``x`` if it is float, else for an ``x`` of type ``kind``. Any other
-    value, which a scenario file may hold in any field, or an integer too
-    large for a float, is a ValueError naming ``name``; a boolean is never
-    a number."""
+    """``kind(x)`` for an integer ``x`` if ``kind`` is int, for any finite
+    real ``x`` if it is float, else for an ``x`` of type ``kind``. Any
+    other value, which a scenario file may hold in any field (``json``
+    reads NaN, Infinity and 1e400 as floats), or an integer too large for
+    a float, is a ValueError naming ``name``; a boolean is never a number."""
     cls, what = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number"),
                  str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}[kind]
     if isinstance(x, bool) or not isinstance(x, cls):
         raise ValueError(f"{name}: must be {what}, not {x!r}")
     try:
-        return kind(x)
+        value = kind(x)
     except OverflowError as exc:  # an integer beyond the range of a float
         raise ValueError(f"{name}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name}: must be finite, not {x!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -83,8 +83,8 @@ def combine(p, method):
         return 0.0
     if 1.0 in p:
         return 1.0
-    z = sum(float(ndtri(1.0 - x)) for x in p)
-    return 1.0 - float(ndtr(z / math.sqrt(m)))
+    z = sum(float(ndtri(x)) for x in p)
+    return float(ndtr(z / math.sqrt(m)))
 
 
 def pc_pvalue(p, u, method):

@@ -958,6 +958,33 @@ class TestSimulateVerify:
         assert run(["verify", "--scenario", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["mu", "rho", "alpha", "q", "c_grid"])
+    def test_non_finite_scenario_float_exits_2(self, tmp_path, capsys, field, token):
+        # json reads each token as a float that is not finite; the field is
+        # named before any replicate runs, and no report is written.
+        sc = {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}
+        chk = {"q": {"check": "replicability"}, "c_grid": {"check": "dcc", "u": 1}}.get(
+            field, {"check": "fdr_pc", "u": 1})
+        chk = {**chk, "method": "simes", "scenario": sc}
+        if field in ("mu", "rho"):
+            sc[field] = "@"
+        else:
+            chk[field] = [0.1, "@"] if field == "c_grid" else "@"
+        path = write(tmp_path, "scenario.json",
+                     json.dumps({"checks": [chk]}).replace('"@"', token))
+        out = tmp_path / "r.json"
+        assert run(["verify", "--scenario", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: bad check spec: {field}: must be finite, not {float(token)!r}\n")
+        assert not out.exists()
+
+    def test_report_with_a_non_finite_float_is_refused(self, tmp_path):
+        out = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(str(out), {"estimate": float("nan")})
+        assert not out.exists()
+
     def test_adaptive_with_non_identity_shape_exits_2(self, tmp_path, capsys):
         path = self.scenario_file(tmp_path, [{
             "check": "fdr_pc",

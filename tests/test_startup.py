@@ -4,7 +4,9 @@ the scipy-free methods must not load scipy; only the methods that call
 ``scipy.special`` load it.
 The console entry point ``main`` freezes the garbage collector once ``run``
 has returned, and only there; exit status, exit hooks and output are as
-without the freeze. A run that parses part of its matrix in a forked child
+without the freeze. ``main``, and only ``main``, caps OpenBLAS at one
+thread unless the caller set ``OPENBLAS_NUM_THREADS``, so a run that loads
+``scipy.special`` starts no BLAS worker. A run that parses part of its matrix in a forked child
 loads no process pool, and its exit hooks and output happen once, as in a
 verify run whose Monte Carlo check forks."""
 
@@ -47,6 +49,21 @@ atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.std
 from pcfdr.cli import main
 main()
 """
+# The console entry point after an exit hook that writes to standard error,
+# as JSON, the OPENBLAS_NUM_THREADS it exits with and the process's thread
+# count right after numpy loaded and at exit (None each without
+# /proc/self/task).
+BLAS = """
+import atexit, json, os, sys
+def threads():
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+import numpy
+start = threads()
+atexit.register(lambda: print(json.dumps({"openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                                          "threads": [start, threads()]}), file=sys.stderr))
+from pcfdr.cli import main
+main()
+"""
 # Prepended to a script: read_matrix parses any matrix of 1 KB or more in
 # two ranges, and a Monte Carlo check splits its replicates in two, the
 # second part in a forked child; FORKS counts the forks.
@@ -81,6 +98,8 @@ pcfdr.cli.main()
 """
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+# The variables that size OpenBLAS's thread pool, the first set winning.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +164,45 @@ def test_main_exits_with_the_status_of_run_after_its_exit_hooks(inputs, argv, co
     assert (code == 2) == any(line.startswith("error: ") for line in err)
     if code != 2:
         assert json.loads(out)["schema_version"] == 1
+
+
+def fisher_pc_test(cwd, **blas):
+    """A Fisher ``pc-test`` through ``main`` under BLAS, with the BLAS
+    variables set only as in ``blas``: the report of BLAS's exit hook."""
+    env = {**{k: v for k, v in ENV.items() if k not in BLAS_VARS}, **blas}
+    done = subprocess.run(
+        [sys.executable, "-c", BLAS, "pc-test", "p.csv", "--alpha", "0.05",
+         "--method", "fisher", "--groups", "g.txt"],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr.splitlines()[-1])
+
+
+def test_run_leaves_the_environment_alone(monkeypatch, inputs):
+    from pcfdr.cli import run
+    for name in BLAS_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    assert run(["combine", str(inputs / "m.csv"), "--method", "fisher",
+                "--out", str(inputs / "c.csv")]) == 0
+    assert dict(os.environ) == before
+
+
+def test_main_caps_openblas_at_one_thread(inputs):
+    assert fisher_pc_test(inputs)["openblas"] == "1"
+
+
+def test_main_keeps_the_openblas_threads_the_caller_set(inputs):
+    assert fisher_pc_test(inputs, OPENBLAS_NUM_THREADS="2")["openblas"] == "2"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts Linux threads; OpenBLAS starts workers on 2 or more cores")
+def test_fisher_pc_test_through_main_starts_no_thread(inputs):
+    # numpy's OpenBLAS loaded before main ran and started its workers;
+    # the one that scipy.special loads during the run starts none.
+    start, end = fisher_pc_test(inputs)["threads"]
+    assert end == start
 
 
 def test_combine_to_a_pipe_writes_what_out_writes(inputs):
