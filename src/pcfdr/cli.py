@@ -36,7 +36,7 @@ import numpy as np
 from . import _fork
 from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError, _sort_rows_in_place
 from .partial_conjunction import _pc_pvalues_sorted
-from .pc_testing import GroupLayout, _int_vector, compute_pc_pvalues
+from .pc_testing import GroupLayout, compute_pc_pvalues
 from .procedures import (
     ShapeFunction,
     ThresholdCollection,
@@ -468,37 +468,32 @@ def cmd_replicate(args) -> int:
     return 0
 
 
-def _fdr_pc_check(chk, scenario, method, shape, ws):
+def _fdr_pc_check(f, scenario, method):
     """Weighted FDR of the PC family against alpha times the PC-null share."""
-    (u,) = _int_vector([chk["u"]], "u").tolist()
-    alpha = _typed(chk.get("alpha", 0.05), "alpha")
-    tc = ThresholdCollection(alpha=alpha, m=scenario.m, weights=ws, shape=shape,
-                             adaptive_lambda=chk.get("adaptive_lambda"))
-    est = mc_fdr_pc(scenario, u, method, tc)
-    return [({}, est, alpha * len(scenario.true_null_features(u)) / scenario.m)]
+    tc = ThresholdCollection(alpha=f["alpha"], m=scenario.m, shape=ShapeFunction(f["shape"]),
+                             adaptive_lambda=f["adaptive_lambda"])
+    est = mc_fdr_pc(scenario, f["u"], method, tc)
+    return [({}, est, f["alpha"] * len(scenario.true_null_features(f["u"])) / scenario.m)]
 
 
-def _replicability_check(chk, scenario, method, shape, ws):
+def _replicability_check(f, scenario, method):
     """Replicability error of the two-step procedure against q."""
-    q = _typed(chk.get("q", 0.05), "q")
+    q = f["q"]
+    shape = ShapeFunction(f["shape"])
     if not 0.0 < q <= 1.0:  # as --q; the threshold rule would not check it
         raise ValueError(f"q: {q} outside (0, 1]")
-    spec = _typed(chk.get("rule", "step-up"), "rule", str)
     try:
-        rule = _parse_rule(spec, q, shape)
+        rule = _parse_rule(f["rule"], q, shape)
     except ValueError as exc:
         raise ValueError(f"rule: {exc}") from None
+    ws = WeightScheme.unit(scenario.m)
     return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
 
 
-def _dcc_check(chk, scenario, method, shape, ws):
+def _dcc_check(f, scenario, method):
     """The dependency control condition against each c of the grid."""
-    grid = _typed(chk.get("c_grid", [0.02, 0.05, 0.1, 0.2, 0.5]), "c_grid", list)
-    grid = [_typed(c, "c_grid") for c in grid]
-    (u,) = _int_vector([chk["u"]], "u").tolist()
-    out = dcc_probe(scenario, u, method, grid,
-                    statistic=_typed(chk.get("statistic", "rejection_volume"), "statistic", str),
-                    alpha=_typed(chk.get("alpha", 0.05), "alpha"))
+    out = dcc_probe(scenario, f["u"], method, f["c_grid"], statistic=f["statistic"],
+                    alpha=f["alpha"])
     return [({"c": c}, est, c) for c, est in out]
 
 
@@ -506,11 +501,48 @@ def _dcc_check(chk, scenario, method, shape, ws):
 # Carlo estimate and the base of its bound.
 _CHECKS = {"fdr_pc": _fdr_pc_check, "replicability": _replicability_check,
            "dcc": _dcc_check}
-# The fields that each check kind reads; any other is rejected, not ignored.
-_CHECK_FIELDS = {kind: {"check", "scenario", "method", "lambda", *fields} for kind, fields in (
-    ("fdr_pc", ("u", "alpha", "shape", "adaptive_lambda")),
-    ("replicability", ("q", "rule", "shape")),
-    ("dcc", ("u", "alpha", "c_grid", "statistic")))}
+_REQUIRED = dataclasses.MISSING  # the default of a field that must be given
+# Per check kind, each field that it reads, with its JSON type (list: of
+# real numbers) and its default. Any other field is rejected, not ignored.
+_COMMON = {"check": (str, _REQUIRED), "scenario": (dict, _REQUIRED),
+           "method": (str, _REQUIRED), "lambda": (float, None)}
+_CHECK_FIELDS = {
+    "fdr_pc": {**_COMMON, "u": (int, _REQUIRED), "alpha": (float, 0.05),
+               "shape": (str, "identity"), "adaptive_lambda": (float, None)},
+    "replicability": {**_COMMON, "q": (float, 0.05), "rule": (str, "step-up"),
+                      "shape": (str, "identity")},
+    "dcc": {**_COMMON, "u": (int, _REQUIRED), "alpha": (float, 0.05),
+            "c_grid": (list, (0.02, 0.05, 0.1, 0.2, 0.5)), "statistic": (str, "rejection_volume")},
+}
+# The fields of a scenario, whose types and ranges SimulationScenario
+# checks, and of a file that holds a list of checks.
+_SCENARIO_FIELDS = {f.name: (None, f.default) for f in dataclasses.fields(SimulationScenario)}
+_FILE_FIELDS = {"checks": (None, _REQUIRED), "schema_version": (int, 1)}
+
+
+def _fields(obj: dict, table: dict, where: str) -> dict:
+    """Each field of ``table`` (name: (JSON type, default)) read from the
+    JSON object ``obj`` by :func:`_typed`, or at its default if left out;
+    a list must hold real numbers, and type None is left to the caller.
+    Raises ValueError, starting with ``where`` unless it names a type, for
+    an unknown field (in a check, maybe one of another kind), a missing
+    required one or a value of another type."""
+    for name in obj:
+        if name not in table:
+            if "check" in table and any(name in t for t in _CHECK_FIELDS.values()):
+                raise ValueError(f"field {name!r} does not apply to a {obj['check']} check")
+            raise ValueError(f"{where}unknown field {name!r}")
+    out = {}
+    for name, (kind, default) in table.items():
+        if name not in obj:
+            if default is _REQUIRED:
+                raise ValueError(f"{where}missing field {name!r}")
+            out[name] = default
+        elif kind is list:
+            out[name] = [_typed(x, name) for x in _typed(obj[name], name, list)]
+        else:
+            out[name] = obj[name] if kind is None else _typed(obj[name], name, kind)
+    return out
 
 
 def _result(extra: dict, est, base: float) -> dict:
@@ -528,45 +560,31 @@ def _run_scenario_file(args, enforce: bool) -> int:
     if (not isinstance(spec, dict) or not isinstance(checks := spec.get("checks", [spec]), list)
             or not all(isinstance(chk, dict) for chk in checks)):
         raise CliError(f"{args.scenario}: bad check spec: not an object with a list of checks")
+    overrides = {k: v for k, v in (("reps", args.reps), ("seed", args.seed)) if v is not None}
     records = []
-    all_pass = True
-    sc_fields = {f.name: f.default for f in dataclasses.fields(SimulationScenario)}
-    for chk in checks:
-        try:
+    try:
+        if "checks" in spec and (v := _fields(spec, _FILE_FIELDS, "")["schema_version"]) != 1:
+            raise ValueError(f"schema_version: must be 1, not {v}")
+        for chk in checks:
+            if "check" not in chk:
+                raise ValueError("missing field 'check'")
             if (kind := _typed(chk["check"], "check", str)) not in _CHECKS:
                 raise ValueError(f"unknown check kind {kind!r}")
-            if unknown := [k for k in chk if k not in _CHECK_FIELDS[kind]]:
-                if any(unknown[0] in fields for fields in _CHECK_FIELDS.values()):
-                    raise ValueError(f"field {unknown[0]!r} does not apply to a {kind} check")
-                raise ValueError(f"unknown field {unknown[0]!r}")
-            sc_dict = _typed(chk["scenario"], "scenario", dict)
-            if unknown := [k for k in sc_dict if k not in sc_fields]:
-                raise ValueError(f"scenario: unknown field {unknown[0]!r}")
-            if missing := [k for k, v in sc_fields.items()
-                           if v is dataclasses.MISSING and k not in sc_dict]:
-                raise ValueError(f"scenario: missing field {missing[0]!r}")
-            if args.reps is not None:
-                sc_dict["reps"] = args.reps
-            if args.seed is not None:
-                sc_dict["seed"] = args.seed
-            scenario = SimulationScenario(**sc_dict)
+            f = _fields(chk, _CHECK_FIELDS[kind], "")
+            scenario = SimulationScenario(
+                **_fields(f["scenario"], _SCENARIO_FIELDS, "scenario: ") | overrides)
             if scenario.reps < 2:  # one replicate has no standard error
                 raise ValueError(f"reps: a check needs at least 2, not {scenario.reps}")
-            for name in ("lambda", "adaptive_lambda"):
-                if chk.get(name) is not None:
-                    _typed(chk[name], name)
-            method = CombiningMethod(_typed(chk["method"], "method", str), chk.get("lambda"))
-            shape = ShapeFunction(_typed(chk.get("shape", "identity"), "shape", str))
-            sub = [_result(*r) for r in _CHECKS[kind](
-                chk, scenario, method, shape, WeightScheme.unit(scenario.m))]
-        except KeyError as exc:  # a field that the check reads is not there
-            raise CliError(f"{args.scenario}: bad check spec: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{args.scenario}: bad check spec: {exc}") from None
-        ok = all(r["pass"] for r in sub)
-        all_pass = all_pass and ok
-        records.append({"check": kind, "scenario": dataclasses.asdict(scenario),
-                        "method": chk["method"], "results": sub, "pass": ok})
+            if "u" in f and not 1 <= f["u"] <= scenario.n:  # before any replicate is drawn
+                raise ValueError(f"u: {f['u']} outside [1, {scenario.n}]")
+            method = CombiningMethod(f["method"], f["lambda"])
+            sub = [_result(*r) for r in _CHECKS[kind](f, scenario, method)]
+            records.append({"check": kind, "scenario": dataclasses.asdict(scenario),
+                            "method": f["method"], "results": sub,
+                            "pass": all(r["pass"] for r in sub)})
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{args.scenario}: bad check spec: {exc}") from None
+    all_pass = all(r["pass"] for r in records)
     _write_json(args.out, {"records": records, "pass": all_pass})
     return 3 if enforce and not all_pass else 0
 

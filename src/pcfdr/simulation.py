@@ -104,11 +104,12 @@ class SimulationScenario:
             _typed(getattr(self, name), name, int)
         for name in ("mu", "rho"):
             _typed(getattr(self, name), name)
+        _typed(self.dependence, "dependence", str)
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be positive")
         object.__setattr__(self, "true_k", tuple(_int_vector(self.true_k, "true_k").tolist()))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed: {self.seed} outside [0, 2**64)")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
         if len(self.true_k) != self.m:
             raise ValueError("true_k must have one entry per feature")
         if any(not 0 <= k <= self.n for k in self.true_k):

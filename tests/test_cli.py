@@ -21,6 +21,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.js
 # loops (now in oracles.py) wrote it; stacked replicates must reproduce it
 # byte for byte.
 GOLDEN_VERIFY = Path(__file__).resolve().parent / "golden" / "reference_verify.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 # A matrix with ids (one of them non-ASCII, one padded with spaces), CRLF
 # line ends, blank and whitespace-only lines and no newline after the last
 # line. Its replicate reports, as the per-line reader (now in oracles.py)
@@ -873,9 +874,9 @@ class TestSimulateVerify:
     @pytest.mark.parametrize("change, message", [
         ({"scenario": {"true_k": [1.7] * 10}}, "true_k must be a 1-d integer array"),
         ({"scenario": {"true_k": [3] + [True] * 9}}, "true_k must be a 1-d integer array"),
-        ({"u": 2.9}, "u must be a 1-d integer array"),
-        ({"u": True}, "u must be a 1-d integer array"),
-        ({"check": "dcc", "u": 2.9}, "u must be a 1-d integer array"),
+        ({"u": 2.9}, "u: must be an integer, not 2.9"),
+        ({"u": True}, "u: must be an integer, not True"),
+        ({"check": "dcc", "u": 2.9}, "u: must be an integer, not 2.9"),
         ({"check": "dcc", "c_grid": []}, "c grid must be nonempty and positive"),
         ({"shape": "x"}, "unknown shape function 'x'"),
         ({"scenario": {"m": True}}, "m: must be an integer, not True"),
@@ -931,6 +932,10 @@ class TestSimulateVerify:
          "rule: unknown rule; use step-up, threshold=T, or column=J"),
         ({"check": "replicability", "u": None, "q": 2, "rule": "threshold=0.1"},
          "q: 2.0 outside (0, 1]"),
+        ({"u": 0}, "u: 0 outside [1, 3]"),
+        ({"u": 4}, "u: 4 outside [1, 3]"),
+        ({"check": "dcc", "u": 0}, "u: 0 outside [1, 3]"),
+        ({"scenario": {"dependence": 5}}, "dependence: must be a string, not 5"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
@@ -942,7 +947,7 @@ class TestSimulateVerify:
             "alpha-overflow", "mu-overflow", "rho-overflow", "q-overflow", "c_grid-overflow",
             "lambda-overflow", "adaptive_lambda-overflow", "seed-above", "seed-negative",
             "rule-threshold", "rule-column", "rule-threshold-range", "rule-unknown",
-            "q-range"])
+            "q-range", "u-zero", "u-above-n", "dcc-u-zero", "dependence-int"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
         # Nothing is truncated, read as 0 and 1 or ignored, no check
         # passes on an empty grid or without a standard error, a field of
@@ -955,6 +960,18 @@ class TestSimulateVerify:
             sc = {k: v for k, v in {**chk["scenario"], **sc}.items() if v is not None}
         chk = {k: v for k, v in {**chk, **change, "scenario": sc}.items() if v is not None}
         path = self.scenario_file(tmp_path, [chk])
+        assert run(["verify", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"chekcs": 1}, "unknown field 'chekcs'"),
+        ({"schema_version": 7}, "schema_version: must be 1, not 7"),
+        ({"schema_version": True}, "schema_version: must be an integer, not True"),
+    ], ids=["misspelt", "schema-7", "schema-bool"])
+    def test_unknown_top_level_field_exits_2(self, tmp_path, capsys, extra, message):
+        chk = {"check": "fdr_pc", "method": "simes", "u": 1,
+               "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}}
+        path = write(tmp_path, "scenario.json", json.dumps({"checks": [chk], **extra}))
         assert run(["verify", "--scenario", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
 
@@ -978,6 +995,38 @@ class TestSimulateVerify:
         assert capsys.readouterr().err == (
             f"error: {path}: bad check spec: {field}: must be finite, not {float(token)!r}\n")
         assert not out.exists()
+
+    def test_readme_table_holds_every_field_and_default(self):
+        # The README's scenario-file table and the tables that cli reads a
+        # file by name the same fields, with the same kinds, JSON types
+        # (of check fields; SimulationScenario checks a scenario's) and
+        # defaults.
+        text = README.read_text()
+        rows = {}
+        for line in text[text.index("| field | kinds |"):].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            field, kinds, json_type, default, _ = (c.strip() for c in line.strip("|").split("|"))
+            rows[field.strip("`")] = kinds, json_type, default
+
+        def shown(default):
+            if default is cli._REQUIRED:
+                return "required"
+            if default is None:
+                return "none"
+            return f"`{default if isinstance(default, str) else json.dumps(default)}`"
+
+        types = {str: "string", int: "integer", float: "number", dict: "object",
+                 list: "list of numbers"}
+        want = {name: ("`scenario`", rows.get(name, (None, None))[1], shown(default))
+                for name, (_, default) in cli._SCENARIO_FIELDS.items()}
+        for table in cli._CHECK_FIELDS.values():
+            for name, (json_type, default) in table.items():
+                kinds = [k for k, t in cli._CHECK_FIELDS.items() if name in t]
+                want[name] = ("all" if len(kinds) == len(cli._CHECK_FIELDS)
+                              else ", ".join(f"`{k}`" for k in kinds),
+                              types[json_type], shown(default))
+        assert rows == want
 
     def test_report_with_a_non_finite_float_is_refused(self, tmp_path):
         out = tmp_path / "r.json"

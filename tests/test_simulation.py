@@ -45,6 +45,16 @@ class TestScenario:
             with pytest.raises(ValueError, match=f"{name}: int too large"):
                 SimulationScenario(m=1, n=3, true_k=(1,), **{name: 10**400})
 
+    @pytest.mark.parametrize("m, n", [(0, 3), (1, 0)])
+    def test_sizes_are_checked_before_true_k(self, m, n):
+        # An empty JSON list reads as a float array, which true_k rejects.
+        with pytest.raises(ValueError, match="^m and n must be positive$"):
+            SimulationScenario(m=m, n=n, true_k=[])
+
+    def test_dependence_must_be_a_string(self):
+        with pytest.raises(ValueError, match="^dependence: must be a string, not 5$"):
+            SimulationScenario(m=1, n=3, true_k=(1,), dependence=5)
+
     def test_largest_seed_keys_its_own_stream(self):
         s = null_scenario(m=3, n=2, seed=2**64 - 1)
         key = np.array([2**64 - 1, 7], dtype=np.uint64)
