@@ -484,6 +484,8 @@ def _replicability_check(f, scenario, method):
         raise ValueError(f"q: {q} outside (0, 1]")
     try:
         rule = _parse_rule(f["rule"], q, shape)
+        if rule.column is not None and not 0 <= rule.column < scenario.n:
+            raise ValueError(f"column {rule.column} outside [0, {scenario.n})")
     except ValueError as exc:
         raise ValueError(f"rule: {exc}") from None
     ws = WeightScheme.unit(scenario.m)

@@ -3,13 +3,13 @@
 A threshold collection assigns each hypothesis a rejection threshold that
 grows with the rejection volume r (the penalty-weighted size of the
 rejection set). The step-up procedure rejects L(r_hat) where r_hat is the
-greatest fixed point of r -> |L(r)|_v, found by monotone iteration from
-r0 = sum(v). With unit weights and the identity shape this is the classical
-Benjamini-Hochberg procedure; the reciprocal-sum shape gives the
-Benjamini-Yekutieli correction; the adaptive variant plugs in the Storey
-estimate of the proportion of nulls. A collection holds one
-``WeightScheme`` of prior weights w and penalty weights v, whose weight rule
-is checked once, when the scheme is built.
+greatest fixed point of r -> |L(r)|_v, found in closed form from the keys
+p / w in ascending order. With unit weights and the identity shape this
+is the classical Benjamini-Hochberg procedure; the reciprocal-sum shape
+gives the Benjamini-Yekutieli correction; the adaptive variant plugs in
+the Storey estimate of the proportion of nulls. A collection holds one
+``WeightScheme`` of prior weights w and penalty weights v, whose weight
+rule is checked once, when the scheme is built.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _NORM_RTOL = 1e-9
+_LEAST = np.nextafter(0.0, 1.0)
 
 
 class WeightNormalizationError(ValueError):
@@ -178,29 +179,22 @@ class ThresholdCollection:
                 raise ValueError("adaptive thresholds require the identity shape")
 
     def _scales(self, P: np.ndarray) -> np.ndarray:
-        """For each row of the (R, m) p-value array P, the scale with
-        Delta(i, r) = alpha * w_i * beta(r) / scale: m, or in adaptive mode
-        m * pi0_hat(lambda) of that row."""
+        """Per row of the (R, m) p-value array P, the scale of its levels
+        alpha * beta(r) / scale: m, or m * pi0_hat(lambda) in adaptive mode."""
         if self.adaptive_lambda is None:
             return np.full(len(P), float(self.m))
         return self.m * _storey_pi0_rows(P, self.adaptive_lambda)
 
-    def _levels(self, r: np.ndarray, scale: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Delta(i, r) at the (R,) volumes r and scales, written into and
-        returned as the (R, m) float array ``out``."""
-        np.multiply(self.alpha, self.weights.prior_w, out=out)
-        out *= self.shape(r, self.m)[:, None]
-        out /= scale[:, None]
-        return out
-
 
 @dataclass(frozen=True)
 class RejectionSet:
-    """Output of a step-up procedure (0-based hypothesis indices)."""
+    """Output of a step-up procedure (0-based hypothesis indices). The
+    closed form evaluates the map r -> |L(r)|_v once, at its fixed point,
+    so ``iterations`` is always 1."""
 
     indices: frozenset[int]
     fixed_point_volume: float
-    iterations: int = 0
+    iterations: int = 1
 
 
 def _volume(a: np.ndarray) -> float:
@@ -253,67 +247,73 @@ def _inputs(P: np.ndarray, tc: ThresholdCollection) -> None:
         raise ValueError(f"p-value {P.flat[np.argmax(bad)]} outside [0, 1]")
 
 
-def _step_up_rows(P: np.ndarray, tc: ThresholdCollection
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The step-up procedure on each row of the (R, m) array P, R >= 1: the
-    (R, m) rejection masks, the (R,) fixed-point volumes and the number of
-    passes, which for one row is its iteration count.
+def _keys(P: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The keys q = p / w of the (R, m) array P, into ``out`` if given:
+    q = 0 where p = 0 (rejected at every level), q = inf where w = 0 < p
+    (never rejected), and the least positive float where a positive p / w
+    underflows, as it is not rejected where beta is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.maximum(np.divide(P, w, out=out), _LEAST, out=out)
+    np.copyto(q, 0.0, where=P == 0.0)
+    return q
 
-    Each row iterates r -> |L(r)|_v from r0 = sum(v) until r is fixed. All
-    rows take each pass as one array comparison, until every row is fixed:
-    a fixed row gives its level set again. Levels and volumes share a buffer.
+
+def _sorted_keys(P: np.ndarray, tc: ThresholdCollection) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the (R, m) array P, its keys ascending and the running
+    sums V_k of v in that order: the real and imaginary parts of one complex
+    array sorted in place. numpy orders complex numbers by real part, then
+    imaginary part, so ties go by v, and the sums do not depend on the sort
+    algorithm."""
+    z = np.empty(P.shape, dtype=complex)
+    _keys(P, tc.weights.prior_w, out=z.real)
+    z.imag = tc.weights.penalty_v
+    z.sort(axis=1)
+    return z.real, np.cumsum(z.imag, axis=1, out=z.imag)
+
+
+def _step_up_rows(P: np.ndarray, tc: ThresholdCollection) -> tuple[np.ndarray, np.ndarray]:
+    """The step-up procedure on each row of the (R, m) array P, R >= 1: the
+    (R, m) rejection masks and the (R,) rejection volumes, added in index
+    order.
+
+    A row rejects its first k* sorted keys for the largest k* with
+    q_(k*) <= alpha * beta(V_k*) / scale (Blanchard & Roquain 2008). As
+    beta does not decrease, k* ends a run of equal keys: the row rejects
+    {i: q_i <= q_(k*)}, and V_k* is the greatest fixed point of
+    r -> |L(r)|_v. The unsorted keys and the index-order volumes reuse the
+    buffers of the sorted keys and of the levels.
     """
     _inputs(P, tc)
-    v = tc.weights.penalty_v
-    scale = tc._scales(P)
-    r = np.full(len(P), _volume(v.copy()))
-    buf = np.empty(P.shape)
-    rejected = np.empty(P.shape, dtype=bool)
-    passes = 1
-    while True:
-        np.less_equal(P, tc._levels(r, scale, out=buf), out=rejected)
-        vol = _volumes(rejected, v, out=buf)
-        if (vol == r).all():
-            return rejected, r, passes
-        r = vol
-        passes += 1
+    qs, level = _sorted_keys(P, tc)
+    np.multiply(tc.alpha, tc.shape(level, tc.m), out=level)
+    level /= tc._scales(P)[:, None]
+    last = np.max(qs, axis=1, where=qs <= level, initial=-1.0)
+    rejected = _keys(P, tc.weights.prior_w, out=qs) <= last[:, None]
+    return rejected, _volumes(rejected, tc.weights.penalty_v, out=level)
 
 
 def step_up(p: Sequence[float], tc: ThresholdCollection) -> RejectionSet:
     """Step-up procedure: reject L(r_hat) at the greatest fixed point r_hat,
-    with the prior and penalty weights of ``tc.weights``.
-
-    The iteration r -> |L(r)|_v starting from r0 = sum(v) is monotonically
-    nonincreasing and reaches the greatest fixed point in at most m+1 steps.
-    Each level set L(r) = {i: p_i <= Delta(i, r)} is one array comparison.
-    """
-    rejected, vol, passes = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
-    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()), float(vol[0]), passes)
+    with the prior and penalty weights of ``tc.weights``, in the closed
+    form of ``_step_up_rows``: one sort, O(m log m) on every input."""
+    rejected, vol = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
+    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()), float(vol[0]))
 
 
 def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection) -> list[float]:
     """Per-hypothesis minimum rejecting level alpha of ``step_up``, capped
     at 1; ``tc.alpha`` is not used.
 
-    With q = p / w sorted ascending and V_k the v-volume of the first k,
-    level alpha rejects the first k* for the largest k* with
-    q_(k*) <= alpha * beta(V_k*) / scale (Blanchard & Roquain 2008). So the
-    adjusted p-value at sorted place k is the running minimum, from the top
-    down to k, of scale * q_(j) / beta(V_j); scale is m, or m * pi0_hat in
-    adaptive mode. p = 0 gives q = 0 (rejected at every level) and
-    w = 0 < p gives q = inf (never rejected), and a p > 0 whose p / w
-    underflows keeps the least positive q, as it is not rejected where
-    beta is 0.
+    As level alpha rejects the first k* sorted keys, the adjusted p-value
+    at sorted place k is the running minimum, from the top down to k, of
+    scale * q_(j) / beta(V_j), and 0 where q_(k) = 0. It is the same across
+    a run of equal keys, so each hypothesis takes it at its key's last place.
     """
-    p = np.asarray(p, dtype=float)
-    _inputs(p[None], tc)
-    w, v = tc.weights.prior_w, tc.weights.penalty_v
-    beta, scale = tc.shape, tc._scales(p[None])[0]
+    P = np.asarray(p, dtype=float)[None]
+    _inputs(P, tc)
+    (qs,), (V,) = _sorted_keys(P, tc)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(p == 0.0, 0.0, np.maximum(p / w, np.nextafter(0.0, 1.0)))
-        order = np.argsort(q, kind="stable")
-        q = q[order]
-        ratio = np.where(q == 0.0, 0.0, scale * q / beta(np.cumsum(v[order]), tc.m))
-    adj = np.empty(tc.m)
-    adj[order] = np.minimum(1.0, np.minimum.accumulate(ratio[::-1])[::-1])
-    return adj.tolist()
+        ratio = np.where(qs == 0.0, 0.0, tc._scales(P)[0] * qs / tc.shape(V, tc.m))
+    adj = np.minimum(1.0, np.minimum.accumulate(ratio[::-1])[::-1])
+    last = np.searchsorted(qs, _keys(P[0], tc.weights.prior_w), side="right") - 1
+    return adj[last].tolist()

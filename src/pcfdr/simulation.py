@@ -126,6 +126,10 @@ class SimulationScenario:
             raise ValueError("block_size must be at least 2")
 
     def true_null_features(self, u: int) -> frozenset[int]:
+        """The features whose partial conjunction null at u holds, true_k < u;
+        u must lie in [1, n]."""
+        if not 1 <= u <= self.n:
+            raise ValueError(f"u={u} outside [1, {self.n}]")
         return frozenset(i for i, k in enumerate(self.true_k) if k < u)
 
 

@@ -3,8 +3,9 @@
 These are the element-by-element loops the package used before its layers
 became array-native: the combiners on one Python list, the partial
 conjunction p-value of one row and its maximum over all subsets, the
-step-up fixed-point iteration over per-hypothesis thresholds Delta(i, r),
-the break-at-first-failure k_hat loop, the bisection over alpha for
+step-up fixed-point iteration over the keys p / w (the array code has its
+closed form), the per-hypothesis thresholds Delta(i, r), the
+break-at-first-failure k_hat loop, the bisection over alpha for
 adjusted p-values, the self-consistency check of a candidate rejection
 set, the stability witness of the array step-up, the Monte Carlo
 functions drawing, testing and scoring one replicate at a time, and the
@@ -132,22 +133,44 @@ def thresholds(tc, p):
     return lambda i, r: tc.alpha * w[i] * tc.shape(r, m) / m
 
 
-def step_up(p, tc):
-    """Greatest fixed point of r -> |{i: p_i <= Delta(i, r)}|_v by monotone
-    iteration from sum(v); returns (indices, volume, iterations)."""
+def keys(p, w):
+    """q_i = p_i / w_i, with q = 0 where p = 0, q = inf where w = 0 < p and
+    the least positive float where a positive p / w underflows."""
+    tiny = math.ulp(0.0)
+    return [0.0 if x == 0.0 else math.inf if wi == 0.0 else max(x / wi, tiny)
+            for x, wi in zip(p, w)]
+
+
+def level(tc, p):
+    """alpha * beta(r) / scale as a function of the volume r: scale is m,
+    or m * pi0 with the Storey plug-in bound to ``p`` in adaptive mode."""
     m = tc.m
+    scale = m
+    if tc.adaptive_lambda is not None:
+        lam = tc.adaptive_lambda
+        scale = m * ((sum(1 for x in p if x > lam) + 1) / ((1.0 - lam) * m))
+    return lambda r: tc.alpha * tc.shape(r, m) / scale
+
+
+def step_up(p, tc):
+    """Greatest fixed point of r -> |{i: q_i <= alpha * beta(r) / scale}|_v,
+    q = p / w, by monotone iteration from sum(v), each volume added in the
+    order of ascending q with ties by v; returns (indices, volume added in
+    index order, iterations)."""
     v = [float(x) for x in tc.weights.penalty_v]
-    delta = thresholds(tc, p)
-    r = sum_in_order(v)
+    q = keys(p, tc.weights.prior_w)
+    order = sorted(range(tc.m), key=lambda i: (q[i], v[i]))
+    t = level(tc, p)
+    r = sum_in_order(v[i] for i in order)
     iterations = 0
     while True:
         iterations += 1
-        rejected = [i for i in range(m) if p[i] <= delta(i, r)]
+        rejected = [i for i in order if q[i] <= t(r)]
         vol = sum_in_order(v[i] for i in rejected)
         if vol == r:
             break
         r = vol
-    return frozenset(rejected), vol, iterations
+    return frozenset(rejected), sum_in_order(v[i] for i in sorted(rejected)), iterations
 
 
 def khat(mat, selected, method, ws, q, beta):

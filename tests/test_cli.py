@@ -775,9 +775,10 @@ class TestReplicate:
         # 50,000 x 5 p-values, about 5 % of the rows with a signal in their
         # first 1 to 5 studies. The analysis sorts the rows of the matrix it
         # read in place and keeps its temporaries to a few vectors of m
-        # floats, so that, from the start of the run to the report it hands
-        # to the JSON writer, it allocates about 0.76 times the matrix. A
-        # sorted copy of the matrix alone would take 1.0.
+        # floats (the step-up's sorted keys and running volumes are two),
+        # so that, from the start of the run to the report it hands to the
+        # JSON writer, it allocates about 0.93 times the matrix. A sorted
+        # copy of the matrix alone would take 1.0.
         rng = np.random.default_rng(1)
         m, n = 50_000, 5
         mat = rng.random((m, n))
@@ -936,6 +937,8 @@ class TestSimulateVerify:
         ({"u": 4}, "u: 4 outside [1, 3]"),
         ({"check": "dcc", "u": 0}, "u: 0 outside [1, 3]"),
         ({"scenario": {"dependence": 5}}, "dependence: must be a string, not 5"),
+        ({"check": "replicability", "u": None, "rule": "column=7"},
+         "rule: column 7 outside [0, 3)"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
@@ -947,7 +950,8 @@ class TestSimulateVerify:
             "alpha-overflow", "mu-overflow", "rho-overflow", "q-overflow", "c_grid-overflow",
             "lambda-overflow", "adaptive_lambda-overflow", "seed-above", "seed-negative",
             "rule-threshold", "rule-column", "rule-threshold-range", "rule-unknown",
-            "q-range", "u-zero", "u-above-n", "dcc-u-zero", "dependence-int"])
+            "q-range", "u-zero", "u-above-n", "dcc-u-zero", "dependence-int",
+            "rule-column-above-n"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
         # Nothing is truncated, read as 0 and 1 or ignored, no check
         # passes on an empty grid or without a standard error, a field of

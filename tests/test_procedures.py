@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -270,3 +271,25 @@ def test_volumes_add_in_index_order():
     assert weighted_volume({0, 1, 2}, v) == expected
     assert oracles.step_up([0.0] * 3, tc)[1] == expected
     assert step_up([0.0] * 3, tc).fixed_point_volume == expected
+
+
+def test_staircase_takes_one_sort():
+    # p_(k) = alpha (k + 1/2) / m sits just above the BH level of its
+    # place, so iterating the fixed-point map drops one hypothesis per
+    # pass: m passes, about 1.6 s at this m on 2 cores.
+    m, alpha = 20_000, 0.05
+    stair = alpha * (np.arange(1, m + 1) + 0.5) / m
+    tc = ThresholdCollection(alpha=alpha, m=m)
+    rng = np.random.default_rng(3)
+    stack = np.array([rng.permutation(stair) for _ in range(20)])
+
+    def timed(call, *args):
+        start = time.perf_counter()
+        out = call(*args)
+        assert time.perf_counter() - start < 0.2
+        return out
+
+    assert timed(step_up, stair, tc) == RejectionSet(frozenset(), 0.0, 1)
+    assert min(timed(adjusted_pvalues, stair, tc)) > alpha
+    rejected, volumes = timed(_step_up_rows, stack, tc)
+    assert not rejected.any() and (volumes == 0.0).all()

@@ -125,6 +125,19 @@ class TestMcFdrPc:
             mc_fdr_pc(s, 9, SIMES, ThresholdCollection(alpha=0.05, m=20))
 
 
+@pytest.mark.parametrize("u", [0, 4])
+@pytest.mark.parametrize("call", [
+    lambda s, u: mc_fdr_pc(s, u, SIMES, ThresholdCollection(alpha=0.05, m=s.m)),
+    lambda s, u: dcc_probe(s, u, SIMES, [0.1]),
+], ids=["mc_fdr_pc", "dcc_probe"])
+def test_u_outside_1_to_n_is_rejected_before_any_draw(call, u, monkeypatch):
+    # The range is checked before any replicate is drawn, and before
+    # dcc_probe looks for a true null to probe.
+    monkeypatch.setattr(simulation, "_draw", lambda *a: pytest.fail("a replicate was drawn"))
+    with pytest.raises(ValueError, match=rf"^u={u} outside \[1, 3\]$"):
+        call(null_scenario(m=5, n=3, reps=4), u)
+
+
 class TestMcReplicability:
     def test_all_full_signal_gives_zero_error(self):
         s = SimulationScenario(m=5, n=3, true_k=(3,) * 5, mu=3.0, reps=20, seed=4)
