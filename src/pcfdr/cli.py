@@ -44,7 +44,7 @@ from .procedures import (
     _index_mask,
     step_up,
 )
-from .replicability import SelectionRule, _analysis_in_place
+from .replicability import SelectionRule, _report, _select_rows
 from .simulation import (
     SimulationScenario,
     _typed,
@@ -132,7 +132,8 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
         if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
             raise ValueError("p-value outside [0, 1]")
     except ValueError as exc:
-        raise _bad_cell(path, pvalues) or CliError(f"{path}: {exc}") from None
+        raise (_bad_cell(path, has_ids, len(cells) - has_ids, pvalues)
+               or CliError(f"{path}: {exc}")) from None
     return has_ids, mat
 
 
@@ -213,24 +214,20 @@ def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _bad_cell(path: str, pvalues: bool) -> CliError | None:
-    """The diagnostic for the first bad cell, numbered by physical line and
-    column: bytes that are not UTF-8 (read as lone surrogates, which
+def _bad_cell(path: str, has_ids: bool, width: int, pvalues: bool) -> CliError | None:
+    """The diagnostic for the first bad cell of a matrix whose rows hold
+    ``width`` values, after an id if ``has_ids``, numbered by physical line
+    and column: bytes that are not UTF-8 (read as lone surrogates, which
     ``str.encode`` rejects), a row of another width, a token that is not a
     number, or (for p-values) a value outside [0, 1]."""
-    width = has_ids = None
     for ln_no, line in _rows(path, "surrogateescape"):
         try:
             line.encode()
         except UnicodeEncodeError as exc:
             col = line.count(",", 0, exc.start) + 1
             return CliError(f"{path}:{ln_no}:{col}: not valid UTF-8")
-        if has_ids is None:
-            has_ids = pvalues and not _is_number(line.split(",", 1)[0])
         cells = [c.strip() for c in line.split(",")][has_ids:]
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        if len(cells) != width:
             return CliError(f"{path}:{ln_no}:1: expected {width} values, got {len(cells)}")
         for col, cell in enumerate(cells, start=1 + has_ids):
             if not _is_number(cell):
@@ -444,10 +441,11 @@ def cmd_replicate(args) -> int:
     try:
         # The rows are sorted in place, once for both steps: the matrix is
         # used for nothing else.
-        report = _analysis_in_place(mat[None], rule, method, ws, args.q, shape)
+        s = mat[None]
+        report = _report(s, _select_rows(s, rule, method, ws), method, ws, args.q, shape)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    del mat  # the report holds all the JSON needs; this lowers its peak
+    del mat, s  # the report holds all the JSON needs; this lowers its peak
     rows = sorted(report.selected)
     names = (list(read_ids(args.input, _index_mask(rows, m).tolist())) if has_ids
              else [str(i) for i in rows])
@@ -517,8 +515,10 @@ _CHECK_FIELDS = {
             "c_grid": (list, (0.02, 0.05, 0.1, 0.2, 0.5)), "statistic": (str, "rejection_volume")},
 }
 # The fields of a scenario, whose types and ranges SimulationScenario
-# checks, and of a file that holds a list of checks.
-_SCENARIO_FIELDS = {f.name: (None, f.default) for f in dataclasses.fields(SimulationScenario)}
+# checks, and of a file that holds a list of checks. A check needs reps,
+# from the file or --reps: the library default of 1 has no standard error.
+_SCENARIO_FIELDS = {f.name: (None, _REQUIRED if f.name == "reps" else f.default)
+                    for f in dataclasses.fields(SimulationScenario)}
 _FILE_FIELDS = {"checks": (None, _REQUIRED), "schema_version": (int, 1)}
 
 
@@ -574,7 +574,7 @@ def _run_scenario_file(args, enforce: bool) -> int:
                 raise ValueError(f"unknown check kind {kind!r}")
             f = _fields(chk, _CHECK_FIELDS[kind], "")
             scenario = SimulationScenario(
-                **_fields(f["scenario"], _SCENARIO_FIELDS, "scenario: ") | overrides)
+                **_fields(f["scenario"] | overrides, _SCENARIO_FIELDS, "scenario: "))
             if scenario.reps < 2:  # one replicate has no standard error
                 raise ValueError(f"reps: a check needs at least 2, not {scenario.reps}")
             if "u" in f and not 1 <= f["u"] <= scenario.n:  # before any replicate is drawn
@@ -644,12 +644,12 @@ def _check_flags(args) -> None:
     if getattr(args, "lam", None) is not None and args.method != "simes_storey":
         raise CliError("--lambda only applies to simes_storey")
     unit = "outside (0, 1]", lambda x: 0.0 < x <= 1.0
-    count = "must be at least 1", lambda x: x >= 1
     for flag, dest, (rule, ok) in (
             ("--alpha", "alpha", unit), ("--q", "q", unit),
             ("--u-proportion", "u_proportion", unit),
             ("--lambda", "lam", ("outside (0, 1)", lambda x: 0.0 < x < 1.0)),
-            ("--u", "u", count), ("--reps", "reps", count),
+            ("--u", "u", ("must be at least 1", lambda x: x >= 1)),
+            ("--reps", "reps", ("must be at least 2", lambda x: x >= 2)),
             ("--seed", "seed", ("outside [0, 2**64)", lambda x: 0 <= x < 2**64))):
         if (x := getattr(args, dest, None)) is not None and not ok(x):
             raise CliError(f"{flag} {x} {rule}")

@@ -1,6 +1,6 @@
 """Multiple testing of a family of partial conjunction hypotheses over a
-group layout, and the realized weighted false discovery proportion used to
-score procedures in simulations.
+group layout, and the realized weighted false discovery proportion of one
+rejection set: the simulations score theirs with ``_volume_share``.
 """
 
 from __future__ import annotations

@@ -108,8 +108,10 @@ def _check_weights(w: np.ndarray, v: np.ndarray) -> None:
         raise WeightNormalizationError("prior weights must be nonnegative")
     if (v <= 0).any():
         raise WeightNormalizationError("penalty weights must be positive")
+    g = len(w)
     with np.errstate(invalid="ignore"):
-        total, g = _volume(w * v), len(w)
+        wv = w * v
+    total = float(np.cumsum(wv, out=wv)[-1]) if g else 0.0
     if not abs(total - g) <= _NORM_RTOL * g:
         raise WeightNormalizationError(f"sum(w_g * v_g) = {total}, expected G = {g}")
 
@@ -197,19 +199,11 @@ class RejectionSet:
     iterations: int = 1
 
 
-def _volume(a: np.ndarray) -> float:
-    """Sum of the 1-d float array ``a``, added left to right, on every
-    Python. ``a`` is scratch: it is overwritten with its running sums."""
-    return float(np.cumsum(a, out=a)[-1]) if a.size else 0.0
-
-
-def _volumes(mask: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _volumes(mask: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per row of the (R, m) boolean mask, the sum of v over the row's set,
-    added in index order: each excluded entry adds an exact 0.0, so the
-    sums equal ``_volume`` of the selected entries. The running sums are
-    taken in ``out``, an (R, m) float scratch array, if one is given."""
-    out = np.empty(mask.shape) if out is None else out
-    out.fill(0.0)
+    added in index order: each excluded entry adds an exact 0.0, so each
+    sum equals that of the selected entries alone, added left to right."""
+    out = np.zeros(mask.shape)
     np.copyto(out, v, where=mask)
     return np.cumsum(out, axis=1, out=out)[:, -1].copy()
 
@@ -271,33 +265,32 @@ def _sorted_keys(P: np.ndarray, tc: ThresholdCollection) -> tuple[np.ndarray, np
     return z.real, np.cumsum(z.imag, axis=1, out=z.imag)
 
 
-def _step_up_rows(P: np.ndarray, tc: ThresholdCollection) -> tuple[np.ndarray, np.ndarray]:
+def _step_up_rows(P: np.ndarray, tc: ThresholdCollection) -> np.ndarray:
     """The step-up procedure on each row of the (R, m) array P, R >= 1: the
-    (R, m) rejection masks and the (R,) rejection volumes, added in index
-    order.
+    (R, m) rejection masks. :func:`_volumes` of a mask is its rejection
+    volume, added in index order.
 
     A row rejects its first k* sorted keys for the largest k* with
     q_(k*) <= alpha * beta(V_k*) / scale (Blanchard & Roquain 2008). As
     beta does not decrease, k* ends a run of equal keys: the row rejects
     {i: q_i <= q_(k*)}, and V_k* is the greatest fixed point of
-    r -> |L(r)|_v. The unsorted keys and the index-order volumes reuse the
-    buffers of the sorted keys and of the levels.
+    r -> |L(r)|_v. The unsorted keys reuse the buffer of the sorted keys.
     """
     _inputs(P, tc)
     qs, level = _sorted_keys(P, tc)
     np.multiply(tc.alpha, tc.shape(level, tc.m), out=level)
     level /= tc._scales(P)[:, None]
     last = np.max(qs, axis=1, where=qs <= level, initial=-1.0)
-    rejected = _keys(P, tc.weights.prior_w, out=qs) <= last[:, None]
-    return rejected, _volumes(rejected, tc.weights.penalty_v, out=level)
+    return _keys(P, tc.weights.prior_w, out=qs) <= last[:, None]
 
 
 def step_up(p: Sequence[float], tc: ThresholdCollection) -> RejectionSet:
     """Step-up procedure: reject L(r_hat) at the greatest fixed point r_hat,
     with the prior and penalty weights of ``tc.weights``, in the closed
     form of ``_step_up_rows``: one sort, O(m log m) on every input."""
-    rejected, vol = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
-    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()), float(vol[0]))
+    rejected = _step_up_rows(np.asarray(p, dtype=float)[None], tc)
+    return RejectionSet(frozenset(np.flatnonzero(rejected[0]).tolist()),
+                        float(_volumes(rejected, tc.weights.penalty_v)[0]))
 
 
 def adjusted_pvalues(p: Sequence[float], tc: ThresholdCollection) -> list[float]:

@@ -110,7 +110,7 @@ def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
         if rule.kind == "fixed_threshold_on_combined":
             return values <= rule.threshold
     tc = ThresholdCollection(alpha=rule.alpha, m=m, weights=ws, shape=rule.shape)
-    return _step_up_rows(values, tc)[0]
+    return _step_up_rows(values, tc)
 
 
 def select_features(mat, rule: SelectionRule, method: CombiningMethod,
@@ -172,12 +172,5 @@ def replicability_analysis(mat, rule: SelectionRule, method: CombiningMethod,
     """Steps 1 and 2 on one matrix: :func:`khat_bounds` of the rows that
     :func:`select_features` selects, with the rows of one private copy of
     the matrix sorted once for both steps."""
-    return _analysis_in_place(_own_stack(mat), rule, method, ws, q, beta)
-
-
-def _analysis_in_place(s: np.ndarray, rule: SelectionRule, method: CombiningMethod,
-                       ws: WeightScheme, q: float,
-                       beta: ShapeFunction) -> ReplicabilityReport:
-    """:func:`replicability_analysis` of the one-matrix (1, m, n) float
-    stack ``s``, whose rows it sorts in place."""
+    s = _own_stack(mat)
     return _report(s, _select_rows(s, rule, method, ws), method, ws, q, beta)

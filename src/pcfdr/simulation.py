@@ -34,6 +34,7 @@ from .procedures import (
     ShapeFunction,
     ThresholdCollection,
     WeightScheme,
+    _index_mask,
     _step_up_rows,
     _volume_share,
     _volumes,
@@ -232,12 +233,11 @@ def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,
               tc: ThresholdCollection) -> McEstimate:
     """Monte Carlo estimate of the weighted FDR over the family of
     per-feature partial conjunction hypotheses at parameter u."""
-    nulls = np.zeros(s.m, dtype=bool)
-    nulls[sorted(s.true_null_features(u))] = True
+    nulls = _index_mask(s.true_null_features(u), s.m)
 
     def fdps(mats):
         pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
-        rejected = _step_up_rows(pc, tc)[0]
+        rejected = _step_up_rows(pc, tc)
         return _volume_share(rejected & nulls, rejected, tc.weights.penalty_v)
 
     return _estimate(_map_chunks(s, fdps))
@@ -287,10 +287,11 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     def probed(mats):
         pc = pc_pvalues(mats.reshape(-1, s.n), u, method).reshape(len(mats), s.m)
         if statistic == "rejection_volume":
-            return np.stack([pc[:, probe], _step_up_rows(pc, tc)[1]], axis=1)
-        mats[:, probe] = 0.0
-        selected = _select_rows(mats, rule, method, tc.weights)
-        return np.stack([pc[:, probe], _volumes(selected, tc.weights.penalty_v)], axis=1)
+            mask = _step_up_rows(pc, tc)
+        else:
+            mats[:, probe] = 0.0
+            mask = _select_rows(mats, rule, method, tc.weights)
+        return np.stack([pc[:, probe], _volumes(mask, tc.weights.penalty_v)], axis=1)
 
     p_u, vol = _map_chunks(s, probed).T
     positive = vol > 0

@@ -39,6 +39,7 @@ from pcfdr.simulation import (
     mc_fdr_pc,
     mc_replicability_error,
 )
+import oracles
 from oracles import check_stability, pc_pvalue_oracle, thresholds
 from test_numerics import CHI2_ORACLE, PHI_ORACLE
 
@@ -221,7 +222,8 @@ def test_criterion_9_structural_invariants():
                        for j, x in enumerate(base)]
             if step_up(dropped, tc).fixed_point_volume < vol_base:
                 violations += 1
-        max_iter_excess = max(max_iter_excess, r.iterations - (m + 1))
+        # the fixed-point map takes at most m + 1 passes to reach it
+        max_iter_excess = max(max_iter_excess, oracles.step_up(p, tc)[2] - (m + 1))
     report(9, violations == 0 and max_iter_excess <= 0,
            f"{violations} structural-invariant violations over 1000 random "
            f"instances; fixed-point iterations exceeded m+1 by "

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -748,11 +749,11 @@ class TestReplicate:
 
     def test_input_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "m.csv", "a,0.8,0.9\nhit,0.0001,0.0002\n")
-        analysis = cli._analysis_in_place
+        select = cli._select_rows
         def truncating(*args):
             Path(path).write_text("a,0.8,0.9\n")
-            return analysis(*args)
-        monkeypatch.setattr(cli, "_analysis_in_place", truncating)
+            return select(*args)
+        monkeypatch.setattr(cli, "_select_rows", truncating)
         assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
 
@@ -907,6 +908,7 @@ class TestSimulateVerify:
         ({"scenario": [1, 2]}, "scenario: must be an object, not [1, 2]"),
         ({"scenario": {"mm": 10}}, "scenario: unknown field 'mm'"),
         ({"scenario": {"true_k": None}}, "scenario: missing field 'true_k'"),
+        ({"scenario": {"reps": None}}, "scenario: missing field 'reps'"),
         ({"check": ["x"]}, "check: must be a string, not ['x']"),
         ({"method": [1]}, "method: must be a string, not [1]"),
         ({"shape": 5}, "shape: must be a string, not 5"),
@@ -945,8 +947,8 @@ class TestSimulateVerify:
             "c_grid-bool", "lambda-string", "adaptive_lambda-string", "unknown-field",
             "one-rep", "unknown-kind", "fdr_pc-statistic", "dcc-shape",
             "replicability-u", "no-check", "no-scenario", "no-method", "no-u", "dcc-no-u",
-            "scenario-list", "scenario-unknown-field", "scenario-no-true_k", "check-list",
-            "method-list", "shape-int", "rule-int", "statistic-int", "c_grid-int",
+            "scenario-list", "scenario-unknown-field", "scenario-no-true_k", "scenario-no-reps",
+            "check-list", "method-list", "shape-int", "rule-int", "statistic-int", "c_grid-int",
             "alpha-overflow", "mu-overflow", "rho-overflow", "q-overflow", "c_grid-overflow",
             "lambda-overflow", "adaptive_lambda-overflow", "seed-above", "seed-negative",
             "rule-threshold", "rule-column", "rule-threshold-range", "rule-unknown",
@@ -1067,6 +1069,34 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"{path}:3: Stouffer combiner with both p=0 and p=1" in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["verify", "--scenario", "D"], "cannot read {D}: {isdir}"),
+        (["pc-test", "P", "--alpha", "0.05", "--method", "simes", "--groups", "D"],
+         "cannot read {D}: {isdir}"),
+        (["replicate", "M", "--q", "0.1", "--method", "simes", "--weights", "W3"],
+         "{W3}: weights file must have exactly two columns"),
+        (["replicate", "M", "--q", "0.1", "--method", "simes", "--weights", "W"],
+         "{W}: expected 2 weight rows, got 3"),
+        (["combine", "M5", "--method", "simes", "--u", "6"], "--u 6 outside [1, 5]"),
+        (["pc-test", "M", "--alpha", "0.05", "--method", "simes", "--groups", "G"],
+         "{M}: pc-test expects a single column of p-values"),
+        (["pc-test", "P", "--alpha", "0.05", "--method", "stouffer", "--groups", "G"],
+         "{G}: group 'b': Stouffer combiner with both p=0 and p=1"),
+    ], ids=["scenario-directory", "groups-directory", "weights-three-columns",
+          "weights-rows", "combine-u-above-n", "pc-test-two-columns", "pc-test-stouffer"])
+    def test_bad_input_exits_2_with_its_message(self, tmp_path, capsys, argv, err):
+        (tmp_path / "d").mkdir()
+        files = {"D": str(tmp_path / "d"),
+                 "M": write(tmp_path, "m.csv", "0.01,0.2\n0.03,0.5\n"),
+                 "M5": write(tmp_path, "m5.csv", "0.1,0.2,0.3,0.4,0.5\n"),
+                 "P": write(tmp_path, "p.csv", "0.2\n0.0\n1.0\n"),
+                 "G": write(tmp_path, "g.txt", "a\nb\nb\n"),
+                 "W": write(tmp_path, "w.csv", "1,1\n1,1\n1,1\n"),
+                 "W3": write(tmp_path, "w3.csv", "1,1,1\n1,1,1\n")}
+        isdir = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), files["D"])
+        assert run([files.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {err.format(isdir=isdir, **files)}\n"
+
     def test_out_of_range_pvalue(self, tmp_path):
         path = write(tmp_path, "m.csv", "0.5,1.5\n")
         assert run(["combine", path, "--method", "fisher"]) == 2
@@ -1132,10 +1162,10 @@ class TestExitCodes:
         (["replicate", "M", "--q", "0.1", "--method", "simes", "--rule", "lasso"],
          "--rule lasso: unknown rule; use step-up, threshold=T, or column=J"),
         (["simulate", "--scenario", str(REFERENCE), "--reps", "0"],
-         "--reps 0 must be at least 1"),
+         "--reps 0 must be at least 2"),
         # One replicate has no standard error, so its bound would be the base.
         (["verify", "--scenario", str(REFERENCE), "--reps", "1"],
-         f"{REFERENCE}: bad check spec: reps: a check needs at least 2, not 1"),
+         "--reps 1 must be at least 2"),
         (["verify", "--scenario", str(REFERENCE), "--seed", "-1"],
          "--seed -1 outside [0, 2**64)"),
         (["simulate", "--scenario", str(REFERENCE), "--seed", str(2**64)],

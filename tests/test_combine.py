@@ -19,6 +19,7 @@ from pcfdr.combine import (
     _harmonic,
     combine_pvalues,
     simes_storey,
+    sort_rows,
     storey_pi0,
 )
 from pcfdr.procedures import ThresholdCollection, adjusted_pvalues
@@ -122,6 +123,11 @@ class TestStorey:
 
     def test_simes_storey_cap(self):
         assert combine_pvalues([0.45, 0.9, 0.9, 0.9], simes_storey(0.5)) == 1.0
+
+
+def test_sort_rows_needs_a_2d_array():
+    with pytest.raises(ValueError, match="^p-values must form a 2-d array$"):
+        sort_rows([0.1, 0.2])
 
 
 class TestCombiningMethod:

@@ -44,6 +44,7 @@ from pcfdr.procedures import (
     ThresholdCollection,
     WeightScheme,
     _step_up_rows,
+    _volumes,
     adjusted_pvalues,
     step_up,
 )
@@ -304,7 +305,8 @@ def test_stacked_step_up_rows_match_fixed_point_oracle():
     ]
     P = rng.random((60, m)) ** rng.integers(1, 6, size=(60, 1))
     for tc in collections:
-        rejected, volumes = _step_up_rows(P, tc)
+        rejected = _step_up_rows(P, tc)
+        volumes = _volumes(rejected, tc.weights.penalty_v)
         expected = [oracles.step_up(row, tc) for row in P.tolist()]
         assert len({it for _, _, it in expected}) > 1
         for rej, vol, (indices, volume, _) in zip(rejected, volumes.tolist(), expected):

@@ -32,6 +32,9 @@ class TestGroupLayout:
             GroupLayout.from_proportion([0, 0, 2], 0.5)  # group 1 is empty
         with pytest.raises(ValueError):
             GroupLayout.from_proportion([0.0, 1.0], 0.5)
+        for proportion in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"^proportion must lie in \(0, 1\]$"):
+                GroupLayout.from_proportion([0, 0, 1], proportion)
 
     def test_sizes(self):
         # Group sizes are counted from interleaved labels: 2 and 1.

@@ -15,6 +15,7 @@ from pcfdr.procedures import (
     WeightNormalizationError,
     WeightScheme,
     _step_up_rows,
+    _volumes,
     adjusted_pvalues,
     step_up,
     weighted_volume,
@@ -114,12 +115,18 @@ class TestStepUp:
             assert by.indices == bh.indices
 
     def test_fixed_point_iteration_bounded(self):
+        # The fixed-point map r -> |L(r)|_v, iterated from sum(v), reaches
+        # the step-up's set in at most m + 1 passes; the closed form gives
+        # that set in one.
         rng = random.Random(77)
         for _ in range(500):
             m = rng.randint(1, 30)
             p = [rng.random() for _ in range(m)]
-            r = step_up(p, ThresholdCollection(alpha=0.2, m=m))
-            assert r.iterations <= m + 1
+            tc = ThresholdCollection(alpha=0.2, m=m)
+            indices, volume, passes = oracles.step_up(p, tc)
+            assert passes <= m + 1
+            r = step_up(p, tc)
+            assert (r.indices, r.fixed_point_volume, r.iterations) == (indices, volume, 1)
 
     def test_weight_normalization_enforced(self):
         with pytest.raises(WeightNormalizationError):
@@ -241,6 +248,25 @@ class TestInputChecks:
         with pytest.raises(TypeError, match="weights must be a WeightScheme, not tuple"):
             ThresholdCollection(0.05, 2, (1.5, 0.5))
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: ShapeFunction("discrete_nu", nu=((0.0, 0.5), (1.0, 0.5))), ValueError,
+         "nu must live on positive support with nonnegative masses"),
+        (lambda: ShapeFunction("discrete_nu", nu=((1.0, -0.5), (2.0, 1.5))), ValueError,
+         "nu must live on positive support with nonnegative masses"),
+        (lambda: WeightScheme((1.0, 1.0), (2.0,)), WeightNormalizationError,
+         "weight vectors must have equal length"),
+        (lambda: WeightScheme((-1.0, 3.0), (1.0, 1.0)), WeightNormalizationError,
+         "prior weights must be nonnegative"),
+        (lambda: ThresholdCollection(alpha=0.0, m=2), ValueError, "alpha=0.0 outside (0, 1]"),
+        (lambda: ThresholdCollection(alpha=1.5, m=2), ValueError, "alpha=1.5 outside (0, 1]"),
+        (lambda: ThresholdCollection(alpha=0.05, m=0), ValueError, "m must be positive"),
+    ], ids=["nu-support-zero", "nu-mass-negative", "weights-lengths", "prior-weight-negative",
+          "alpha-zero", "alpha-above-one", "m-zero"])
+    def test_constructor_checks(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("call", [step_up, adjusted_pvalues])
     def test_zero_penalty_weight_raises_as_weight_scheme_does(self, call):
         # The collection holds the scheme, so the rule is checked before
@@ -291,5 +317,6 @@ def test_staircase_takes_one_sort():
 
     assert timed(step_up, stair, tc) == RejectionSet(frozenset(), 0.0, 1)
     assert min(timed(adjusted_pvalues, stair, tc)) > alpha
-    rejected, volumes = timed(_step_up_rows, stack, tc)
+    rejected = timed(_step_up_rows, stack, tc)
+    volumes = _volumes(rejected, tc.weights.penalty_v)
     assert not rejected.any() and (volumes == 0.0).all()

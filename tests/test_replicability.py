@@ -3,7 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from pcfdr.combine import BONFERRONI, SIMES, _sort_rows_in_place, combine_pvalues
+from pcfdr.combine import (
+    BONFERRONI,
+    SIMES,
+    STOUFFER,
+    DegenerateInputError,
+    _sort_rows_in_place,
+    combine_pvalues,
+)
 from pcfdr.partial_conjunction import _pc_pvalues_sorted, pc_path, pc_path_sorted, pc_pvalues
 from pcfdr.procedures import (
     IDENTITY,
@@ -14,7 +21,8 @@ from pcfdr.procedures import (
 )
 from pcfdr.replicability import (
     SelectionRule,
-    _analysis_in_place,
+    _report,
+    _select_rows,
     khat_bounds,
     replicability_analysis,
     select_features,
@@ -94,6 +102,11 @@ class TestSelectFeatures:
         rule = SelectionRule("step_up_on_column", alpha=0.05, column=1)
         assert select_features(mat, rule, SIMES, WeightScheme.unit(2)) == {1}
 
+    def test_column_outside_the_matrix(self):
+        rule = SelectionRule("step_up_on_column", alpha=0.05, column=2)
+        with pytest.raises(ValueError, match=r"^column 2 outside \[0, 2\)$"):
+            select_features([[0.001, 0.9], [0.9, 0.001]], rule, SIMES, WeightScheme.unit(2))
+
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             SelectionRule("step_up_on_combined")  # missing alpha
@@ -149,6 +162,14 @@ class TestKhatBounds:
                 sel = select_features(mat, rule, method, ws)
                 assert report == khat_bounds(mat, sel, method, ws, 0.1, RECIPROCAL_SUM)
 
+    def test_stouffer_degenerate_selected_row_is_named(self):
+        # Row 0 holds a 0 and a 1 too, but only the selected rows are combined.
+        mat = [[0.0, 1.0], [0.2, 0.3], [1.0, 0.0]]
+        with pytest.raises(DegenerateInputError) as err:
+            khat_bounds(mat, {1, 2}, STOUFFER, WeightScheme.unit(3), 0.1)
+        assert err.value.row == 2
+        assert str(err.value) == "Stouffer combiner with both p=0 and p=1"
+
     def test_q_validation(self):
         with pytest.raises(ValueError):
             khat_bounds([[0.5]], set(), SIMES, WeightScheme.unit(1), q=0.0)
@@ -187,7 +208,8 @@ def test_public_entry_points_leave_the_callers_matrix_as_it_is():
         report = replicability_analysis(mat, rule, SIMES, ws, 0.1)
         assert np.array_equal(mat, saved)
         own = saved.copy()
-        assert report == _analysis_in_place(own[None], rule, SIMES, ws, 0.1, IDENTITY)
+        s = own[None]
+        assert report == _report(s, _select_rows(s, rule, SIMES, ws), SIMES, ws, 0.1, IDENTITY)
         assert np.array_equal(own, in_place)
         assert report.selected
         assert select_features(mat, rule, SIMES, ws) == report.selected

@@ -44,6 +44,12 @@ class TestScenario:
         for name in ("mu", "rho"):
             with pytest.raises(ValueError, match=f"{name}: int too large"):
                 SimulationScenario(m=1, n=3, true_k=(1,), **{name: 10**400})
+        for kw, message in (({"reps": 0}, "reps must be positive"),
+                            ({"mu": -1.0}, "mu must be nonnegative"),
+                            ({"dependence": "block_arbitrary", "block_size": 1},
+                             "block_size must be at least 2")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SimulationScenario(m=1, n=3, true_k=(1,), **kw)
 
     @pytest.mark.parametrize("m, n", [(0, 3), (1, 0)])
     def test_sizes_are_checked_before_true_k(self, m, n):
