@@ -110,30 +110,31 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     cores at once, each from its own byte range (:func:`_loadtxt`).
     ``np.loadtxt`` cannot skip a whitespace-only line, so on any failure
     the nonblank lines are parsed again in this process alone; only if
-    that fails too is the file read once more to locate the bad cell.
+    that fails too is the file read once more to locate the bad cell; if it
+    has none, the file changed in between. Any read's OSError is a CliError.
     """
     try:
         if not stat.S_ISREG((st := os.stat(path)).st_mode):
             raise CliError(f"{path}: not a regular file")
         _, head = next(_rows(path, "surrogateescape"), (None, None))
+        if head is None:
+            raise CliError(f"{path}:1:1: empty input")
+        cells = head.split(",")
+        has_ids = pvalues and not _is_number(cells[0])
+        kw = dict(dtype=[("id", "S")] * has_ids + [("p", float, (len(cells) - has_ids,))],
+                  delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
+        try:
+            try:
+                mat = _loadtxt(path, st.st_size, kw)["p"]
+            except (OSError, ValueError):
+                mat = np.loadtxt((line for _, line in _rows(path)), **kw)["p"]
+            if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
+                raise ValueError("p-value outside [0, 1]")
+        except ValueError:
+            raise (_bad_cell(path, has_ids, len(cells) - has_ids, pvalues)
+                   or CliError(f"{path}: changed while it was read")) from None
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    if head is None:
-        raise CliError(f"{path}:1:1: empty input")
-    cells = head.split(",")
-    has_ids = pvalues and not _is_number(cells[0])
-    kw = dict(dtype=[("id", "S")] * has_ids + [("p", float, (len(cells) - has_ids,))],
-              delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
-    try:
-        try:
-            mat = _loadtxt(path, st.st_size, kw)["p"]
-        except (OSError, ValueError):
-            mat = np.loadtxt((line for _, line in _rows(path)), **kw)["p"]
-        if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
-            raise ValueError("p-value outside [0, 1]")
-    except ValueError as exc:
-        raise (_bad_cell(path, has_ids, len(cells) - has_ids, pvalues)
-               or CliError(f"{path}: {exc}")) from None
     return has_ids, mat
 
 
@@ -468,37 +469,33 @@ def cmd_replicate(args) -> int:
 
 def _fdr_pc_check(f, scenario, method):
     """Weighted FDR of the PC family against alpha times the PC-null share."""
+    base = f["alpha"] * len(scenario.true_null_features(f["u"])) / scenario.m
     tc = ThresholdCollection(alpha=f["alpha"], m=scenario.m, shape=ShapeFunction(f["shape"]),
                              adaptive_lambda=f["adaptive_lambda"])
-    est = mc_fdr_pc(scenario, f["u"], method, tc)
-    return [({}, est, f["alpha"] * len(scenario.true_null_features(f["u"])) / scenario.m)]
+    return lambda: [({}, mc_fdr_pc(scenario, f["u"], method, tc), base)]
 
 
 def _replicability_check(f, scenario, method):
     """Replicability error of the two-step procedure against q."""
-    q = f["q"]
-    shape = ShapeFunction(f["shape"])
-    if not 0.0 < q <= 1.0:  # as --q; the threshold rule would not check it
+    q, shape = f["q"], ShapeFunction(f["shape"])
+    if not 0.0 < q <= 1.0:  # before _parse_rule, which would blame a step-up rule (alpha = q)
         raise ValueError(f"q: {q} outside (0, 1]")
     try:
         rule = _parse_rule(f["rule"], q, shape)
-        if rule.column is not None and not 0 <= rule.column < scenario.n:
-            raise ValueError(f"column {rule.column} outside [0, {scenario.n})")
     except ValueError as exc:
         raise ValueError(f"rule: {exc}") from None
     ws = WeightScheme.unit(scenario.m)
-    return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
+    return lambda: [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
 
 
 def _dcc_check(f, scenario, method):
     """The dependency control condition against each c of the grid."""
-    out = dcc_probe(scenario, f["u"], method, f["c_grid"], statistic=f["statistic"],
-                    alpha=f["alpha"])
-    return [({"c": c}, est, c) for c, est in out]
+    return lambda: [({"c": c}, est, c) for c, est in dcc_probe(
+        scenario, f["u"], method, f["c_grid"], statistic=f["statistic"], alpha=f["alpha"])]
 
 
-# Each check kind returns, per result, its extra report fields, the Monte
-# Carlo estimate and the base of its bound.
+# Each check kind builds from its fields, scenario and method a runner that
+# returns, per result, its extra report fields, estimate and bound's base.
 _CHECKS = {"fdr_pc": _fdr_pc_check, "replicability": _replicability_check,
            "dcc": _dcc_check}
 _REQUIRED = dataclasses.MISSING  # the default of a field that must be given
@@ -563,7 +560,7 @@ def _run_scenario_file(args, enforce: bool) -> int:
             or not all(isinstance(chk, dict) for chk in checks)):
         raise CliError(f"{args.scenario}: bad check spec: not an object with a list of checks")
     overrides = {k: v for k, v in (("reps", args.reps), ("seed", args.seed)) if v is not None}
-    records = []
+    built = []  # every check is read and built before the first runs
     try:
         if "checks" in spec and (v := _fields(spec, _FILE_FIELDS, "")["schema_version"]) != 1:
             raise ValueError(f"schema_version: must be 1, not {v}")
@@ -577,13 +574,13 @@ def _run_scenario_file(args, enforce: bool) -> int:
                 **_fields(f["scenario"] | overrides, _SCENARIO_FIELDS, "scenario: "))
             if scenario.reps < 2:  # one replicate has no standard error
                 raise ValueError(f"reps: a check needs at least 2, not {scenario.reps}")
-            if "u" in f and not 1 <= f["u"] <= scenario.n:  # before any replicate is drawn
-                raise ValueError(f"u: {f['u']} outside [1, {scenario.n}]")
             method = CombiningMethod(f["method"], f["lambda"])
-            sub = [_result(*r) for r in _CHECKS[kind](f, scenario, method)]
-            records.append({"check": kind, "scenario": dataclasses.asdict(scenario),
-                            "method": f["method"], "results": sub,
-                            "pass": all(r["pass"] for r in sub)})
+            built.append(({"check": kind, "scenario": dataclasses.asdict(scenario),
+                           "method": f["method"]}, _CHECKS[kind](f, scenario, method)))
+        records = []
+        for record, check in built:
+            sub = [_result(*r) for r in check()]
+            records.append({**record, "results": sub, "pass": all(r["pass"] for r in sub)})
     except (TypeError, ValueError) as exc:
         raise CliError(f"{args.scenario}: bad check spec: {exc}") from None
     all_pass = all(r["pass"] for r in records)

@@ -209,11 +209,12 @@ def gen_meta_matrix(s: SimulationScenario, rep_index: int) -> np.ndarray:
 def _map_chunks(s: SimulationScenario, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``fn`` of the stacked draws of all replicates, about _CHUNK_ROWS // m
     at a time, each a float array with a row per replicate, concatenated.
-    Replicates are split into k = min(usable cores, reps, drawn values //
-    _MIN_DRAWS) contiguous spans, mapped by :func:`_fork.map_rows`. If a
-    child, a pipe or a fork fails, this process maps them all again, so
-    that an error raises as it does here.
-    """
+    ``fn`` must accept an empty (0, m, n) stack: a dry run on one, before any
+    draw, has the code that applies each argument check it. Replicates are
+    split into k = min(usable cores, reps, drawn values // _MIN_DRAWS) spans,
+    mapped by :func:`_fork.map_rows`; if a child, a pipe or a fork fails,
+    this process maps them all again, so that an error raises as here."""
+    fn(np.empty((0, s.m, s.n)))
     k = _fork.processes(min(s.reps, s.reps * s.m * s.n // _MIN_DRAWS))
     cuts = [s.reps * i // k for i in range(k + 1)]
     step = max(1, _CHUNK_ROWS // s.m)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pcfdr import _fork, cli
+from pcfdr import _fork, cli, simulation
 from pcfdr.cli import CliError, read_ids, read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
@@ -231,6 +231,68 @@ class TestReadWriteMatrix:
                 if flag == "--groups" else ["verify", "--scenario", str(path)])
         assert run(argv) == 2
         assert capsys.readouterr().err == f"error: {path}:{where}\n"
+
+
+class TestChangedBetweenReads:
+    """An input read more than once that is changed or removed between two
+    reads exits 2 with a message, never a traceback or a report built from
+    two versions of the file."""
+
+    def between(self, monkeypatch, name, change):
+        """Run ``change`` before each call of cli's ``name``."""
+        real = getattr(cli, name)
+
+        def changed(*args):
+            change()
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, changed)
+
+    def gone(self, path):
+        return f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+
+    def test_matrix_gone_before_the_serial_retry(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,0.4\n")
+
+        def failing(*args):
+            os.remove(path)
+            raise OSError("a forked parse failed")
+
+        monkeypatch.setattr(cli, "_loadtxt", failing)
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        assert capsys.readouterr().err == self.gone(path)
+
+    def test_matrix_gone_before_the_diagnostic(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,x\n")
+        self.between(monkeypatch, "_bad_cell", lambda: os.remove(path))
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        assert capsys.readouterr().err == self.gone(path)
+
+    def test_bad_cell_mended_before_the_diagnostic(self, tmp_path, capsys, monkeypatch):
+        # Both parses failed, and the third read finds every cell good.
+        path = write(tmp_path, "m.csv", "0.1,0.2\n0.3,x\n")
+        self.between(monkeypatch, "_bad_cell", lambda: write(tmp_path, "m.csv", "0.1,0.2\n"))
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
+
+    def test_ids_gone_before_they_are_read_back(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, "m.csv", "a,0.1,0.2\nb,0.3,0.4\n")
+        self.between(monkeypatch, "_pc_pvalues_sorted", lambda: os.remove(path))
+        assert run(["combine", path, "--method", "fisher"]) == 2
+        assert capsys.readouterr() == ("", self.gone(path))
+
+    def test_labels_mended_before_the_second_read(self, tmp_path, capsys, monkeypatch):
+        # The labels are not UTF-8 when coded and are by the time _read_text
+        # looks for the bad byte: the first read's error is reported.
+        p = write(tmp_path, "p.csv", "0.1\n0.2\n")
+        groups = tmp_path / "g.txt"
+        groups.write_bytes(b"a\n\xffb\n")
+        self.between(monkeypatch, "_read_text", lambda: groups.write_bytes(b"a\nb\n"))
+        argv = ["pc-test", p, "--alpha", "0.05", "--method", "simes", "--groups", str(groups)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {groups}: 'utf-8' codec can't decode byte 0xff in "
+            "position 2: invalid start byte\n")
 
 
 def matrix_text(ids, newline, bom, final, rows=60, long_last=False):
@@ -935,12 +997,12 @@ class TestSimulateVerify:
          "rule: unknown rule; use step-up, threshold=T, or column=J"),
         ({"check": "replicability", "u": None, "q": 2, "rule": "threshold=0.1"},
          "q: 2.0 outside (0, 1]"),
-        ({"u": 0}, "u: 0 outside [1, 3]"),
-        ({"u": 4}, "u: 4 outside [1, 3]"),
-        ({"check": "dcc", "u": 0}, "u: 0 outside [1, 3]"),
+        ({"u": 0}, "u=0 outside [1, 3]"),
+        ({"u": 4}, "u=4 outside [1, 3]"),
+        ({"check": "dcc", "u": 0}, "u=0 outside [1, 3]"),
         ({"scenario": {"dependence": 5}}, "dependence: must be a string, not 5"),
         ({"check": "replicability", "u": None, "rule": "column=7"},
-         "rule: column 7 outside [0, 3)"),
+         "column 7 outside [0, 3)"),
     ], ids=["true_k-float", "true_k-bool", "u-float", "u-bool", "dcc-u-float",
             "dcc-empty-grid", "shape", "m-bool", "n-string", "reps-bool", "seed-bool",
             "block_size-bool", "mu-string", "rho-bool", "alpha-bool", "q-string",
@@ -954,12 +1016,15 @@ class TestSimulateVerify:
             "rule-threshold", "rule-column", "rule-threshold-range", "rule-unknown",
             "q-range", "u-zero", "u-above-n", "dcc-u-zero", "dependence-int",
             "rule-column-above-n"])
-    def test_bad_scenario_value_exits_2(self, tmp_path, capsys, change, message):
+    def test_bad_scenario_value_exits_2(self, tmp_path, capsys, monkeypatch, change, message):
         # Nothing is truncated, read as 0 and 1 or ignored, no check
         # passes on an empty grid or without a standard error, a field of
         # another kind of check is not taken as this kind's, and every
-        # message names the field. A change to None drops the field; a
-        # scenario change that is an object changes the scenario's fields.
+        # message names the field or its value, before any replicate is
+        # drawn. A change to None drops the field; a scenario change that
+        # is an object changes the scenario's fields.
+        drawn, draw = [], simulation._draw
+        monkeypatch.setattr(simulation, "_draw", lambda *a: drawn.append(a[1:]) or draw(*a))
         chk = {"check": "fdr_pc", "method": "simes", "u": 1,
                "scenario": {"m": 10, "n": 3, "true_k": [0] * 10, "reps": 5, "seed": 1}}
         if isinstance(sc := change.pop("scenario", {}), dict):
@@ -968,6 +1033,28 @@ class TestSimulateVerify:
         path = self.scenario_file(tmp_path, [chk])
         assert run(["verify", "--scenario", path]) == 2
         assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
+        assert drawn == []
+
+    @pytest.mark.parametrize("change, message", [
+        ({"alpah": 0.1}, "unknown field 'alpah'"),
+        ({"u": None}, "missing field 'u'"),
+        ({"alpha": "0.1"}, "alpha: must be a real number, not '0.1'"),
+        ({"u": 6}, "u=6 outside [1, 5]"),
+    ], ids=["unknown", "missing", "mistyped", "u-above-n"])
+    def test_last_check_is_read_before_the_first_runs(self, tmp_path, capsys, monkeypatch,
+                                                      change, message):
+        # Every check of a file is read and built before the first runs:
+        # a bad last check exits 2 with no replicate drawn, however many
+        # the checks before it hold.
+        drawn, draw = [], simulation._draw
+        monkeypatch.setattr(simulation, "_draw", lambda *a: drawn.append(a[1:]) or draw(*a))
+        good = {"check": "fdr_pc", "method": "simes", "u": 2,
+                "scenario": {"m": 200, "n": 5, "true_k": [0] * 200, "reps": 40_000, "seed": 1}}
+        bad = {k: v for k, v in {**good, **change}.items() if v is not None}
+        path = self.scenario_file(tmp_path, [good, bad])
+        assert run(["verify", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: bad check spec: {message}\n"
+        assert drawn == []
 
     @pytest.mark.parametrize("extra, message", [
         ({"chekcs": 1}, "unknown field 'chekcs'"),

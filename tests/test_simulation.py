@@ -144,6 +144,33 @@ def test_u_outside_1_to_n_is_rejected_before_any_draw(call, u, monkeypatch):
         call(null_scenario(m=5, n=3, reps=4), u)
 
 
+STEP_UP = SelectionRule("step_up_on_combined", alpha=0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: mc_fdr_pc(s, 2, SIMES, ThresholdCollection(alpha=0.05, m=199)),
+     "expected 199 p-values, got 200"),
+    (lambda s: mc_replicability_error(s, STEP_UP, SIMES, WeightScheme.unit(200), q=2),
+     r"q=2 outside \(0, 1\]"),
+    (lambda s: mc_replicability_error(s, STEP_UP, SIMES, WeightScheme.unit(199), q=0.1),
+     "weight scheme sized for a different feature count"),
+    (lambda s: mc_replicability_error(s, SelectionRule("step_up_on_column", alpha=0.1, column=9),
+                                      SIMES, WeightScheme.unit(200), q=0.1),
+     r"column 9 outside \[0, 5\)"),
+], ids=["tc-size", "q", "weights-size", "column"])
+def test_scorer_arguments_are_checked_before_any_draw(call, message, monkeypatch):
+    # The chunk scorer's dry run on an empty stack applies every argument,
+    # so a bad one raises the message of the code that applies it with no
+    # replicate drawn and no process forked.
+    drawn, draw = [], simulation._draw
+    monkeypatch.setattr(simulation, "_draw", lambda *a: drawn.append(a[1:]) or draw(*a))
+    monkeypatch.setattr(_fork, "_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call(null_scenario(m=200, n=5, reps=4000))
+    assert drawn == []
+
+
 class TestMcReplicability:
     def test_all_full_signal_gives_zero_error(self):
         s = SimulationScenario(m=5, n=3, true_k=(3,) * 5, mu=3.0, reps=20, seed=4)
