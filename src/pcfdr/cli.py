@@ -472,7 +472,7 @@ def _fdr_pc_check(f, scenario, method):
     base = f["alpha"] * len(scenario.true_null_features(f["u"])) / scenario.m
     tc = ThresholdCollection(alpha=f["alpha"], m=scenario.m, shape=ShapeFunction(f["shape"]),
                              adaptive_lambda=f["adaptive_lambda"])
-    return lambda: [({}, mc_fdr_pc(scenario, f["u"], method, tc), base)]
+    return [({}, mc_fdr_pc(scenario, f["u"], method, tc), base)]
 
 
 def _replicability_check(f, scenario, method):
@@ -485,31 +485,28 @@ def _replicability_check(f, scenario, method):
     except ValueError as exc:
         raise ValueError(f"rule: {exc}") from None
     ws = WeightScheme.unit(scenario.m)
-    return lambda: [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
+    return [({}, mc_replicability_error(scenario, rule, method, ws, q, shape), q)]
 
 
 def _dcc_check(f, scenario, method):
     """The dependency control condition against each c of the grid."""
-    return lambda: [({"c": c}, est, c) for c, est in dcc_probe(
+    return [({"c": c}, est, c) for c, est in dcc_probe(
         scenario, f["u"], method, f["c_grid"], statistic=f["statistic"], alpha=f["alpha"])]
 
 
-# Each check kind builds from its fields, scenario and method a runner that
-# returns, per result, its extra report fields, estimate and bound's base.
-_CHECKS = {"fdr_pc": _fdr_pc_check, "replicability": _replicability_check,
-           "dcc": _dcc_check}
 _REQUIRED = dataclasses.MISSING  # the default of a field that must be given
-# Per check kind, each field that it reads, with its JSON type (list: of
-# real numbers) and its default. Any other field is rejected, not ignored.
 _COMMON = {"check": (str, _REQUIRED), "scenario": (dict, _REQUIRED),
            "method": (str, _REQUIRED), "lambda": (float, None)}
-_CHECK_FIELDS = {
-    "fdr_pc": {**_COMMON, "u": (int, _REQUIRED), "alpha": (float, 0.05),
-               "shape": (str, "identity"), "adaptive_lambda": (float, None)},
-    "replicability": {**_COMMON, "q": (float, 0.05), "rule": (str, "step-up"),
-                      "shape": (str, "identity")},
-    "dcc": {**_COMMON, "u": (int, _REQUIRED), "alpha": (float, 0.05),
-            "c_grid": (list, (0.02, 0.05, 0.1, 0.2, 0.5)), "statistic": (str, "rejection_volume")},
+# Per check kind, the function of its fields, scenario and method that returns
+# each result's extra report fields, estimate and bound's base; and the fields
+# it reads, with JSON type (list: of real numbers) and default. Others are errors.
+_CHECKS = {
+    "fdr_pc": (_fdr_pc_check, {**_COMMON, "u": (int, _REQUIRED), "alpha": (float, 0.05),
+                               "shape": (str, "identity"), "adaptive_lambda": (float, None)}),
+    "replicability": (_replicability_check, {**_COMMON, "q": (float, 0.05),
+                                             "rule": (str, "step-up"), "shape": (str, "identity")}),
+    "dcc": (_dcc_check, {**_COMMON, "u": (int, _REQUIRED), "statistic": (str, "rejection_volume"),
+                         "alpha": (float, 0.05), "c_grid": (list, (0.02, 0.05, 0.1, 0.2, 0.5))}),
 }
 # The fields of a scenario, whose types and ranges SimulationScenario
 # checks, and of a file that holds a list of checks. A check needs reps,
@@ -528,7 +525,7 @@ def _fields(obj: dict, table: dict, where: str) -> dict:
     required one or a value of another type."""
     for name in obj:
         if name not in table:
-            if "check" in table and any(name in t for t in _CHECK_FIELDS.values()):
+            if "check" in table and any(name in t for _, t in _CHECKS.values()):
                 raise ValueError(f"field {name!r} does not apply to a {obj['check']} check")
             raise ValueError(f"{where}unknown field {name!r}")
     out = {}
@@ -547,8 +544,7 @@ def _fields(obj: dict, table: dict, where: str) -> dict:
 def _result(extra: dict, est, base: float) -> dict:
     """One result record: the estimate passes at most 3 SE above the base."""
     bound = base + 3 * est.se
-    return {**extra, "estimate": est.mean, "se": est.se, "bound": bound,
-            "pass": est.mean <= bound}
+    return {**extra, "estimate": est.mean, "se": est.se, "bound": bound, "pass": est.mean <= bound}
 
 
 def _run_scenario_file(args, enforce: bool) -> int:
@@ -560,7 +556,7 @@ def _run_scenario_file(args, enforce: bool) -> int:
             or not all(isinstance(chk, dict) for chk in checks)):
         raise CliError(f"{args.scenario}: bad check spec: not an object with a list of checks")
     overrides = {k: v for k, v in (("reps", args.reps), ("seed", args.seed)) if v is not None}
-    built = []  # every check is read and built before the first runs
+    read = []  # every check is read, and run at reps = 0 to check it, before any draws
     try:
         if "checks" in spec and (v := _fields(spec, _FILE_FIELDS, "")["schema_version"]) != 1:
             raise ValueError(f"schema_version: must be 1, not {v}")
@@ -569,17 +565,19 @@ def _run_scenario_file(args, enforce: bool) -> int:
                 raise ValueError("missing field 'check'")
             if (kind := _typed(chk["check"], "check", str)) not in _CHECKS:
                 raise ValueError(f"unknown check kind {kind!r}")
-            f = _fields(chk, _CHECK_FIELDS[kind], "")
+            check, table = _CHECKS[kind]
+            f = _fields(chk, table, "")
             scenario = SimulationScenario(
                 **_fields(f["scenario"] | overrides, _SCENARIO_FIELDS, "scenario: "))
             if scenario.reps < 2:  # one replicate has no standard error
                 raise ValueError(f"reps: a check needs at least 2, not {scenario.reps}")
             method = CombiningMethod(f["method"], f["lambda"])
-            built.append(({"check": kind, "scenario": dataclasses.asdict(scenario),
-                           "method": f["method"]}, _CHECKS[kind](f, scenario, method)))
+            check(f, dataclasses.replace(scenario, reps=0), method)
+            read.append(({"check": kind, "scenario": dataclasses.asdict(scenario),
+                          "method": f["method"]}, check, (f, scenario, method)))
         records = []
-        for record, check in built:
-            sub = [_result(*r) for r in check()]
+        for record, check, inputs in read:
+            sub = [_result(*r) for r in check(*inputs)]
             records.append({**record, "results": sub, "pass": all(r["pass"] for r in sub)})
     except (TypeError, ValueError) as exc:
         raise CliError(f"{args.scenario}: bad check spec: {exc}") from None

@@ -63,7 +63,7 @@ class ShapeFunction:
             if not self.nu:
                 raise ValueError("discrete_nu shape requires support points")
             total = sum(mass for _, mass in self.nu)
-            if any(x <= 0 or mass < 0 for x, mass in self.nu):
+            if any(not (0 < x < np.inf and 0 <= mass < np.inf) for x, mass in self.nu):
                 raise ValueError("nu must live on positive support with nonnegative masses")
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"nu masses sum to {total}, expected 1")

@@ -88,7 +88,7 @@ class SimulationScenario:
     """Ground truth and sampling model for one Monte Carlo experiment.
 
     Feature i has an effect (mean shift mu) in its first true_k[i] studies.
-    """
+    At reps = 0 a Monte Carlo function draws nothing: it checks its arguments."""
 
     m: int
     n: int
@@ -119,8 +119,8 @@ class SimulationScenario:
             raise ValueError("rho must lie in [0, 1]")
         if self.dependence not in _DEPENDENCE:
             raise ValueError(f"unknown dependence {self.dependence!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
+        if self.reps < 0:
+            raise ValueError("reps must be nonnegative")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
         if self.dependence == "block_arbitrary" and self.block_size < 2:
@@ -144,10 +144,10 @@ class McEstimate:
 
 
 def _estimate(values: Sequence[float]) -> McEstimate:
+    """Mean and standard error of ``values``; of none, a NaN mean, SE 0."""
     arr = np.asarray(values, dtype=float)
-    n = arr.size
-    se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return McEstimate(float(arr.mean()), se, n)
+    se = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+    return McEstimate(float(arr.mean()) if len(arr) else math.nan, se, len(arr))
 
 
 def _draw(s: SimulationScenario, r0: int, r1: int) -> np.ndarray:
@@ -210,11 +210,13 @@ def _map_chunks(s: SimulationScenario, fn: Callable[[np.ndarray], np.ndarray]) -
     """``fn`` of the stacked draws of all replicates, about _CHUNK_ROWS // m
     at a time, each a float array with a row per replicate, concatenated.
     ``fn`` must accept an empty (0, m, n) stack: a dry run on one, before any
-    draw, has the code that applies each argument check it. Replicates are
-    split into k = min(usable cores, reps, drawn values // _MIN_DRAWS) spans,
-    mapped by :func:`_fork.map_rows`; if a child, a pipe or a fork fails,
-    this process maps them all again, so that an error raises as here."""
-    fn(np.empty((0, s.m, s.n)))
+    draw, has the code that applies each argument check it, and is returned
+    at reps = 0. Replicates go in k = min(usable cores, reps, drawn values //
+    _MIN_DRAWS) spans to :func:`_fork.map_rows`; if a child, a pipe or a fork
+    fails, this process maps them all again, so that an error raises as here."""
+    dry = fn(np.empty((0, s.m, s.n)))
+    if not s.reps:
+        return dry
     k = _fork.processes(min(s.reps, s.reps * s.m * s.n // _MIN_DRAWS))
     cuts = [s.reps * i // k for i in range(k + 1)]
     step = max(1, _CHUNK_ROWS // s.m)
@@ -276,7 +278,7 @@ def dcc_probe(s: SimulationScenario, u: int, method: CombiningMethod,
     """
     if statistic not in ("rejection_volume", "selection_volume_minus_row"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    if len(c_grid) == 0 or any(c <= 0 for c in c_grid):
+    if len(c_grid) == 0 or any(not 0 < c < math.inf for c in c_grid):
         raise ValueError("c grid must be nonempty and positive")
     nulls = sorted(s.true_null_features(u))
     if not nulls:

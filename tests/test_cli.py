@@ -1040,12 +1040,19 @@ class TestSimulateVerify:
         ({"u": None}, "missing field 'u'"),
         ({"alpha": "0.1"}, "alpha: must be a real number, not '0.1'"),
         ({"u": 6}, "u=6 outside [1, 5]"),
-    ], ids=["unknown", "missing", "mistyped", "u-above-n"])
+        ({"check": "dcc", "u": 6}, "u=6 outside [1, 5]"),
+        ({"check": "dcc", "c_grid": []}, "c grid must be nonempty and positive"),
+        ({"check": "dcc", "statistic": "bogus"}, "unknown statistic 'bogus'"),
+        ({"check": "replicability", "u": None, "rule": "column=7"}, "column 7 outside [0, 5)"),
+        ({"check": "replicability", "u": None, "rule": "column=-1"}, "column -1 outside [0, 5)"),
+    ], ids=["unknown", "missing", "mistyped", "u-above-n", "dcc-u-above-n", "dcc-empty-grid",
+            "dcc-statistic", "rule-column-above-n", "rule-column-negative"])
     def test_last_check_is_read_before_the_first_runs(self, tmp_path, capsys, monkeypatch,
                                                       change, message):
-        # Every check of a file is read and built before the first runs:
-        # a bad last check exits 2 with no replicate drawn, however many
-        # the checks before it hold.
+        # Every check of a file is read, and run with no replicate, which
+        # applies each of its arguments, before the first draws: a bad last
+        # check exits 2 with the library's message and no replicate drawn,
+        # however many the checks before it hold.
         drawn, draw = [], simulation._draw
         monkeypatch.setattr(simulation, "_draw", lambda *a: drawn.append(a[1:]) or draw(*a))
         good = {"check": "fdr_pc", "method": "simes", "u": 2,
@@ -1113,10 +1120,10 @@ class TestSimulateVerify:
                  list: "list of numbers"}
         want = {name: ("`scenario`", rows.get(name, (None, None))[1], shown(default))
                 for name, (_, default) in cli._SCENARIO_FIELDS.items()}
-        for table in cli._CHECK_FIELDS.values():
+        for _, table in cli._CHECKS.values():
             for name, (json_type, default) in table.items():
-                kinds = [k for k, t in cli._CHECK_FIELDS.items() if name in t]
-                want[name] = ("all" if len(kinds) == len(cli._CHECK_FIELDS)
+                kinds = [k for k, (_, t) in cli._CHECKS.items() if name in t]
+                want[name] = ("all" if len(kinds) == len(cli._CHECKS)
                               else ", ".join(f"`{k}`" for k in kinds),
                               types[json_type], shown(default))
         assert rows == want

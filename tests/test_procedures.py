@@ -253,6 +253,14 @@ class TestInputChecks:
          "nu must live on positive support with nonnegative masses"),
         (lambda: ShapeFunction("discrete_nu", nu=((1.0, -0.5), (2.0, 1.5))), ValueError,
          "nu must live on positive support with nonnegative masses"),
+        (lambda: ShapeFunction("discrete_nu", nu=((1.0, float("nan")),)), ValueError,
+         "nu must live on positive support with nonnegative masses"),
+        (lambda: ShapeFunction("discrete_nu", nu=((float("nan"), 1.0),)), ValueError,
+         "nu must live on positive support with nonnegative masses"),
+        (lambda: ShapeFunction("discrete_nu", nu=((float("inf"), 1.0),)), ValueError,
+         "nu must live on positive support with nonnegative masses"),
+        (lambda: ShapeFunction("discrete_nu", nu=((1.0, float("inf")),)), ValueError,
+         "nu must live on positive support with nonnegative masses"),
         (lambda: WeightScheme((1.0, 1.0), (2.0,)), WeightNormalizationError,
          "weight vectors must have equal length"),
         (lambda: WeightScheme((-1.0, 3.0), (1.0, 1.0)), WeightNormalizationError,
@@ -260,7 +268,8 @@ class TestInputChecks:
         (lambda: ThresholdCollection(alpha=0.0, m=2), ValueError, "alpha=0.0 outside (0, 1]"),
         (lambda: ThresholdCollection(alpha=1.5, m=2), ValueError, "alpha=1.5 outside (0, 1]"),
         (lambda: ThresholdCollection(alpha=0.05, m=0), ValueError, "m must be positive"),
-    ], ids=["nu-support-zero", "nu-mass-negative", "weights-lengths", "prior-weight-negative",
+    ], ids=["nu-support-zero", "nu-mass-negative", "nu-mass-nan", "nu-support-nan",
+          "nu-support-inf", "nu-mass-inf", "weights-lengths", "prior-weight-negative",
           "alpha-zero", "alpha-above-one", "m-zero"])
     def test_constructor_checks(self, build, error, message):
         with pytest.raises(error) as err:

@@ -44,7 +44,7 @@ class TestScenario:
         for name in ("mu", "rho"):
             with pytest.raises(ValueError, match=f"{name}: int too large"):
                 SimulationScenario(m=1, n=3, true_k=(1,), **{name: 10**400})
-        for kw, message in (({"reps": 0}, "reps must be positive"),
+        for kw, message in (({"reps": -1}, "reps must be nonnegative"),
                             ({"mu": -1.0}, "mu must be nonnegative"),
                             ({"dependence": "block_arbitrary", "block_size": 1},
                              "block_size must be at least 2")):
@@ -161,14 +161,33 @@ STEP_UP = SelectionRule("step_up_on_combined", alpha=0.1)
 def test_scorer_arguments_are_checked_before_any_draw(call, message, monkeypatch):
     # The chunk scorer's dry run on an empty stack applies every argument,
     # so a bad one raises the message of the code that applies it with no
-    # replicate drawn and no process forked.
+    # replicate drawn and no process forked, with replicates or without.
     drawn, draw = [], simulation._draw
     monkeypatch.setattr(simulation, "_draw", lambda *a: drawn.append(a[1:]) or draw(*a))
     monkeypatch.setattr(_fork, "_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
-    with pytest.raises(ValueError, match=rf"^{message}$"):
-        call(null_scenario(m=200, n=5, reps=4000))
+    for reps in (4000, 0):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            call(null_scenario(m=200, n=5, reps=reps))
     assert drawn == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: [mc_fdr_pc(s, 2, SIMES, ThresholdCollection(alpha=0.05, m=s.m))],
+    lambda s: [mc_replicability_error(s, STEP_UP, SIMES, WeightScheme.unit(s.m), q=0.1)],
+    lambda s: [est for _, est in dcc_probe(s, 2, SIMES, [0.1, 0.5])],
+    lambda s: [est for _, est in dcc_probe(s, 2, SIMES, [0.1],
+                                           statistic="selection_volume_minus_row")],
+], ids=["mc_fdr_pc", "mc_replicability_error", "dcc_probe", "dcc_probe-selection"])
+def test_zero_replicates_draw_and_fork_nothing(call, monkeypatch, recwarn):
+    # A scenario of no replicates runs only the dry run: each estimate is
+    # of no values, a NaN mean with standard error 0, with no warning.
+    monkeypatch.setattr(simulation, "_draw", lambda *a: pytest.fail("a replicate was drawn"))
+    monkeypatch.setattr(_fork, "_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+    for est in call(null_scenario(m=200, n=5, reps=0)):
+        assert np.isnan(est.mean) and (est.se, est.reps) == (0.0, 0)
+    assert not recwarn.list
 
 
 class TestMcReplicability:
@@ -212,6 +231,14 @@ class TestDccProbe:
             dcc_probe(s, 1, SIMES, [0.1], statistic="volume")
         with pytest.raises(ValueError):
             dcc_probe(s, 1, SIMES, [0.0])
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf")])
+    def test_c_grid_must_be_finite(self, c, monkeypatch):
+        # NaN passed the positivity test as a vacuous estimate of 0, and
+        # infinity as one against an infinite bound.
+        monkeypatch.setattr(simulation, "_draw", lambda *a: pytest.fail("a replicate was drawn"))
+        with pytest.raises(ValueError, match="^c grid must be nonempty and positive$"):
+            dcc_probe(null_scenario(reps=2), 1, SIMES, [0.1, c])
 
 
 def test_replicate_order_invariance():
