@@ -4,17 +4,18 @@ A threshold collection assigns each hypothesis a rejection threshold that
 grows with the rejection volume r (the penalty-weighted size of the
 rejection set). The step-up procedure rejects L(r_hat) where r_hat is the
 greatest fixed point of r -> |L(r)|_v, found in closed form from the keys
-p / w in ascending order. With unit weights and the identity shape this
-is the classical Benjamini-Hochberg procedure; the reciprocal-sum shape
-gives the Benjamini-Yekutieli correction; the adaptive variant plugs in
-the Storey estimate of the proportion of nulls. A collection holds one
-``WeightScheme`` of prior weights w and penalty weights v, whose weight
-rule is checked once, when the scheme is built.
+p / w in ascending order: a float sort where v is constant, and complex
+keys p / w + i * v where v varies. With unit weights and the identity
+shape this is the classical Benjamini-Hochberg procedure; the
+reciprocal-sum shape gives the Benjamini-Yekutieli correction; the
+adaptive variant plugs in the Storey estimate of the proportion of nulls.
+A collection holds one ``WeightScheme`` of prior weights w and penalty
+weights v, whose weight rule is checked once, when the scheme is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -120,16 +121,19 @@ def _check_weights(w: np.ndarray, v: np.ndarray) -> None:
 class WeightScheme:
     """Prior weights w >= 0 and penalty weights v > 0 of G hypotheses with
     sum(w_g * v_g) = G, checked here, once. Both are held as read-only
-    float64 arrays, so schemes compare and hash by identity."""
+    float64 arrays, so schemes compare and hash by identity, and the flag
+    ``constant_v`` (v constant), set here, cannot go stale."""
 
     prior_w: np.ndarray
     penalty_v: np.ndarray
+    constant_v: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w, v = _readonly(self.prior_w), _readonly(self.penalty_v)
         object.__setattr__(self, "prior_w", w)
         object.__setattr__(self, "penalty_v", v)
         _check_weights(w, v)
+        object.__setattr__(self, "constant_v", bool((v == v[:1]).all()))
 
     @classmethod
     def unit(cls, g: int) -> "WeightScheme":
@@ -254,13 +258,20 @@ def _keys(P: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 def _sorted_keys(P: np.ndarray, tc: ThresholdCollection) -> tuple[np.ndarray, np.ndarray]:
     """Per row of the (R, m) array P, its keys ascending and the running
-    sums V_k of v in that order: the real and imaginary parts of one complex
-    array sorted in place. numpy orders complex numbers by real part, then
-    imaginary part, so ties go by v, and the sums do not depend on the sort
+    sums V_k of v in that order. Where v is constant, tied keys cannot
+    change V_k: the float keys are sorted, and V_k is one (1, m) row for
+    all rows. Else the keys and v are the real and imaginary parts of one
+    complex array sorted in place, which numpy orders by real part, then
+    imaginary part: ties go by v, so the sums do not depend on the sort
     algorithm."""
+    ws = tc.weights
+    if ws.constant_v:
+        qs = _keys(P, ws.prior_w)
+        qs.sort(axis=1)
+        return qs, np.cumsum(ws.penalty_v)[None]
     z = np.empty(P.shape, dtype=complex)
-    _keys(P, tc.weights.prior_w, out=z.real)
-    z.imag = tc.weights.penalty_v
+    _keys(P, ws.prior_w, out=z.real)
+    z.imag = ws.penalty_v
     z.sort(axis=1)
     return z.real, np.cumsum(z.imag, axis=1, out=z.imag)
 
@@ -279,7 +290,7 @@ def _step_up_rows(P: np.ndarray, tc: ThresholdCollection) -> np.ndarray:
     _inputs(P, tc)
     qs, level = _sorted_keys(P, tc)
     np.multiply(tc.alpha, tc.shape(level, tc.m), out=level)
-    level /= tc._scales(P)[:, None]
+    level = np.divide(level, tc._scales(P)[:, None], out=level if level.shape == P.shape else None)
     last = np.max(qs, axis=1, where=qs <= level, initial=-1.0)
     return _keys(P, tc.weights.prior_w, out=qs) <= last[:, None]
 

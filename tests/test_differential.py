@@ -153,12 +153,12 @@ NU = ShapeFunction("discrete_nu", nu=((1.0, 0.25), (4.0, 0.5), (9.0, 0.25)))
 
 
 @st.composite
-def step_up_cases(draw):
+def step_up_cases(draw, kinds=("unit", "weighted", "constant", "adaptive", "boundary")):
     m = draw(st.integers(1, 25))
     p = draw(st.lists(st.one_of(st.sampled_from([0.0, 0.001, 0.01, 1.0]),
                                 st.floats(0.0, 1.0)), min_size=m, max_size=m))
     alpha = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
-    kind = draw(st.sampled_from(["unit", "weighted", "adaptive", "boundary"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "adaptive":
         lam = draw(st.sampled_from([0.25, 0.5]))
         return p, ThresholdCollection(alpha=alpha, m=m, adaptive_lambda=lam)
@@ -172,6 +172,9 @@ def step_up_cases(draw):
         dyadic = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
         v = draw(st.lists(dyadic, min_size=m, max_size=m))
         raw = draw(st.lists(st.one_of(st.just(0.0), dyadic), min_size=m, max_size=m))
+    elif kind == "constant":  # v = c != 1 throughout, so w is not unit
+        v = [draw(st.sampled_from([0.3, 0.7, 2.5]))] * m
+        raw = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=m, max_size=m))
     else:
         v = draw(st.lists(st.floats(0.1, 3.0), min_size=m, max_size=m))
         raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
@@ -184,7 +187,7 @@ def step_up_cases(draw):
 
 
 @given(case=step_up_cases())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_step_up_matches_fixed_point_oracle(case):
     p, tc = case
     got = step_up(p, tc)
@@ -220,7 +223,7 @@ def test_step_up_discrete_nu_shape_matches_oracle():
 
 
 @given(case=step_up_cases())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_adjusted_pvalues_match_bisection_and_step_up(case):
     p, tc = case
     adj = adjusted_pvalues(p, tc)

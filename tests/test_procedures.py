@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcfdr.combine import SIMES, combine_pvalues, storey_pi0
 from pcfdr.procedures import (
@@ -23,6 +25,7 @@ from pcfdr.procedures import (
 
 import oracles
 from oracles import check_self_consistency, check_stability
+from test_differential import step_up_cases
 
 
 def brute_force_bh(p, alpha):
@@ -329,3 +332,71 @@ def test_staircase_takes_one_sort():
     rejected = timed(_step_up_rows, stack, tc)
     volumes = _volumes(rejected, tc.weights.penalty_v)
     assert not rejected.any() and (volumes == 0.0).all()
+
+
+def complex_keys(P, tc):
+    """The keys q of the (R, m) array P, and per row the keys ascending
+    with the running sums of v in that order, from complex keys q + i*v:
+    ties in q go by v."""
+    w, v = tc.weights.prior_w, tc.weights.penalty_v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(P == 0.0, 0.0, np.maximum(P / w, np.nextafter(0.0, 1.0)))
+    z = np.sort(q + 1j * v, axis=1)
+    return q, z.real, np.cumsum(z.imag, axis=1)
+
+
+def complex_key_rows(P, tc):
+    """The step-up's rejection masks from the complex keys."""
+    q, qs, V = complex_keys(P, tc)
+    level = tc.alpha * tc.shape(V, tc.m) / tc._scales(P)[:, None]
+    last = np.max(qs, axis=1, where=qs <= level, initial=-1.0)
+    return q <= last[:, None]
+
+
+def complex_key_adjusted(p, tc):
+    """The closed-form adjusted p-values from the complex keys."""
+    P = np.asarray(p, dtype=float)[None]
+    (q,), (qs,), (V,) = complex_keys(P, tc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(qs == 0.0, 0.0, tc._scales(P)[0] * qs / tc.shape(V, tc.m))
+    adj = np.minimum(1.0, np.minimum.accumulate(ratio[::-1])[::-1])
+    return adj[np.searchsorted(qs, q, side="right") - 1].tolist()
+
+
+# Few distinct values, 0 and 1 among them: rows are full of ties.
+GRID = [0.0, 0.001, 0.004, 0.01, 0.02, 0.05, 0.2, 0.5, 1.0]
+
+
+@st.composite
+def constant_v_stacks(draw):
+    """A case of ``step_up_cases`` whose v is constant, with its p-values
+    as the first row of a (R, m) stack, R in {1, 3}, the rest on GRID."""
+    p, tc = draw(step_up_cases(kinds=("unit", "constant", "adaptive")))
+    r = draw(st.sampled_from([1, 3]))
+    rows = st.lists(st.sampled_from(GRID), min_size=tc.m, max_size=tc.m)
+    return np.array([p] + draw(st.lists(rows, min_size=r - 1, max_size=r - 1))), tc
+
+
+@given(case=constant_v_stacks())
+@settings(max_examples=300, deadline=None)
+def test_float_keys_match_complex_keys_where_v_is_constant(case):
+    P, tc = case
+    assert tc.weights.constant_v
+    assert np.array_equal(_step_up_rows(P, tc), complex_key_rows(P, tc))
+    for row in P.tolist():
+        assert adjusted_pvalues(row, tc) == complex_key_adjusted(row, tc)
+
+
+def test_ties_go_by_v_where_one_v_differs():
+    # Left to right 2.4 + 0.3 + 0.3 is 2.9999999999999996, and in
+    # ascending v it is 3.0: the adjusted p-value of three tied keys,
+    # 3 * q / V_3, shows which order the sums took.
+    weighted = ThresholdCollection(alpha=0.05, m=3,
+                                   weights=WeightScheme([1.0] * 3, [2.4, 0.3, 0.3]))
+    assert not weighted.weights.constant_v
+    p = [0.01] * 3
+    assert 3 * 0.01 / (2.4 + 0.3 + 0.3) == 0.010000000000000002
+    assert adjusted_pvalues(p, weighted) == [3 * 0.01 / (0.3 + 0.3 + 2.4)] * 3 == [0.01] * 3
+    assert adjusted_pvalues(p, weighted) == complex_key_adjusted(p, weighted)
+    P = np.array([p, [0.01, 0.02, 0.01]])
+    assert np.array_equal(_step_up_rows(P, weighted), complex_key_rows(P, weighted))
