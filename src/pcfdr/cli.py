@@ -34,17 +34,10 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from . import _fork
-from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError, _sort_rows_in_place
-from .partial_conjunction import _pc_pvalues_sorted
+from .combine import _ROW_COMBINERS, CombiningMethod, DegenerateInputError
 from .pc_testing import GroupLayout, compute_pc_pvalues
-from .procedures import (
-    ShapeFunction,
-    ThresholdCollection,
-    WeightScheme,
-    _index_mask,
-    step_up,
-)
-from .replicability import SelectionRule, _report, _select_rows
+from .procedures import ShapeFunction, ThresholdCollection, WeightScheme, step_up
+from .replicability import SelectionRule, _khat_rows, _row_values, _selection
 from .simulation import (
     SimulationScenario,
     _typed,
@@ -56,12 +49,16 @@ from .simulation import (
 SCHEMA_VERSION = 1
 # write_matrix formats this many values per block.
 _WRITE_BLOCK = 8192
-# read_matrix parses a file in byte ranges of at least this size, one per
-# usable core. A range parses at about 11 ms a MB, and a fork, its pipe and
-# its reap take about 2 ms, so splitting a file under 2 MiB gains nothing.
+# read_matrix parses a file of two or more of these in byte ranges: one per
+# usable core, or with a reduction, ranges of about this size, reduced one at
+# a time in each process, so that a process holds one range's rows at once.
+# A range parses at about 11 ms a MB, and a fork, its pipe and its reap take
+# about 2 ms.
 _MIN_CHUNK = 1 << 20
 # _bounds reads this many bytes at a time.
 _SCAN_BLOCK = 1 << 16
+# The types the JSON encoder writes as objects and arrays.
+_CONTAINERS = (dict, list, tuple)
 
 __all__ = ["main", "run"]
 
@@ -93,9 +90,12 @@ def _rows(path: str, errors: str = "strict") -> Iterator[tuple[int, str]]:
                 yield row
 
 
-def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
+def read_matrix(path: str, pvalues: bool = True, reduce=None) -> tuple[bool, np.ndarray]:
     """Read a headerless CSV matrix; returns (whether it has ids, 2-d float
-    array). :func:`read_ids` reads the ids back from the file.
+    array), or with ``reduce`` (whether it has ids, the 1-d array of one
+    value per row): ``reduce`` of the rows, a function of an (r, n) float
+    array, which it may change, that returns a new array of r values, each
+    from its own row. :func:`read_ids` reads the ids back from the file.
 
     The text is UTF-8; a leading byte-order mark is dropped. Blank and
     whitespace-only lines are skipped. For a p-value matrix (``pvalues``) a
@@ -103,15 +103,19 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
     in [0, 1]; otherwise every cell is a number. The path must name a
     regular file, which is read more than once.
 
-    The first nonblank line fixes the width and whether there are ids.
-    ``np.loadtxt`` parses each row into a zero-width id field, which keeps
-    no bytes, and the values, so it rejects a row of another width itself.
-    A file of two or more ``_MIN_CHUNK`` bytes is parsed on up to as many
-    cores at once, each from its own byte range (:func:`_loadtxt`).
-    ``np.loadtxt`` cannot skip a whitespace-only line, so on any failure
-    the nonblank lines are parsed again in this process alone; only if
-    that fails too is the file read once more to locate the bad cell; if it
-    has none, the file changed in between. Any read's OSError is a CliError.
+    The first nonblank line fixes the width and whether there are ids
+    (:func:`_layout`). ``np.loadtxt`` parses each row into a zero-width id
+    field, which keeps no bytes, and the values, so it rejects a row of
+    another width itself. A file of two or more ``_MIN_CHUNK`` bytes is
+    parsed a range of lines at a time, on up to as many cores at once
+    (:func:`_loadtxt`); with ``reduce``, each range is checked and reduced
+    before the next is parsed. ``np.loadtxt`` cannot skip a whitespace-only
+    line, and a range cannot say which line failed, so on any failure of
+    that pass, ``reduce``'s included, the nonblank lines are parsed again
+    in this process alone; only if that fails too is the file read once
+    more to locate the bad cell; if it has none, the file changed in
+    between. Then ``reduce`` of the whole matrix raises what it raises. Any
+    read's OSError is a CliError.
     """
     try:
         if not stat.S_ISREG((st := os.stat(path)).st_mode):
@@ -119,39 +123,68 @@ def read_matrix(path: str, pvalues: bool = True) -> tuple[bool, np.ndarray]:
         _, head = next(_rows(path, "surrogateescape"), (None, None))
         if head is None:
             raise CliError(f"{path}:1:1: empty input")
-        cells = head.split(",")
-        has_ids = pvalues and not _is_number(cells[0])
-        kw = dict(dtype=[("id", "S")] * has_ids + [("p", float, (len(cells) - has_ids,))],
-                  delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
+        has_ids, width, kw = _layout(head, pvalues)
+        with contextlib.suppress(OSError, ValueError, CliError):  # parsed again below
+            if reduce is None:
+                return has_ids, _checked(_loadtxt(path, st.st_size, kw)["p"], pvalues)
+            return has_ids, _loadtxt(path, st.st_size, kw,
+                                     lambda rows: reduce(_checked(rows["p"], pvalues)))
         try:
-            try:
-                mat = _loadtxt(path, st.st_size, kw)["p"]
-            except (OSError, ValueError):
-                mat = np.loadtxt((line for _, line in _rows(path)), **kw)["p"]
-            if pvalues and not ((mat >= 0.0) & (mat <= 1.0)).all():
-                raise ValueError("p-value outside [0, 1]")
+            mat = _checked(np.loadtxt((line for _, line in _rows(path)), **kw)["p"], pvalues)
         except ValueError:
-            raise (_bad_cell(path, has_ids, len(cells) - has_ids, pvalues)
+            raise (_bad_cell(path, has_ids, width, pvalues)
                    or CliError(f"{path}: changed while it was read")) from None
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-    return has_ids, mat
+    return has_ids, mat if reduce is None else reduce(mat)
 
 
-def _loadtxt(path: str, size: int, kw: dict) -> np.ndarray:
-    """``np.loadtxt(path, **kw)`` for the ``size``-byte file ``path``, the
-    same array bit for bit. With k = min(usable cores, size // _MIN_CHUNK)
-    processes of 2 or more (:func:`_fork.processes`), the file is cut into
-    k byte ranges that each end a line, and each process parses one from
-    its own bytes (:func:`_load_range`). Raises ValueError if a range fails
-    to parse, and OSError if a child, a pipe or a fork fails.
+def _layout(head: str, pvalues: bool) -> tuple[bool, int, dict]:
+    """For a matrix whose first nonblank line is ``head``: whether it has
+    ids (a p-value matrix whose first cell is not a number), its width and
+    the ``np.loadtxt`` keywords that parse its rows."""
+    cells = head.split(",")
+    has_ids = pvalues and not _is_number(cells[0])
+    width = len(cells) - has_ids
+    return has_ids, width, dict(dtype=[("id", "S")] * has_ids + [("p", float, (width,))],
+                                delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig")
+
+
+def _checked(rows: np.ndarray, pvalues: bool) -> np.ndarray:
+    """``rows``, or a ValueError if they are p-values (``pvalues``) and one
+    lies outside [0, 1] or is NaN."""
+    if pvalues and not ((rows >= 0.0) & (rows <= 1.0)).all():
+        raise ValueError("p-value outside [0, 1]")
+    return rows
+
+
+def _loadtxt(path: str, size: int, kw: dict, reduce=None) -> np.ndarray:
+    """``np.loadtxt(path, **kw)`` for the ``size``-byte file ``path``, or
+    ``reduce`` of it, the same array bit for bit, as ``reduce`` maps each
+    row alone. The file is cut into k byte ranges that each end a line
+    (:func:`_bounds`), each parsed from its own bytes (:func:`_load_range`).
+    Without ``reduce`` there is one range per process, k = min(usable
+    cores, size // _MIN_CHUNK) (:func:`_fork.processes`). With it, the k =
+    size // _MIN_CHUNK ranges are dealt out in runs of consecutive ranges,
+    one run per process (:func:`_fork.map_rows`), and each range is reduced
+    before the next is parsed. A k below 2 is one path-fed ``np.loadtxt``.
+    Raises what a parse or ``reduce`` in this process raises, and OSError
+    if a child, a pipe or a fork fails.
     """
-    if (k := _fork.processes(size // _MIN_CHUNK)) < 2:
-        return np.loadtxt(path, **kw)
+    k = size // _MIN_CHUNK if reduce else _fork.processes(size // _MIN_CHUNK)
+    if k < 2:
+        rows = np.loadtxt(path, **kw)
+        return rows if reduce is None else reduce(rows)
     fd = os.open(path, os.O_RDONLY)
     try:
         bounds = _bounds(fd, size, k)
-        return _fork.map_rows(lambda span: _load_range(kw, fd, *span), [*zip(bounds, bounds[1:])])
+        ranges = [*zip(bounds, bounds[1:])]
+        if reduce is None:
+            return _fork.map_rows(lambda span: _load_range(kw, fd, *span), ranges)
+        p = _fork.processes(len(ranges))
+        runs = [ranges[i * len(ranges) // p:(i + 1) * len(ranges) // p] for i in range(p)]
+        return _fork.map_rows(lambda run: np.concatenate(
+            [reduce(_load_range(kw, fd, *span)) for span in run]), runs)
     finally:
         os.close(fd)
 
@@ -200,19 +233,49 @@ def _load_range(kw: dict, fd: int, start: int, end: int) -> np.ndarray:
         return np.loadtxt(text, **kw)
 
 
-def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
-    """The ids of the matrix ``path`` (one that :func:`read_matrix` found
-    ids in), read back from the file: the first cell of each row, stripped,
-    for the rows where ``mask`` is true (every row if None). They come one
-    at a time, so that they never all exist as strings at once. A list
-    mask is walked fastest, as it holds Python bools."""
+def _lines(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
+    """The rows of the matrix ``path`` where ``mask`` is true (every row if
+    None), read back from the file one at a time: its nonblank lines, as
+    :func:`_rows` reads them. A list mask is walked fastest, as it holds
+    Python bools. An OSError is a CliError."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            rows = itertools.filterfalse(str.isspace, fh)  # as _rows skips them
-            for line in rows if mask is None else itertools.compress(rows, mask):
-                yield line.split(",", 1)[0].strip()
+            rows = itertools.filterfalse(str.isspace, fh)
+            yield from rows if mask is None else itertools.compress(rows, mask)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
+
+
+def _id(line: str) -> str:
+    """The id of a matrix row: its first cell, stripped."""
+    return line.split(",", 1)[0].strip()
+
+
+def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
+    """The ids of the matrix ``path`` (one that :func:`read_matrix` found
+    ids in), read back from the file, for the rows where ``mask`` is true
+    (:func:`_lines`). They come one at a time, so that they never all exist
+    as strings at once."""
+    return map(_id, _lines(path, mask))
+
+
+def _read_rows(path: str, mask: Iterable[bool]) -> tuple[list[str] | None, np.ndarray]:
+    """The rows of the p-value matrix ``path`` where ``mask`` is true, read
+    back: their ids (None if the file has none), and their (k, n) p-values,
+    which ``np.loadtxt`` parses with the keywords that the file's first
+    nonblank line gives (:func:`_layout`), as :func:`read_matrix` parses
+    them. The lines are parsed as they are read, and only their ids are
+    kept. Raises ValueError if a line is not UTF-8 or does not parse."""
+    rows = _lines(path)
+    head = next(rows, "")
+    has_ids, _, kw = _layout(head, True)
+    ids: list[str] = []
+    lines = itertools.compress(itertools.chain([head], rows), mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no line selected warns
+        p = np.loadtxt((ids.append(_id(line)) or line for line in lines) if has_ids else lines,
+                       **kw)["p"]
+    return ids if has_ids else None, p
 
 
 def _bad_cell(path: str, has_ids: bool, width: int, pvalues: bool) -> CliError | None:
@@ -352,8 +415,36 @@ def read_weights(path: str, m: int) -> WeightScheme:
 
 
 def _write_json(path, payload: dict) -> None:
-    _write(path, [json.dumps({"schema_version": SCHEMA_VERSION, **payload},
-                             indent=2, sort_keys=True, allow_nan=False), "\n"])
+    """The report ``payload`` and its schema version as JSON, as
+    ``json.dumps(indent=2, sort_keys=True)`` writes it, and a newline. Its
+    text is made whole, in pieces (:func:`_json`), before any is written,
+    so that a non-finite float writes nothing."""
+    _write(path, [*_json({"schema_version": SCHEMA_VERSION, **payload}), "\n"])
+
+
+def _json(obj, indent: str = "\n") -> Iterator[str]:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` in
+    pieces, the same text, for JSON data whose keys are strings; ``indent``
+    starts each line at the depth of ``obj``. ``indent=2`` would take the
+    pure-Python encoder. Here the C encoder writes each container that
+    holds no container, its item separator carrying the line break and
+    indentation, and the brackets of the others are placed here."""
+    inner = indent + "  "
+    items = obj if isinstance(obj, _CONTAINERS) else ()
+    items = items.values() if isinstance(items, dict) else items
+    if not any(isinstance(x, _CONTAINERS) for x in items):
+        text = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
+        yield from (text[0] + inner, text[1:-1], indent + text[-1]) if items else (text,)
+    elif isinstance(obj, dict):
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            yield f"{',' if i else '{'}{inner}{json.dumps(key)}: "
+            yield from _json(value, inner)
+        yield indent + "}"
+    else:
+        for i, x in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _json(x, inner)
+        yield indent + "]"
 
 
 def _row_line(path: str, row: int) -> int:
@@ -363,17 +454,19 @@ def _row_line(path: str, row: int) -> int:
 
 def cmd_combine(args) -> int:
     method = CombiningMethod(args.method, args.lam)
-    has_ids, mat = read_matrix(args.input)
-    if not 1 <= args.u <= mat.shape[1]:
-        raise CliError(f"--u {args.u} outside [1, {mat.shape[1]}]")
+
+    def pc(rows):
+        """The PC p-value of each row at --u; the rows are sorted in place."""
+        if not 1 <= args.u <= rows.shape[1]:
+            raise CliError(f"--u {args.u} outside [1, {rows.shape[1]}]")
+        return _row_values(rows, method, u=args.u)
+
     try:
-        # The rows are sorted in place: the matrix is used for nothing else.
-        pc = _pc_pvalues_sorted(_sort_rows_in_place(mat), args.u, method)
+        has_ids, values = read_matrix(args.input, reduce=pc)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    del mat  # pc holds all the output needs; this lowers its peak
     try:
-        write_matrix(args.out, read_ids(args.input) if has_ids else None, pc)
+        write_matrix(args.out, read_ids(args.input) if has_ids else None, values)
     except ValueError:
         raise CliError(f"{args.input}: changed while it was read") from None
     return 0
@@ -434,24 +527,43 @@ def cmd_replicate(args) -> int:
         rule = _parse_rule(args.rule, args.q, shape)
     except ValueError as exc:
         raise CliError(f"--rule {args.rule}: {exc}") from None
-    has_ids, mat = read_matrix(args.input)
-    m, n = mat.shape
-    if rule.column is not None and not 0 <= rule.column < n:
-        raise CliError(f"--rule {args.rule}: column {rule.column} outside [0, {n})")
-    ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
+
+    def step1(rows):
+        """Step 1's value of each row; the rows are sorted in place."""
+        if rule.column is not None and not 0 <= rule.column < rows.shape[1]:
+            raise CliError(f"--rule {args.rule}: column {rule.column} outside "
+                           f"[0, {rows.shape[1]})")
+        return _row_values(rows, method, column=rule.column)
+
     try:
-        # The rows are sorted in place, once for both steps: the matrix is
-        # used for nothing else.
-        s = mat[None]
-        report = _report(s, _select_rows(s, rule, method, ws), method, ws, args.q, shape)
+        # Step 1 reads one value per row; Step 2 reads the selected rows
+        # back from the file, once they are known.
+        try:
+            has_ids, values = read_matrix(args.input, reduce=step1)
+        except DegenerateInputError:  # a bad weights file is reported first
+            if args.weights:
+                read_weights(args.weights, sum(1 for _ in _lines(args.input)))
+            raise
+        m = len(values)
+        ws = read_weights(args.weights, m) if args.weights else WeightScheme.unit(m)
+        mask = _selection(values[None], rule, ws)
+        rows = np.flatnonzero(mask[0])
+        wanted = values[rows]
+        del values  # this lowers the peak of the read-back
+        try:
+            ids, sel = _read_rows(args.input, memoryview(mask[0]))  # walked as Python bools
+            # They must be the rows that Step 1 read: the same Step-1 values.
+            same = ((ids is not None) == has_ids and len(sel) == len(rows) and
+                    _row_values(sel, method, column=rule.column).tobytes() == wanted.tobytes())
+        except ValueError:  # a line that no longer parses or combines
+            same = False
+        if not same:
+            raise CliError(f"{args.input}: changed while it was read")
+        khat, t, vol = _khat_rows(sel, mask, method, ws, args.q, shape)
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
-    del mat, s  # the report holds all the JSON needs; this lowers its peak
-    rows = sorted(report.selected)
-    names = (list(read_ids(args.input, _index_mask(rows, m).tolist())) if has_ids
-             else [str(i) for i in rows])
-    if len(names) != len(rows):
-        raise CliError(f"{args.input}: changed while it was read")
+    rows = rows.tolist()
+    names = ids if has_ids else [str(i) for i in rows]
     first: dict[str, int] = {}
     for i, name in zip(rows, names):
         if (j := first.setdefault(name, i)) != i:
@@ -460,9 +572,9 @@ def cmd_replicate(args) -> int:
     _write_json(args.out, {
         "q": args.q,
         "selected": sorted(names),
-        "khat": {name: report.khat[i] for i, name in zip(rows, names)},
-        "threshold_used": {name: report.threshold_used[i] for i, name in zip(rows, names)},
-        "selection_volume": report.selection_volume,
+        "khat": dict(zip(names, khat.tolist())),
+        "threshold_used": dict(zip(names, t.tolist())),
+        "selection_volume": float(vol[0]),
     })
     return 0
 

@@ -15,13 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .combine import (
-    CombiningMethod,
-    DegenerateInputError,
-    _sort_rows_in_place,
-    combine_sorted,
-)
-from .partial_conjunction import pc_path_sorted
+from .combine import CombiningMethod, DegenerateInputError, _sort_rows_in_place
+from .partial_conjunction import _pc_pvalues_sorted, pc_path_sorted
 from .procedures import (
     IDENTITY,
     ShapeFunction,
@@ -91,26 +86,41 @@ def _own_stack(mat) -> np.ndarray:
     return mat[None]
 
 
+def _row_values(mats: np.ndarray, method: CombiningMethod, u: int = 1,
+                column: int | None = None) -> np.ndarray:
+    """One value per row of the (..., n) p-value array ``mats``: its entry
+    in column ``column`` as it was before the sort, if a column is given,
+    else its PC p-value at u (at u = 1, the global-null combination). It
+    sorts the rows ascending in place, validated, the one form that Step 2
+    reads."""
+    n = mats.shape[-1]
+    if column is None:
+        s = _sort_rows_in_place(mats).reshape(-1, n)
+        return _pc_pvalues_sorted(s, u, method).reshape(mats.shape[:-1])
+    if not 0 <= column < n:
+        raise ValueError(f"column {column} outside [0, {n})")
+    values = mats[..., column].copy()
+    _sort_rows_in_place(mats)
+    return values
+
+
+def _selection(values: np.ndarray, rule: SelectionRule, ws: WeightScheme) -> np.ndarray:
+    """The Step-1 selection rule applied to each row of the (R, m) array of
+    Step-1 values: the (R, m) selection masks."""
+    if rule.kind == "fixed_threshold_on_combined":
+        return values <= rule.threshold
+    tc = ThresholdCollection(alpha=rule.alpha, m=values.shape[1], weights=ws, shape=rule.shape)
+    return _step_up_rows(values, tc)
+
+
 def _select_rows(mats: np.ndarray, rule: SelectionRule, method: CombiningMethod,
                  ws: WeightScheme) -> np.ndarray:
     """The Step-1 selection rule applied to each matrix of the (R, m, n)
     stack ``mats``: the (R, m) selection masks. It sorts the rows of
-    ``mats`` ascending in place, validated, the one form that Step 2 reads
-    too; the column rule reads its column as it was before the sort."""
-    r, m, n = mats.shape
-    ws._sized(m)
-    if rule.kind == "step_up_on_column":
-        if not 0 <= rule.column < n:
-            raise ValueError(f"column {rule.column} outside [0, {n})")
-        values = mats[:, :, rule.column].copy()
-        _sort_rows_in_place(mats)
-    else:
-        s = _sort_rows_in_place(mats).reshape(r * m, n)
-        values = combine_sorted(s, method).reshape(r, m)
-        if rule.kind == "fixed_threshold_on_combined":
-            return values <= rule.threshold
-    tc = ThresholdCollection(alpha=rule.alpha, m=m, weights=ws, shape=rule.shape)
-    return _step_up_rows(values, tc)
+    ``mats`` ascending in place, validated (:func:`_row_values`)."""
+    ws._sized(mats.shape[1])
+    column = rule.column if rule.kind == "step_up_on_column" else None
+    return _selection(_row_values(mats, method, column=column), rule, ws)
 
 
 def select_features(mat, rule: SelectionRule, method: CombiningMethod,
@@ -123,12 +133,12 @@ def select_features(mat, rule: SelectionRule, method: CombiningMethod,
 def _khat_rows(s: np.ndarray, selected: np.ndarray, method: CombiningMethod,
                ws: WeightScheme, q: float,
                beta: ShapeFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step 2 on each matrix of the row-sorted (R, m, n) stack ``s`` with its
-    row of the (R, m) selection masks: the k_hat and the thresholds of the
-    selected entries, in the order of ``np.flatnonzero(selected)``, and the
-    (R,) selection volumes |S|_v, added in index order. A
+    """Step 2 on the row-sorted (k, n) p-values ``s`` of the entries of
+    the (R, m) selection masks ``selected``, in the order of
+    ``np.flatnonzero(selected)``: their k_hat and thresholds, and the (R,)
+    selection volumes |S|_v, added in index order. A
     ``DegenerateInputError`` names the flat index r * m + i."""
-    r, m, n = s.shape
+    m = selected.shape[1]
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q={q} outside (0, 1]")
     vol = _volumes(selected, ws._sized(m).penalty_v)
@@ -136,7 +146,7 @@ def _khat_rows(s: np.ndarray, selected: np.ndarray, method: CombiningMethod,
     rows, cols = np.divmod(flat, m)
     t = ws.prior_w[cols] * beta(vol, m)[rows] * q / m
     try:
-        path = pc_path_sorted(s[selected], method)
+        path = pc_path_sorted(s, method)
     except DegenerateInputError as exc:
         raise DegenerateInputError(int(flat[exc.row])) from None
     khat = (np.maximum.accumulate(path, axis=1) <= t[:, None]).sum(axis=1)
@@ -145,8 +155,8 @@ def _khat_rows(s: np.ndarray, selected: np.ndarray, method: CombiningMethod,
 
 def _report(s: np.ndarray, mask: np.ndarray, method: CombiningMethod,
             ws: WeightScheme, q: float, beta: ShapeFunction) -> ReplicabilityReport:
-    """Step 2 on the one-matrix row-sorted stack ``s`` with the (1, m)
-    selection mask, as a report."""
+    """Step 2 on the row-sorted selected rows ``s`` of the (1, m) selection
+    mask, as a report."""
     rows = np.flatnonzero(mask[0]).tolist()
     khat, t, vol = _khat_rows(s, mask, method, ws, q, beta)
     return ReplicabilityReport(frozenset(rows), dict(zip(rows, khat.tolist())),
@@ -163,7 +173,8 @@ def khat_bounds(mat, selected: Sequence[int] | frozenset[int],
     k_hat(i) is the number of u at which it stays under the threshold.
     """
     s = _sort_rows_in_place(_own_stack(mat))
-    return _report(s, _index_mask(selected, s.shape[1])[None], method, ws, q, beta)
+    mask = _index_mask(selected, s.shape[1])[None]
+    return _report(s[mask], mask, method, ws, q, beta)
 
 
 def replicability_analysis(mat, rule: SelectionRule, method: CombiningMethod,
@@ -173,4 +184,5 @@ def replicability_analysis(mat, rule: SelectionRule, method: CombiningMethod,
     :func:`select_features` selects, with the rows of one private copy of
     the matrix sorted once for both steps."""
     s = _own_stack(mat)
-    return _report(s, _select_rows(s, rule, method, ws), method, ws, q, beta)
+    mask = _select_rows(s, rule, method, ws)
+    return _report(s[mask], mask, method, ws, q, beta)

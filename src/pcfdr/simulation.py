@@ -256,7 +256,7 @@ def mc_replicability_error(s: SimulationScenario, rule: SelectionRule,
     def errors(mats):
         selected = _select_rows(mats, rule, method, ws)
         wrong = np.zeros_like(selected)
-        wrong[selected] = (_khat_rows(mats, selected, method, ws, q, beta)[0]
+        wrong[selected] = (_khat_rows(mats[selected], selected, method, ws, q, beta)[0]
                            > np.broadcast_to(true_k, selected.shape)[selected])
         return _volume_share(wrong, selected, ws.penalty_v)
 

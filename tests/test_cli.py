@@ -242,9 +242,9 @@ class TestChangedBetweenReads:
         """Run ``change`` before each call of cli's ``name``."""
         real = getattr(cli, name)
 
-        def changed(*args):
+        def changed(*args, **kwargs):
             change()
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, changed)
 
@@ -277,7 +277,7 @@ class TestChangedBetweenReads:
 
     def test_ids_gone_before_they_are_read_back(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "m.csv", "a,0.1,0.2\nb,0.3,0.4\n")
-        self.between(monkeypatch, "_pc_pvalues_sorted", lambda: os.remove(path))
+        self.between(monkeypatch, "_row_values", lambda: os.remove(path))
         assert run(["combine", path, "--method", "fisher"]) == 2
         assert capsys.readouterr() == ("", self.gone(path))
 
@@ -353,8 +353,14 @@ class TestChunkedParse:
 
     @staticmethod
     def serial(split, path):
+        """The matrix of one path-fed np.loadtxt of the file: it is shorter
+        than _MIN_CHUNK while it is read, so that no range is cut."""
         split(1)
-        return read_matrix(path)
+        chunk, cli._MIN_CHUNK = cli._MIN_CHUNK, os.path.getsize(path) + 1
+        try:
+            return read_matrix(path)
+        finally:
+            cli._MIN_CHUNK = chunk
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("ids", [False, True], ids=["values", "ids"])
@@ -373,6 +379,12 @@ class TestChunkedParse:
         assert (got_ids, mat.shape, mat.dtype) == (has_ids, expected.shape, expected.dtype)
         assert mat.tobytes() == expected.tobytes()
         assert mat.shape == (60, 4)
+        # With a reduction the file is cut into size // _MIN_CHUNK ranges,
+        # whatever the core count, each reduced where it is parsed.
+        calls.update(forks=0, rows=0)
+        got_ids, sums = read_matrix(str(path), reduce=lambda rows: rows.sum(axis=1))
+        assert calls == {"forks": k - 1, "rows": 1}
+        assert (got_ids, sums.tobytes()) == (has_ids, expected.sum(axis=1).tobytes())
 
     @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
     def test_cut_on_the_last_line(self, tmp_path, split, final):
@@ -557,6 +569,86 @@ class TestChunkedParse:
         assert calls["forks"] == 0
         assert mat.tobytes() == expected.tobytes()
 
+    @staticmethod
+    def edge_lines():
+        """80 rows with ids and 17-digit p-values, about 6 KB; a fifth of
+        the rows carry a strong signal, so that each rule selects some."""
+        rng = np.random.default_rng(7)
+        mat = rng.random((80, 4))
+        mat[::5] **= 12
+        return [f"g{i}," + ",".join(f"{x:.17g}" for x in row) for i, row in enumerate(mat.tolist())]
+
+    @pytest.mark.parametrize("case", [
+        "plain", "no-ids", "no-final", "whitespace-only", "short-row", "cr", "crlf", "mixed",
+        "bom", "not-utf-8", "p-above-1", "stouffer-0-and-1", "shared-id"])
+    def test_edge_cases_give_the_results_of_one_parse(self, tmp_path, capsys, split,
+                                                      monkeypatch, case):
+        # Each command's exit status, message and report are the same when
+        # the file is parsed whole, in ranges in one process, and in ranges
+        # in two. "mixed" cycles through LF, CRLF and CR line ends.
+        lines, method = self.edge_lines(), "simes"
+        ends = {"cr": ["\r"], "crlf": ["\r\n"], "mixed": ["\n", "\r\n", "\r"]}.get(case, ["\n"])
+        if case == "no-ids":
+            lines = [line.split(",", 1)[1] for line in lines]
+        elif case == "whitespace-only":
+            lines.insert(40, "  \t")
+        elif case == "short-row":
+            lines[50] = "g50,0.1,0.2,0.3"
+        elif case == "bom":
+            lines[0] = "\ufeff" + lines[0]
+        elif case == "not-utf-8":
+            lines[50] = "g50,0.1,\udcff,0.3,0.4"  # written as the lone byte 0xff
+        elif case == "p-above-1":
+            lines[50] = "g50,0.1,1.5,0.3,0.4"
+        elif case == "stouffer-0-and-1":
+            # Column 1 holds the 0, so the column rule selects the row and
+            # Step 2 meets it; the other rules meet it in Step 1.
+            lines[0], method = "g0,1,0,0.5,0.5", "stouffer"
+        elif case == "shared-id":
+            lines[5] = lines[5].replace("g5,", "hit,")  # selected by each rule
+            lines[70] = "hit,1e-09,2e-09,3e-09,4e-09"
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.rstrip("\n" if case == "no-final" else "").encode(
+            "utf-8", "surrogateescape"))
+        out = tmp_path / "out"
+        argvs = [["combine", str(path), "--method", method],
+                 ["replicate", str(path), "--method", method, "--q", "0.1"],
+                 ["replicate", str(path), "--method", method, "--q", "0.1", "--rule", "column=1"]]
+
+        def results():
+            got = []
+            for argv in argvs:
+                out.unlink(missing_ok=True)
+                code = run([*argv, "--out", str(out)])
+                got.append((code, capsys.readouterr().err, out.read_bytes() if code == 0 else None))
+            return got
+
+        monkeypatch.setattr(cli, "_MIN_CHUNK", path.stat().st_size + 1)
+        whole = results()
+        monkeypatch.setattr(cli, "_MIN_CHUNK", 512)
+        calls = split(1)
+        assert results() == whole
+        assert calls["forks"] == 0
+        split(2)
+        assert results() == whole
+        # Ranges end at a "\n", so a file with CR-only line ends is one range.
+        assert calls["forks"] == (0 if case == "cr" else len(argvs))
+        codes = [code for code, _, _ in whole]
+        if case in ("plain", "no-ids", "no-final", "whitespace-only", "cr", "crlf", "mixed", "bom"):
+            assert codes == [0, 0, 0]
+            name = b'"5"' if case == "no-ids" else b'"g5"'
+            assert all(name in report for _, _, report in whole[1:])  # a row was selected
+        elif case == "stouffer-0-and-1":
+            assert {err for _, err, _ in whole} == {
+                f"error: {path}:1: Stouffer combiner with both p=0 and p=1\n"}
+        elif case == "shared-id":
+            assert codes == [0, 2, 2]
+            assert whole[1][1] == f"error: {path}:71: selected id 'hit' also names line 6\n"
+        else:
+            assert codes == [2, 2, 2]
+            assert whole[0][1].startswith(f"error: {path}:51:")
+
 
 class TestCombine:
     def test_report_matches_golden_file(self, tmp_path):
@@ -609,11 +701,11 @@ class TestCombine:
         # The ids are read in a second pass; a row gone by then is an
         # error, not a shorter report.
         path = write(tmp_path, "m.csv", "a,0.1,0.2\nb,0.3,0.4\nc,0.5,0.6\n")
-        pc_pvalues = cli._pc_pvalues_sorted
-        def truncating(*args):
+        row_values = cli._row_values
+        def truncating(*args, **kwargs):
             Path(path).write_text("a,0.1,0.2\nb,0.3,0.4\n")
-            return pc_pvalues(*args)
-        monkeypatch.setattr(cli, "_pc_pvalues_sorted", truncating)
+            return row_values(*args, **kwargs)
+        monkeypatch.setattr(cli, "_row_values", truncating)
         assert run(["combine", path, "--method", "fisher"]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
 
@@ -811,13 +903,45 @@ class TestReplicate:
 
     def test_input_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch):
         path = write(tmp_path, "m.csv", "a,0.8,0.9\nhit,0.0001,0.0002\n")
-        select = cli._select_rows
+        selection = cli._selection
         def truncating(*args):
             Path(path).write_text("a,0.8,0.9\n")
-            return select(*args)
-        monkeypatch.setattr(cli, "_select_rows", truncating)
+            return selection(*args)
+        monkeypatch.setattr(cli, "_selection", truncating)
         assert run(["replicate", path, "--q", "0.1", "--method", "simes"]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
+
+    def test_a_bad_weights_file_is_reported_before_a_degenerate_row(self, tmp_path, capsys):
+        # Step 1 meets the Stouffer row with both 0 and 1 as the matrix is
+        # read; the weights file is still checked first.
+        path = write(tmp_path, "m.csv", "a,0,1\nb,0.3,0.4\n")
+        short = write(tmp_path, "short.csv", "1,1\n")
+        good = write(tmp_path, "good.csv", "1,1\n1,1\n")
+        argv = ["replicate", path, "--q", "0.1", "--method", "stouffer", "--weights"]
+        assert run([*argv, short]) == 2
+        assert capsys.readouterr().err == f"error: {short}: expected 2 weight rows, got 1\n"
+        assert run([*argv, good]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: Stouffer combiner with both p=0 and p=1\n")
+
+    @pytest.mark.parametrize("rule, cell", [("step-up", 1), ("column=1", 2)])
+    def test_selected_cell_changed_between_reads_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                         rule, cell):
+        # Step 2 reads the selected rows back from the file. A cell that
+        # Step 1 read, changed in place before then, changes the row's
+        # Step-1 value: Simes of (0.0001, 0.0002) is 0.0002, of (0.0003,
+        # 0.0002) 0.0003, and column 1 reads 0.0002, then 0.0005.
+        path = write(tmp_path, "m.csv", "a,0.8,0.9\nhit,0.0001,0.0002\n")
+        cells = ["hit", "0.0001", "0.0002"]
+        cells[cell] = {1: "0.0003", 2: "0.0005"}[cell]
+        selection = cli._selection
+        def changing(*args):
+            Path(path).write_text("a,0.8,0.9\n" + ",".join(cells) + "\n")
+            return selection(*args)
+        monkeypatch.setattr(cli, "_selection", changing)
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes", "--rule", rule]) == 2
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
+        assert Path(path).stat().st_size == len("a,0.8,0.9\nhit,0.0001,0.0002\n")
 
     @pytest.mark.parametrize("rule", sorted(GOLDEN_REPLICATE))
     def test_report_matches_golden_file(self, tmp_path, rule):
@@ -834,35 +958,49 @@ class TestReplicate:
         assert run(["replicate", path, "--q", "0.05", "--method", "simes",
                     "--rule", "lasso"]) == 2
 
-    def test_analysis_peak_memory_stays_within_one_matrix(self, monkeypatch):
-        # 50,000 x 5 p-values, about 5 % of the rows with a signal in their
-        # first 1 to 5 studies. The analysis sorts the rows of the matrix it
-        # read in place and keeps its temporaries to a few vectors of m
-        # floats (the step-up's sorted keys and running volumes are two),
-        # so that, from the start of the run to the report it hands to the
-        # JSON writer, it allocates about 0.93 times the matrix. A sorted
-        # copy of the matrix alone would take 1.0.
+    def test_analysis_peak_memory_stays_within_one_matrix(self, tmp_path, monkeypatch):
+        # 50,000 x 5 p-values in 17 digits, about 5 % of the rows with a
+        # signal in their first 1 to 5 studies, read in one process. The
+        # matrix is never held: each ~1 MiB range of the file is reduced to
+        # one value per row before the next is parsed, and Step 2 reads the
+        # selected rows back. So, from the start of the run to the report
+        # it hands to the JSON writer, the traced peak is the step-up's:
+        # the Step-1 values, the unit weights and the step-up's sorted keys
+        # and levels, four vectors of m floats, about 0.85 times the matrix.
+        # Holding the matrix as it was parsed took about 1.85.
         rng = np.random.default_rng(1)
         m, n = 50_000, 5
         mat = rng.random((m, n))
         signal = np.flatnonzero(rng.random(m) < 0.05)
         k = rng.integers(1, n + 1, size=signal.size)
         mat[signal] *= np.where(np.arange(n) < k[:, None], 1e-6, 1.0)
-        nbytes = mat.nbytes
-        held = [mat]
+        path = tmp_path / "m.csv"
+        np.savetxt(path, mat, delimiter=",", fmt="%.17g")
         del mat
-        monkeypatch.setattr(cli, "read_matrix", lambda path, pvalues=True: (None, held.pop()))
+        assert path.stat().st_size >= 4 * cli._MIN_CHUNK
+        monkeypatch.setattr(_fork, "_cores", lambda: 1)
+        argv = ["replicate", str(path), "--q", "0.1", "--method", "simes"]
+        write_json = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", lambda path, payload: None)
+        assert run(argv) == 0  # imports and caches are not traced below
         seen = []
         monkeypatch.setattr(cli, "_write_json", lambda path, payload: seen.append(
-            (tracemalloc.get_traced_memory()[1], len(payload["selected"]))))
+            (tracemalloc.get_traced_memory()[1], payload)))
         tracemalloc.start()
         try:
-            assert run(["replicate", "m.csv", "--q", "0.1", "--method", "simes"]) == 0
+            assert run(argv) == 0
         finally:
             tracemalloc.stop()
-        [(peak, selected)] = seen
-        assert 0.04 * m < selected < 0.06 * m
-        assert peak <= 1.0 * nbytes
+        [(peak, payload)] = seen
+        assert 0.04 * m < len(payload["selected"]) < 0.06 * m
+        assert peak <= 0.9 * m * n * 8
+        # The report is the one a single parse of the whole file gives.
+        monkeypatch.setattr(cli, "_MIN_CHUNK", path.stat().st_size + 1)
+        monkeypatch.setattr(cli, "_write_json", write_json)
+        out = tmp_path / "r.json"
+        assert run([*argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report == json.loads(json.dumps({"schema_version": 1, **payload}))
 
 
 class TestSimulateVerify:
@@ -1288,11 +1426,11 @@ class TestOut:
         outdir.mkdir()
         out = outdir / "out.csv"
         out.write_text("precious\n")
-        pc_pvalues = cli._pc_pvalues_sorted
-        def truncating(*args):
+        row_values = cli._row_values
+        def truncating(*args, **kwargs):
             Path(path).write_text("a,0.1,0.2\n")
-            return pc_pvalues(*args)
-        monkeypatch.setattr(cli, "_pc_pvalues_sorted", truncating)
+            return row_values(*args, **kwargs)
+        monkeypatch.setattr(cli, "_row_values", truncating)
         assert run(["combine", path, "--method", "fisher", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
         assert out.read_text() == "precious\n"

@@ -10,6 +10,7 @@ stacked Monte Carlo functions with the one-replicate-at-a-time loops of
 and three; the CLI's CSV reader with the
 per-line reader of ``oracles`` on random text, and its number test and the
 ``np.loadtxt`` behaviour it relies on with ``np.loadtxt`` itself; the
+CLI's JSON writer with ``json.dumps(indent=2)`` on random JSON data; the
 bucketed ``compute_pc_pvalues`` over interleaved group labels with
 ``pc_pvalue`` group by group.
 """
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfdr import _fork, simulation
-from pcfdr.cli import CliError, _is_number, read_ids, read_matrix, run
+from pcfdr.cli import CliError, _is_number, _json, read_ids, read_matrix, run
 from pcfdr.combine import (
     BONFERRONI,
     FISHER,
@@ -524,3 +525,26 @@ def test_loadtxt_zero_width_id_field_checks_row_widths(tmp_path):
             load(text)
     with pytest.raises(ValueError):
         load("0.1\n\t\n0.2\n", np.dtype([("p", float, (1,))]))
+
+
+# JSON data as the reports hold it: string keys, finite floats, and
+# containers nested to any depth, empty ones and tuples among them.
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(obj=JSON_DATA)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_indented_dumps(obj):
+    assert "".join(_json(obj)) == json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("obj", [float("nan"), [1, float("inf")], {"a": {"b": [float("-inf")]}},
+                                 {"a": float("nan"), "b": [1]}])
+def test_json_writer_refuses_non_finite_floats(obj):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        "".join(_json(obj))

@@ -209,7 +209,8 @@ def test_public_entry_points_leave_the_callers_matrix_as_it_is():
         assert np.array_equal(mat, saved)
         own = saved.copy()
         s = own[None]
-        assert report == _report(s, _select_rows(s, rule, SIMES, ws), SIMES, ws, 0.1, IDENTITY)
+        mask = _select_rows(s, rule, SIMES, ws)
+        assert report == _report(s[mask], mask, SIMES, ws, 0.1, IDENTITY)
         assert np.array_equal(own, in_place)
         assert report.selected
         assert select_features(mat, rule, SIMES, ws) == report.selected
