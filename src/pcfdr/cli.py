@@ -192,14 +192,18 @@ def _loadtxt(path: str, size: int, kw: dict, reduce=None) -> np.ndarray:
 def _bounds(fd: int, size: int, k: int) -> list[int]:
     """The byte offsets that cut the open file ``fd`` of ``size`` bytes
     into at most k ranges of whole lines: the start of its text (past a
-    byte-order mark), the first line start at or after i * size / k for
-    each 0 < i < k that has one, and ``size``."""
+    byte-order mark), for each 0 < i < k that has one the offset past the
+    first line end ("\\n", "\\r\\n" or "\\r", as ``open`` reads them)
+    that starts at or after i * size / k, and ``size``."""
     cuts = {size}
     for i in range(1, k):
         pos = i * size // k
         while block := os.pread(fd, _SCAN_BLOCK, pos):
-            if (nl := block.find(b"\n")) >= 0:
-                cuts.add(pos + nl + 1)
+            if ends := [j for j in (block.find(b"\n"), block.find(b"\r")) if j >= 0]:
+                cut = pos + min(ends) + 1
+                if os.pread(fd, 2, cut - 1) == b"\r\n":
+                    cut += 1  # its "\n" may lie past the block
+                cuts.add(cut)
                 break
             pos += len(block)
     bom = os.pread(fd, len(codecs.BOM_UTF8), 0) == codecs.BOM_UTF8

@@ -1,7 +1,8 @@
 """Standard normal CDF and quantile and the chi-square survival function:
-input-checked scalar wrappers over ``scipy.special``, which the combiners
-call directly on arrays. Each wrapper imports ``scipy.special`` when
-called, so importing this module does not load scipy."""
+input-checked scalar wrappers over the ``scipy.special`` ufuncs that the
+combiners call directly on arrays. Each wrapper loads them when called
+(:func:`pcfdr._special.ufuncs`), so importing this module does not load
+scipy."""
 
 from __future__ import annotations
 
@@ -14,16 +15,16 @@ def std_normal_cdf(x: float) -> float:
     """Return Phi(x), the standard normal CDF. Accepts +-inf."""
     if math.isnan(x):
         raise ValueError("std_normal_cdf: NaN input")
-    from scipy.special import ndtr
-    return float(ndtr(x))
+    from ._special import ufuncs
+    return float(ufuncs().ndtr(x))
 
 
 def std_normal_quantile(p: float) -> float:
     """Return Phi^{-1}(p). p=0 and p=1 map to -inf and +inf respectively."""
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"std_normal_quantile: p={p} outside [0, 1]")
-    from scipy.special import ndtri
-    return float(ndtri(p))
+    from ._special import ufuncs
+    return float(ufuncs().ndtri(p))
 
 
 def chi_square_survival(x: float, df: int) -> float:
@@ -32,5 +33,5 @@ def chi_square_survival(x: float, df: int) -> float:
         raise ValueError(f"chi_square_survival: x={x} must be >= 0")
     if df < 1 or int(df) != df:
         raise ValueError(f"chi_square_survival: df={df} must be a positive integer")
-    from scipy.special import chdtrc
-    return float(chdtrc(df, x))
+    from ._special import ufuncs
+    return float(ufuncs().chdtrc(df, x))

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import math
 import os
@@ -364,7 +365,8 @@ class TestChunkedParse:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("ids", [False, True], ids=["values", "ids"])
-    @pytest.mark.parametrize("newline", ["\n", "\r\n", "mixed"], ids=["lf", "crlf", "mixed"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "mixed"],
+                             ids=["lf", "crlf", "cr", "mixed"])
     @pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
     @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
     def test_parse_equals_one_loadtxt(self, tmp_path, split, k, ids, newline, bom, final):
@@ -447,6 +449,25 @@ class TestChunkedParse:
         if code:
             line = 1 + lines.index(bad)
             assert expected[0].startswith(f"error: {path}:{line}:")
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "mixed"])
+    @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
+    def test_every_cut_is_a_line_start(self, tmp_path, monkeypatch, block, newline, final):
+        # With k = size, _bounds cuts past the first line end at or after
+        # every offset, so it returns every line start past offset 1 as
+        # bytes.splitlines splits, and none inside a "\r\n", though the
+        # scan's blocks end at any byte.
+        text = matrix_text(True, newline, False, final, rows=6).encode()
+        starts = set(itertools.accumulate(map(len, text.splitlines(keepends=True))))
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        (path := tmp_path / "m.csv").write_bytes(text)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            cuts = cli._bounds(fd, len(text), len(text))
+        finally:
+            os.close(fd)
+        assert cuts == [0, *sorted({s for s in starts if s >= 2} | {len(text)})]
 
     def test_a_range_reads_only_its_own_bytes(self, tmp_path, monkeypatch):
         # The second of two ranges is parsed from its own bytes alone, not
@@ -632,8 +653,7 @@ class TestChunkedParse:
         assert calls["forks"] == 0
         split(2)
         assert results() == whole
-        # Ranges end at a "\n", so a file with CR-only line ends is one range.
-        assert calls["forks"] == (0 if case == "cr" else len(argvs))
+        assert calls["forks"] == len(argvs)
         codes = [code for code, _, _ in whole]
         if case in ("plain", "no-ids", "no-final", "whitespace-only", "cr", "crlf", "mixed", "bom"):
             assert codes == [0, 0, 0]

@@ -1,7 +1,8 @@
 """The package namespace, start-up and exit. ``pcfdr`` exports every name
 in the ``__all__`` of each library module. Importing the CLI and running
 the scipy-free methods must not load scipy; only the methods that call
-``scipy.special`` load it.
+``scipy.special``'s ufuncs load it, and then only its compiled module
+(``pcfdr._special``), not the package or its array-API layer.
 The console entry point ``main`` freezes the garbage collector once ``run``
 has returned, and only there; exit status, exit hooks and output are as
 without the freeze. ``main``, and only ``main``, caps OpenBLAS at one
@@ -10,6 +11,7 @@ thread unless the caller set ``OPENBLAS_NUM_THREADS``, so a run that loads
 loads no process pool, and its exit hooks and output happen once, as in a
 verify run whose Monte Carlo check forks."""
 
+import concurrent.futures
 import importlib
 import json
 import os
@@ -34,7 +36,7 @@ state = {"import": "scipy" in sys.modules,
          "missing": [m for m in modules if "pcfdr." + m not in sys.modules]}
 assert run(["replicate", matrix, "--q", "0.1", "--method", "simes", "--out", out]) == 0
 assert run(["combine", matrix, "--method", "simes", "--u", "2", "--out", out]) == 0
-state["simes"] = "scipy" in sys.modules
+state["simes"] = [m for m in ("scipy", "pcfdr._special") if m in sys.modules]
 assert run(["combine", matrix, "--method", "fisher", "--out", out]) == 0
 state["fisher"] = "scipy" in sys.modules
 state["frozen"] = gc.get_freeze_count()
@@ -96,6 +98,76 @@ atexit.register(hook)
 sys.stdout.write("before main\\n")
 pcfdr.cli.main()
 """
+# The modules loaded after a run through ``run`` of the arguments after
+# the first, of those that scipy's compiled ufuncs, its package and its
+# array-API layer load, and then whether ``import scipy.special`` is whole
+# and holds the loader's ufuncs. With "before" as the first argument,
+# ``import scipy.special`` comes before the run instead.
+LOADER = """
+import json, sys
+if sys.argv[1] == "before":
+    import scipy.special
+from pcfdr._special import ufuncs
+from pcfdr.cli import run
+code = run(sys.argv[2:])
+loaded = [m for m in ("scipy.special._ufuncs", "scipy.special", "scipy._lib._array_api",
+                      "numpy.f2py", "numpy.testing") if m in sys.modules]
+import scipy.special
+print(json.dumps({"code": code, "loaded": loaded,
+                  "complete": hasattr(scipy.special, "logsumexp"),
+                  "shared": all(getattr(scipy.special, f) is getattr(ufuncs(), f)
+                                for f in ("chdtrc", "ndtr", "ndtri"))}))
+"""
+# One thread runs the loader while another imports names from scipy.special
+# after the delay in seconds given as the first argument, both released at
+# once, scipy itself already loaded, and the interpreter switching threads
+# as often as it can. Prints whether scipy.special is whole and whether both
+# threads and it share the same ufuncs.
+RACE = """
+import json, sys, threading, time
+import scipy
+from pcfdr._special import ufuncs
+sys.setswitchinterval(1e-6)
+start, got = threading.Barrier(2), {}
+def loader():
+    start.wait()
+    got["loader"] = ufuncs()
+def package():
+    start.wait()
+    time.sleep(float(sys.argv[1]))
+    from scipy.special import chdtrc, logsumexp, ndtr, ndtri
+    got["package"] = (chdtrc, ndtr, ndtri)
+threads = [threading.Thread(target=f) for f in (loader, package)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+import scipy.special
+u = got["loader"]
+print(json.dumps({"complete": hasattr(scipy.special, "logsumexp"),
+                  "shared": got["package"] == (u.chdtrc, u.ndtr, u.ndtri)
+                            == (scipy.special.chdtrc, scipy.special.ndtr, scipy.special.ndtri)}))
+"""
+# A run through ``run`` after a finder that refuses, once, to import
+# scipy's compiled ufuncs: the loader's stand-in import fails, and it
+# imports scipy.special in full. Prints what scipy.special held when the
+# import was refused, and what it is after the run.
+REFUSED = """
+import json, sys
+refused = []
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not refused:
+            package = sys.modules.get("scipy.special")
+            refused.append(package is not None and not hasattr(package, "logsumexp"))
+            raise ImportError("refused")
+sys.meta_path.insert(0, Refuse())
+from pcfdr.cli import run
+assert run(sys.argv[1:]) == 0
+print(json.dumps({"refused": refused,
+                  "complete": hasattr(sys.modules["scipy.special"], "logsumexp")}))
+"""
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 # The variables that size OpenBLAS's thread pool, the first set winning.
@@ -119,7 +191,7 @@ def test_cli_import_loads_every_module_but_not_scipy(state):
 
 
 def test_simes_replicate_and_combine_do_not_load_scipy(state):
-    assert state["simes"] is False
+    assert state["simes"] == []
 
 
 def test_fisher_combine_loads_scipy(state):
@@ -280,3 +352,48 @@ def test_forked_verify_runs_exit_hooks_writes_output_once_and_exits_3(inputs):
     done = split_main(inputs, "verify", "--scenario", "s.json")
     assert done.returncode == 3, done.stderr
     assert done.stderr == b""
+
+
+def python(script, *argv, cwd=None):
+    """The JSON that ``script`` prints, run with ``argv`` in a fresh
+    interpreter."""
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pc-test", "p.csv", "--alpha", "0.05", "--method", "fisher", "--groups", "g.txt",
+      "--out", "r.json"], 0),
+    (["combine", "m.csv", "--method", "stouffer", "--out", "c.csv"], 0),
+    (["verify", "--scenario", "s.json", "--out", "r.json"], 3),
+], ids=["fisher-pc-test", "stouffer-combine", "verify"])
+def test_scipy_runs_load_only_the_compiled_ufuncs(inputs, argv, code):
+    assert python(LOADER, "after", *argv, cwd=inputs) == {
+        "code": code, "loaded": ["scipy.special._ufuncs"], "complete": True, "shared": True}
+
+
+def test_loader_after_import_scipy_special_returns_its_ufuncs(inputs):
+    state = python(LOADER, "before", "combine", "m.csv", "--method", "fisher", "--out", "c.csv",
+                   cwd=inputs)
+    assert (state["code"], state["complete"], state["shared"]) == (0, True, True)
+
+
+def test_loader_racing_import_scipy_special_leaves_it_whole():
+    # The delays, 0 to 9.5 ms, span the loader's import of the compiled
+    # module, when a stand-in package would be in sys.modules. A loader that
+    # used the stand-in with the other thread alive, even holding the
+    # import lock, failed here at delays of 1 to 6 ms on 2 cores: the other
+    # thread's ``from scipy.special import ...`` met the stand-in.
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        states = list(pool.map(lambda i: python(RACE, str(i / 2000)), range(20)))
+    assert states == [{"complete": True, "shared": True}] * 20
+
+
+def test_refused_compiled_import_falls_back_to_the_package(inputs):
+    argv = ["pc-test", "p.csv", "--alpha", "0.05", "--method", "fisher", "--groups", "g.txt"]
+    assert python(REFUSED, *argv, "--out", "fallback.json", cwd=inputs) == {
+        "refused": [True], "complete": True}
+    assert pcfdr(inputs, *argv, "--out", "r.json")[0] == 0
+    assert (inputs / "fallback.json").read_bytes() == (inputs / "r.json").read_bytes()

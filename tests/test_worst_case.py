@@ -13,12 +13,16 @@ exchangeable law attains it: one variable per cell occupancy vector, a
 multiset of m cells, C(2m, m) of them, with the constraint that a
 p-value's expected share of each cell is that cell's width.
 
-Each cell's FDP is read from the package's own ``_step_up_rows`` at one
-p-vector of cell midpoints, all rows at once. With all nulls the FDP is 1
-if anything is rejected, else 0. The supremum is alpha * H_m for the
-identity shape (Benjamini-Hochberg) and alpha for the reciprocal-sum shape
-(Benjamini-Yekutieli), and each is attained, so a wrong shape, a dropped
-1/H_m or a mis-scaled threshold moves the value off its bound.
+The edges come from the package's own ``ShapeFunction``, and each cell's
+FDP from its own ``_step_up_rows`` at one p-vector of cell midpoints, all
+rows at once. With all nulls the FDP is 1 if anything is rejected, else 0.
+The supremum is alpha * H_m for the identity shape (Benjamini-Hochberg) and
+alpha for the reciprocal-sum shape (Benjamini-Yekutieli), and each is
+attained, so a wrong shape, a dropped 1/H_m or a mis-scaled threshold moves
+the value off its bound. For a ``discrete_nu`` shape, beta(r) = sum over
+x <= r of x * nu(x), it is at most alpha for every nu (Blanchard & Roquain
+2008); nu(x) proportional to 1/x on 1, ..., m is the reciprocal sum again
+and attains it.
 """
 
 import itertools
@@ -28,7 +32,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from pcfdr.procedures import IDENTITY, RECIPROCAL_SUM, ThresholdCollection, _step_up_rows
+from pcfdr.procedures import (
+    IDENTITY,
+    RECIPROCAL_SUM,
+    ShapeFunction,
+    ThresholdCollection,
+    _step_up_rows,
+)
 
 ALPHA = 0.05
 SIZES = range(3, 8)
@@ -41,8 +51,7 @@ def harmonic(m):
 def worst_case_fdr(m, shape):
     """The supremum over joint laws with U(0, 1) marginals of the FDR of
     the all-null, unit-weight step-up at ALPHA with shape ``shape``."""
-    scale = 1.0 if shape is IDENTITY else harmonic(m)
-    edges = np.array([0.0, *(ALPHA * r / (m * scale) for r in range(1, m + 1)), 1.0])
+    edges = np.array([0.0, *(ALPHA * shape(np.arange(1, m + 1), m) / m), 1.0])
     mids, widths = (edges[:-1] + edges[1:]) / 2, np.diff(edges)
     cells = np.array(list(itertools.combinations_with_replacement(range(m + 1), m)))
     counts = np.stack([(cells == j).sum(axis=1) for j in range(m + 1)])  # (m + 1, N)
@@ -63,3 +72,24 @@ def test_benjamini_hochberg_attains_alpha_times_harmonic(m):
 @pytest.mark.parametrize("m", SIZES)
 def test_benjamini_yekutieli_attains_alpha(m):
     assert abs(worst_case_fdr(m, RECIPROCAL_SUM) - ALPHA) <= 1e-9
+
+
+def seeded_nu(seed, m):
+    """A discrete nu of 3 points drawn from the halves 0.5, 1, ..., m + 1,
+    so that some lie between integers and some beyond m, with masses drawn
+    from a flat Dirichlet law."""
+    rng = np.random.default_rng(seed)
+    xs = rng.choice(np.arange(1, 2 * m + 3) / 2, size=3, replace=False)
+    return tuple(zip(xs.tolist(), rng.dirichlet(np.ones(3)).tolist()))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", range(3, 7))
+def test_discrete_nu_stays_within_alpha(m, seed):
+    assert worst_case_fdr(m, ShapeFunction("discrete_nu", seeded_nu(seed, m))) <= ALPHA + 1e-9
+
+
+@pytest.mark.parametrize("m", SIZES)
+def test_discrete_nu_of_reciprocal_masses_attains_alpha(m):
+    nu = tuple((float(x), 1.0 / (x * harmonic(m))) for x in range(1, m + 1))
+    assert abs(worst_case_fdr(m, ShapeFunction("discrete_nu", nu)) - ALPHA) <= 1e-9
