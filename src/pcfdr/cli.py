@@ -782,12 +782,13 @@ def main() -> None:
     """The ``pcfdr`` script: exit with the status of :func:`run` on the
     command line. pcfdr makes no BLAS call, so OpenBLAS is capped at one
     thread unless ``OPENBLAS_NUM_THREADS`` is already set: the copy that
-    ``scipy.special`` loads then starts no worker, which would otherwise
-    spin on a core the run needs. The objects still alive, most of them
-    made by importing numpy and scipy, are frozen out of the garbage
-    collector after the run, so that its collections at shutdown skip
-    them. Only this entry point does either: a caller of :func:`run` in
-    its own process keeps its environment and collector as they were."""
+    scipy's ``_ufuncs`` maps, which only Stouffer loads, then starts no
+    worker, which would otherwise spin on a core the run needs. The
+    objects still alive, most of them made by importing numpy, are frozen
+    out of the garbage collector after the run, so that its collections at
+    shutdown skip them. Only this entry point does either: a caller of
+    :func:`run` in its own process keeps its environment and collector as
+    they were."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = run(sys.argv[1:])
     gc.freeze()

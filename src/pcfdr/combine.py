@@ -10,9 +10,9 @@ adaptive step-up procedure with the Storey plug-in and assumes independence.
 The combiners work on matrices whose rows are sorted ascending
 (:func:`sort_rows`, :func:`combine_sorted`); :func:`combine_pvalues` takes
 one vector. Only Fisher and Stouffer need scipy: they load the compiled
-ufuncs of ``scipy.special`` when called (:func:`pcfdr._special.ufuncs`),
-without the package's array-API layer, so the other methods run without
-loading scipy or the loader.
+ufuncs of ``scipy.special`` when called (:func:`pcfdr._special.ufunc`),
+without the package, so the other methods run without loading scipy or
+the loader.
 """
 
 from __future__ import annotations
@@ -115,12 +115,15 @@ def _sort_rows_in_place(s: np.ndarray) -> np.ndarray:
 # Each row combiner takes a (rows, k) array sorted along axis 1, k >= 1.
 
 def _fisher_rows(s: np.ndarray) -> np.ndarray:
-    """Chi-square survival of -2 * sum(log p_i) with 2k degrees of freedom;
-    0 if a p_i is 0, whose log is -inf."""
-    from ._special import ufuncs
+    """Chi-square survival of -2 * sum(log p_i) with 2k degrees of freedom,
+    taken as Q(k, -sum(log p_i)), the regularized upper incomplete gamma
+    function that ``chdtrc(2k, x)`` evaluates at (k, x / 2); 0 if a p_i is
+    0, whose log is -inf."""
+    from ._special import ufunc
     with np.errstate(divide="ignore"):
-        stat = -2.0 * np.log(s).sum(axis=1)
-    return ufuncs().chdtrc(2 * s.shape[1], stat)
+        half = np.log(s).sum(axis=1)
+    half *= -1.0
+    return ufunc("gammaincc")(s.shape[1], half)
 
 
 def _stouffer_rows(s: np.ndarray) -> np.ndarray:
@@ -128,12 +131,11 @@ def _stouffer_rows(s: np.ndarray) -> np.ndarray:
     1 - Phi(sum(Phi^{-1}(1 - p_i)) / sqrt(k)) but taken in the lower tail,
     where neither 1 - p nor 1 - Phi rounds strong evidence to 0; 0 if a p_i
     is 0, 1 if a p_i is 1."""
-    from ._special import ufuncs
+    from ._special import ufunc
     both = (s[:, 0] == 0.0) & (s[:, -1] == 1.0)
     if both.any():
         raise DegenerateInputError(int(np.argmax(both)))
-    special = ufuncs()
-    return special.ndtr(special.ndtri(s).sum(axis=1) / math.sqrt(s.shape[1]))
+    return ufunc("ndtr")(ufunc("ndtri")(s).sum(axis=1) / math.sqrt(s.shape[1]))
 
 
 def _simes_rows(s: np.ndarray) -> np.ndarray:

@@ -156,7 +156,7 @@ def _draw(s: SimulationScenario, r0: int, r1: int) -> np.ndarray:
     keyed by (scenario seed, r): one generator serves the chunk, its state
     reset to that key and counter 0 for each replicate, as a new
     ``Philox(key=...)`` would start."""
-    from ._special import ufuncs
+    from ._special import ufunc
     m, n = s.m, s.n
     prds = s.dependence == "equicorrelated_prds" and s.rho > 0.0
     z = np.empty((r1 - r0, m, n))
@@ -180,7 +180,7 @@ def _draw(s: SimulationScenario, r0: int, r1: int) -> np.ndarray:
         x = z
     signal = np.arange(n)[None, :] < np.asarray(s.true_k)[:, None]
     x = x + s.mu * signal
-    return ufuncs().ndtr(-x)  # one-sided upper-tail p-values
+    return ufunc("ndtr")(-x)  # one-sided upper-tail p-values
 
 
 def _centre_blocks(z: np.ndarray, b: int) -> np.ndarray:
@@ -225,8 +225,8 @@ def _map_chunks(s: SimulationScenario, fn: Callable[[np.ndarray], np.ndarray]) -
         return np.concatenate([fn(_draw(s, r0, min(span[1], r0 + step)))
                                for r0 in range(*span, step)])
 
-    from ._special import ufuncs
-    ufuncs()  # scipy's compiled ufuncs, loaded before any fork, not in each child
+    from ._special import ufunc
+    ufunc("ndtr")  # the draw's compiled module, loaded before any fork, not in each child
     try:
         return _fork.map_rows(mapped, [*zip(cuts, cuts[1:])])
     except OSError:  # a failed child, pipe or fork

@@ -109,6 +109,13 @@ def test_chi2_trivial_and_errors():
         chi_square_survival(1.0, 0)
 
 
+@pytest.mark.parametrize("df", [math.inf, math.nan, 2.5, -math.inf])
+def test_chi2_rejects_df_that_is_not_a_positive_integer(df):
+    # inf and NaN once escaped as int(df)'s OverflowError and bare ValueError.
+    with pytest.raises(ValueError, match=r"^chi_square_survival: df=.* must be a positive integer$"):
+        chi_square_survival(1.0, df)
+
+
 def test_chi2_monotone_in_x_and_df():
     for df in (1, 2, 5, 20):
         values = [chi_square_survival(x / 2.0, df) for x in range(0, 100)]

@@ -1,8 +1,10 @@
 """The package namespace, start-up and exit. ``pcfdr`` exports every name
 in the ``__all__`` of each library module. Importing the CLI and running
 the scipy-free methods must not load scipy; only the methods that call
-``scipy.special``'s ufuncs load it, and then only its compiled module
-(``pcfdr._special``), not the package or its array-API layer.
+``scipy.special``'s ufuncs load compiled modules of it (``pcfdr._special``),
+never the package or its array-API layer: Fisher and the Monte Carlo draw
+load the C++ module ``_special_ufuncs`` alone, without ``import scipy`` or
+scipy's OpenBLAS, and only Stouffer loads ``_ufuncs`` too.
 The console entry point ``main`` freezes the garbage collector once ``run``
 has returned, and only there; exit status, exit hooks and output are as
 without the freeze. ``main``, and only ``main``, caps OpenBLAS at one
@@ -36,9 +38,10 @@ state = {"import": "scipy" in sys.modules,
          "missing": [m for m in modules if "pcfdr." + m not in sys.modules]}
 assert run(["replicate", matrix, "--q", "0.1", "--method", "simes", "--out", out]) == 0
 assert run(["combine", matrix, "--method", "simes", "--u", "2", "--out", out]) == 0
-state["simes"] = [m for m in ("scipy", "pcfdr._special") if m in sys.modules]
+state["simes"] = [m for m in ("scipy", "pcfdr._special", "scipy.special._special_ufuncs")
+                  if m in sys.modules]
 assert run(["combine", matrix, "--method", "fisher", "--out", out]) == 0
-state["fisher"] = "scipy" in sys.modules
+state["fisher"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 state["frozen"] = gc.get_freeze_count()
 print(json.dumps(state))
 """
@@ -98,25 +101,52 @@ atexit.register(hook)
 sys.stdout.write("before main\\n")
 pcfdr.cli.main()
 """
+# A split run through ``run`` of the arguments after the first, after a
+# finder that appends to the file named by the first, whenever the import
+# system or the loader looks for one of scipy's compiled ufunc modules, the
+# module, whether this process looked and how many forks it had made.
+# Prints the status, the forks and those lines, as JSON.
+SPLIT_LOADS = SPLIT + """
+import json, sys
+log = sys.argv[1]
+class Record:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("scipy.special._ufuncs", "scipy.special._special_ufuncs"):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()} {len(FORKS)}\\n")
+sys.meta_path.insert(0, Record())
+code = pcfdr.cli.run(sys.argv[2:])
+with open(log) as fh:
+    loads = [[name, int(pid) == os.getpid(), int(forks)]
+             for name, pid, forks in map(str.split, fh)]
+print(json.dumps({"code": code, "forks": len(FORKS), "loads": loads}))
+"""
 # The modules loaded after a run through ``run`` of the arguments after
-# the first, of those that scipy's compiled ufuncs, its package and its
-# array-API layer load, and then whether ``import scipy.special`` is whole
-# and holds the loader's ufuncs. With "before" as the first argument,
+# the first, of those that scipy's compiled ufuncs, scipy, its special
+# package and its array-API layer load; the libraries of scipy's own
+# ``scipy.libs`` that the process maps, from /proc/self/maps (None
+# without it); and then whether ``import scipy.special`` is whole and holds
+# the loader's ufuncs. With "before" as the first argument,
 # ``import scipy.special`` comes before the run instead.
 LOADER = """
-import json, sys
+import json, os, re, sys
 if sys.argv[1] == "before":
     import scipy.special
-from pcfdr._special import ufuncs
+from pcfdr._special import ufunc
 from pcfdr.cli import run
 code = run(sys.argv[2:])
-loaded = [m for m in ("scipy.special._ufuncs", "scipy.special", "scipy._lib._array_api",
-                      "numpy.f2py", "numpy.testing") if m in sys.modules]
+loaded = [m for m in ("scipy.special._special_ufuncs", "scipy.special._ufuncs", "scipy",
+                      "scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing")
+          if m in sys.modules]
+libs = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as maps:
+        libs = sorted({m[1] for m in re.finditer(r"/scipy\\.libs/(lib[a-z_]+)", maps.read())})
 import scipy.special
-print(json.dumps({"code": code, "loaded": loaded,
+print(json.dumps({"code": code, "loaded": loaded, "scipy_libs": libs,
                   "complete": hasattr(scipy.special, "logsumexp"),
-                  "shared": all(getattr(scipy.special, f) is getattr(ufuncs(), f)
-                                for f in ("chdtrc", "ndtr", "ndtri"))}))
+                  "shared": all(getattr(scipy.special, f) is ufunc(f)
+                                for f in ("gammaincc", "ndtr", "ndtri"))}))
 """
 # One thread runs the loader while another imports names from scipy.special
 # after the delay in seconds given as the first argument, both released at
@@ -126,17 +156,17 @@ print(json.dumps({"code": code, "loaded": loaded,
 RACE = """
 import json, sys, threading, time
 import scipy
-from pcfdr._special import ufuncs
+from pcfdr._special import ufunc
 sys.setswitchinterval(1e-6)
 start, got = threading.Barrier(2), {}
 def loader():
     start.wait()
-    got["loader"] = ufuncs()
+    got["loader"] = tuple(ufunc(f) for f in ("gammaincc", "ndtr", "ndtri"))
 def package():
     start.wait()
     time.sleep(float(sys.argv[1]))
-    from scipy.special import chdtrc, logsumexp, ndtr, ndtri
-    got["package"] = (chdtrc, ndtr, ndtri)
+    from scipy.special import gammaincc, logsumexp, ndtr, ndtri
+    got["package"] = (gammaincc, ndtr, ndtri)
 threads = [threading.Thread(target=f) for f in (loader, package)]
 for t in threads:
     t.start()
@@ -144,29 +174,32 @@ for t in threads:
     t.join(60)
 assert not any(t.is_alive() for t in threads)
 import scipy.special
-u = got["loader"]
 print(json.dumps({"complete": hasattr(scipy.special, "logsumexp"),
-                  "shared": got["package"] == (u.chdtrc, u.ndtr, u.ndtri)
-                            == (scipy.special.chdtrc, scipy.special.ndtr, scipy.special.ndtri)}))
+                  "shared": got["package"] == got["loader"]
+                            == (scipy.special.gammaincc, scipy.special.ndtr, scipy.special.ndtri)}))
 """
-# A run through ``run`` after a finder that refuses, once, to import
-# scipy's compiled ufuncs: the loader's stand-in import fails, and it
-# imports scipy.special in full. Prints what scipy.special held when the
-# import was refused, and what it is after the run.
+# A run through ``run`` of the arguments after the first, after a finder
+# that refuses, once, to import the compiled module named by the first:
+# for ``_ufuncs`` the loader's stand-in import fails, and it imports
+# scipy.special in full; for ``_special_ufuncs`` the loader cannot load it
+# by file and takes ``_ufuncs`` instead. Prints what scipy.special was when
+# the import was refused and what it is after the run: None, "stand-in"
+# or "whole".
 REFUSED = """
 import json, sys
+def package():
+    package = sys.modules.get("scipy.special")
+    return package and ("whole" if hasattr(package, "logsumexp") else "stand-in")
 refused = []
 class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy.special._ufuncs" and not refused:
-            package = sys.modules.get("scipy.special")
-            refused.append(package is not None and not hasattr(package, "logsumexp"))
+        if name == sys.argv[1] and not refused:
+            refused.append(package())
             raise ImportError("refused")
 sys.meta_path.insert(0, Refuse())
 from pcfdr.cli import run
-assert run(sys.argv[1:]) == 0
-print(json.dumps({"refused": refused,
-                  "complete": hasattr(sys.modules["scipy.special"], "logsumexp")}))
+assert run(sys.argv[2:]) == 0
+print(json.dumps({"refused": refused, "after": package()}))
 """
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
@@ -194,8 +227,8 @@ def test_simes_replicate_and_combine_do_not_load_scipy(state):
     assert state["simes"] == []
 
 
-def test_fisher_combine_loads_scipy(state):
-    assert state["fisher"] is True
+def test_fisher_combine_loads_only_the_cxx_ufunc_module(state):
+    assert state["fisher"] == ["scipy.special._special_ufuncs"]
 
 
 def test_run_does_not_freeze(state):
@@ -363,15 +396,22 @@ def python(script, *argv, cwd=None):
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("argv, code", [
+CXX = ["scipy.special._special_ufuncs"]
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
     (["pc-test", "p.csv", "--alpha", "0.05", "--method", "fisher", "--groups", "g.txt",
-      "--out", "r.json"], 0),
-    (["combine", "m.csv", "--method", "stouffer", "--out", "c.csv"], 0),
-    (["verify", "--scenario", "s.json", "--out", "r.json"], 3),
+      "--out", "r.json"], 0, CXX),
+    (["combine", "m.csv", "--method", "stouffer", "--out", "c.csv"], 0,
+     [*CXX, "scipy.special._ufuncs", "scipy"]),
+    (["verify", "--scenario", "s.json", "--out", "r.json"], 3, CXX),
 ], ids=["fisher-pc-test", "stouffer-combine", "verify"])
-def test_scipy_runs_load_only_the_compiled_ufuncs(inputs, argv, code):
-    assert python(LOADER, "after", *argv, cwd=inputs) == {
-        "code": code, "loaded": ["scipy.special._ufuncs"], "complete": True, "shared": True}
+def test_scipy_runs_load_only_the_compiled_ufuncs_they_call(inputs, argv, code, loaded):
+    state = python(LOADER, "after", *argv, cwd=inputs)
+    libs = state.pop("scipy_libs")
+    assert state == {"code": code, "loaded": loaded, "complete": True, "shared": True}
+    if libs is not None:  # Linux: scipy's OpenBLAS comes with _ufuncs alone
+        assert ("libscipy_openblas" in libs) if "scipy.special._ufuncs" in loaded else libs == []
 
 
 def test_loader_after_import_scipy_special_returns_its_ufuncs(inputs):
@@ -381,8 +421,10 @@ def test_loader_after_import_scipy_special_returns_its_ufuncs(inputs):
 
 
 def test_loader_racing_import_scipy_special_leaves_it_whole():
-    # The delays, 0 to 9.5 ms, span the loader's import of the compiled
-    # module, when a stand-in package would be in sys.modules. A loader that
+    # The delays, 0 to 9.5 ms, span the loader's load of _special_ufuncs by
+    # file, which the other thread's import may meet in sys.modules or load
+    # again, and then of _ufuncs, when a stand-in package would be in
+    # sys.modules. A loader that
     # used the stand-in with the other thread alive, even holding the
     # import lock, failed here at delays of 1 to 6 ms on 2 cores: the other
     # thread's ``from scipy.special import ...`` met the stand-in.
@@ -391,9 +433,29 @@ def test_loader_racing_import_scipy_special_leaves_it_whole():
     assert states == [{"complete": True, "shared": True}] * 20
 
 
-def test_refused_compiled_import_falls_back_to_the_package(inputs):
-    argv = ["pc-test", "p.csv", "--alpha", "0.05", "--method", "fisher", "--groups", "g.txt"]
-    assert python(REFUSED, *argv, "--out", "fallback.json", cwd=inputs) == {
-        "refused": [True], "complete": True}
+@pytest.mark.parametrize("module, method, refused, after", [
+    ("scipy.special._ufuncs", "stouffer", "stand-in", "whole"),
+    ("scipy.special._special_ufuncs", "fisher", None, None),
+], ids=["ufuncs", "special_ufuncs"])
+def test_refused_compiled_import_falls_back_with_the_same_report(inputs, module, method,
+                                                                  refused, after):
+    argv = ["pc-test", "p.csv", "--alpha", "0.05", "--method", method, "--groups", "g.txt"]
+    assert python(REFUSED, module, *argv, "--out", "fallback.json", cwd=inputs) == {
+        "refused": [refused], "after": after}
     assert pcfdr(inputs, *argv, "--out", "r.json")[0] == 0
     assert (inputs / "fallback.json").read_bytes() == (inputs / "r.json").read_bytes()
+
+
+@pytest.mark.parametrize("method, loaded", [
+    ("simes", CXX), ("stouffer", [*CXX, "scipy.special._ufuncs"])])
+def test_forked_check_loads_each_compiled_module_once_before_its_fork(inputs, method, loaded):
+    # The draw's module is loaded before the fork, Stouffer's _ufuncs in
+    # the dry run on an empty stack; a child finds both in sys.modules.
+    spec = json.loads((inputs / "s.json").read_text())
+    check = spec["checks"][0]
+    check["method"] = method
+    del check["adaptive_lambda"]
+    (inputs / "plain.json").write_text(json.dumps(spec))
+    assert python(SPLIT_LOADS, str(inputs / "loads.log"), "verify", "--scenario", "plain.json",
+                  "--out", "r.json", cwd=inputs) == {
+        "code": 0, "forks": 1, "loads": [[name, True, 0] for name in loaded]}

@@ -23,6 +23,14 @@ the value off its bound. For a ``discrete_nu`` shape, beta(r) = sum over
 x <= r of x * nu(x), it is at most alpha for every nu (Blanchard & Roquain
 2008); nu(x) proportional to 1/x on 1, ..., m is the reciprocal sum again
 and attains it.
+
+With m1 of the m hypotheses alternatives fixed at p = 0, which every
+step-up rejects, the variables are the occupancy vectors of the m0 = m - m1
+nulls, C(m + m0, m0) of them, and the FDP of a cell is V / R. The
+reciprocal-sum shape keeps the FDR at most alpha * m0 / m under any
+dependence (Benjamini & Yekutieli 2001, Thm 1.3); the identity shape
+exceeds that bound once m0 >= 2, so Benjamini-Hochberg is its negative
+control.
 """
 
 import itertools
@@ -48,19 +56,22 @@ def harmonic(m):
     return math.fsum(1.0 / k for k in range(1, m + 1))
 
 
-def worst_case_fdr(m, shape):
+def worst_case_fdr(m, shape, m1=0):
     """The supremum over joint laws with U(0, 1) marginals of the FDR of
-    the all-null, unit-weight step-up at ALPHA with shape ``shape``."""
+    the unit-weight step-up at ALPHA with shape ``shape`` on m hypotheses,
+    the last m1 of them alternatives at p = 0 and the others null."""
+    m0 = m - m1
     edges = np.array([0.0, *(ALPHA * shape(np.arange(1, m + 1), m) / m), 1.0])
     mids, widths = (edges[:-1] + edges[1:]) / 2, np.diff(edges)
-    cells = np.array(list(itertools.combinations_with_replacement(range(m + 1), m)))
+    cells = np.array(list(itertools.combinations_with_replacement(range(m + 1), m0)))
     counts = np.stack([(cells == j).sum(axis=1) for j in range(m + 1)])  # (m + 1, N)
-    rejected = _step_up_rows(mids[cells], ThresholdCollection(alpha=ALPHA, m=m, shape=shape))
-    fdp = rejected.any(axis=1).astype(float)
-    share = np.vstack([counts / m, np.ones(len(cells))])
+    p = np.hstack([mids[cells], np.zeros((len(cells), m1))])
+    rejected = _step_up_rows(p, ThresholdCollection(alpha=ALPHA, m=m, shape=shape))
+    fdp = rejected[:, :m0].sum(axis=1) / np.maximum(rejected.sum(axis=1), 1)
+    share = np.vstack([counts / m0, np.ones(len(cells))])
     result = linprog(-fdp, A_eq=share, b_eq=[*widths, 1.0], bounds=(0, None), method="highs")
     assert result.status == 0, result.message
-    assert len(cells) == math.comb(2 * m, m)
+    assert len(cells) == math.comb(m + m0, m0)
     return -result.fun
 
 
@@ -93,3 +104,16 @@ def test_discrete_nu_stays_within_alpha(m, seed):
 def test_discrete_nu_of_reciprocal_masses_attains_alpha(m):
     nu = tuple((float(x), 1.0 / (x * harmonic(m))) for x in range(1, m + 1))
     assert abs(worst_case_fdr(m, ShapeFunction("discrete_nu", nu)) - ALPHA) <= 1e-9
+
+
+ALTERNATIVES = [(m, m1) for m in range(3, 7) for m1 in range(1, m)]
+
+
+@pytest.mark.parametrize("m, m1", ALTERNATIVES)
+def test_benjamini_yekutieli_with_alternatives_stays_within_alpha_m0_over_m(m, m1):
+    assert worst_case_fdr(m, RECIPROCAL_SUM, m1) <= ALPHA * (m - m1) / m + 1e-9
+
+
+@pytest.mark.parametrize("m, m1", [(m, m1) for m, m1 in ALTERNATIVES if m - m1 >= 2])
+def test_benjamini_hochberg_with_alternatives_exceeds_alpha_m0_over_m(m, m1):
+    assert worst_case_fdr(m, IDENTITY, m1) > ALPHA * (m - m1) / m + 1e-4
