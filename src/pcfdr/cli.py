@@ -49,11 +49,10 @@ from .simulation import (
 SCHEMA_VERSION = 1
 # write_matrix formats this many values per block.
 _WRITE_BLOCK = 8192
-# read_matrix parses a file of two or more of these in byte ranges: one per
-# usable core, or with a reduction, ranges of about this size, reduced one at
-# a time in each process, so that a process holds one range's rows at once.
-# A range parses at about 11 ms a MB, and a fork, its pipe and its reap take
-# about 2 ms.
+# With a reduction, read_matrix parses a file of two or more of these in
+# byte ranges of about this size, reduced one at a time in each process, so
+# that a process holds one range's rows at once. A range parses at about
+# 11 ms a MB, and a fork, its pipe and its reap take about 2 ms.
 _MIN_CHUNK = 1 << 20
 # _bounds reads this many bytes at a time.
 _SCAN_BLOCK = 1 << 16
@@ -95,7 +94,8 @@ def read_matrix(path: str, pvalues: bool = True, reduce=None) -> tuple[bool, np.
     array), or with ``reduce`` (whether it has ids, the 1-d array of one
     value per row): ``reduce`` of the rows, a function of an (r, n) float
     array, which it may change, that returns a new array of r values, each
-    from its own row. :func:`read_ids` reads the ids back from the file.
+    from its own row. :func:`_lines` and :func:`_id` read the ids back from
+    the file.
 
     The text is UTF-8; a leading byte-order mark is dropped. Blank and
     whitespace-only lines are skipped. For a p-value matrix (``pvalues``) a
@@ -106,10 +106,11 @@ def read_matrix(path: str, pvalues: bool = True, reduce=None) -> tuple[bool, np.
     The first nonblank line fixes the width and whether there are ids
     (:func:`_layout`). ``np.loadtxt`` parses each row into a zero-width id
     field, which keeps no bytes, and the values, so it rejects a row of
-    another width itself. A file of two or more ``_MIN_CHUNK`` bytes is
-    parsed a range of lines at a time, on up to as many cores at once
-    (:func:`_loadtxt`); with ``reduce``, each range is checked and reduced
-    before the next is parsed. ``np.loadtxt`` cannot skip a whitespace-only
+    another width itself. Only with ``reduce`` is a file of two or more
+    ``_MIN_CHUNK`` bytes parsed a range of lines at a time, on up to as
+    many cores at once, so that the matrix is never held (:func:`_loadtxt`);
+    without it, the file is one path-fed parse, as a range stream parses
+    more slowly per byte. ``np.loadtxt`` cannot skip a whitespace-only
     line, and a range cannot say which line failed, so on any failure of
     that pass, ``reduce``'s included, the nonblank lines are parsed again
     in this process alone; only if that fails too is the file read once
@@ -126,7 +127,7 @@ def read_matrix(path: str, pvalues: bool = True, reduce=None) -> tuple[bool, np.
         has_ids, width, kw = _layout(head, pvalues)
         with contextlib.suppress(OSError, ValueError, CliError):  # parsed again below
             if reduce is None:
-                return has_ids, _checked(_loadtxt(path, st.st_size, kw)["p"], pvalues)
+                return has_ids, _checked(np.loadtxt(path, **kw)["p"], pvalues)
             return has_ids, _loadtxt(path, st.st_size, kw,
                                      lambda rows: reduce(_checked(rows["p"], pvalues)))
         try:
@@ -158,29 +159,23 @@ def _checked(rows: np.ndarray, pvalues: bool) -> np.ndarray:
     return rows
 
 
-def _loadtxt(path: str, size: int, kw: dict, reduce=None) -> np.ndarray:
-    """``np.loadtxt(path, **kw)`` for the ``size``-byte file ``path``, or
-    ``reduce`` of it, the same array bit for bit, as ``reduce`` maps each
-    row alone. The file is cut into k byte ranges that each end a line
-    (:func:`_bounds`), each parsed from its own bytes (:func:`_load_range`).
-    Without ``reduce`` there is one range per process, k = min(usable
-    cores, size // _MIN_CHUNK) (:func:`_fork.processes`). With it, the k =
-    size // _MIN_CHUNK ranges are dealt out in runs of consecutive ranges,
-    one run per process (:func:`_fork.map_rows`), and each range is reduced
-    before the next is parsed. A k below 2 is one path-fed ``np.loadtxt``.
-    Raises what a parse or ``reduce`` in this process raises, and OSError
-    if a child, a pipe or a fork fails.
+def _loadtxt(path: str, size: int, kw: dict, reduce) -> np.ndarray:
+    """``reduce(np.loadtxt(path, **kw))`` for the ``size``-byte file
+    ``path``, the same array bit for bit, as ``reduce`` maps each row
+    alone. The file is cut into k = size // _MIN_CHUNK byte ranges that
+    each end a line (:func:`_bounds`), each parsed from its own bytes
+    (:func:`_load_range`). They are dealt out in runs of consecutive
+    ranges, one run per process (:func:`_fork.map_rows`), and each range
+    is reduced before the next is parsed. A k below 2 is one path-fed
+    ``np.loadtxt``. Raises what a parse or ``reduce`` in this process
+    raises, and OSError if a child, a pipe or a fork fails.
     """
-    k = size // _MIN_CHUNK if reduce else _fork.processes(size // _MIN_CHUNK)
-    if k < 2:
-        rows = np.loadtxt(path, **kw)
-        return rows if reduce is None else reduce(rows)
+    if (k := size // _MIN_CHUNK) < 2:
+        return reduce(np.loadtxt(path, **kw))
     fd = os.open(path, os.O_RDONLY)
     try:
         bounds = _bounds(fd, size, k)
         ranges = [*zip(bounds, bounds[1:])]
-        if reduce is None:
-            return _fork.map_rows(lambda span: _load_range(kw, fd, *span), ranges)
         p = _fork.processes(len(ranges))
         runs = [ranges[i * len(ranges) // p:(i + 1) * len(ranges) // p] for i in range(p)]
         return _fork.map_rows(lambda run: np.concatenate(
@@ -255,14 +250,6 @@ def _id(line: str) -> str:
     return line.split(",", 1)[0].strip()
 
 
-def read_ids(path: str, mask: Iterable[bool] | None = None) -> Iterator[str]:
-    """The ids of the matrix ``path`` (one that :func:`read_matrix` found
-    ids in), read back from the file, for the rows where ``mask`` is true
-    (:func:`_lines`). They come one at a time, so that they never all exist
-    as strings at once."""
-    return map(_id, _lines(path, mask))
-
-
 def _read_rows(path: str, mask: Iterable[bool]) -> tuple[list[str] | None, np.ndarray]:
     """The rows of the p-value matrix ``path`` where ``mask`` is true, read
     back: their ids (None if the file has none), and their (k, n) p-values,
@@ -270,11 +257,9 @@ def _read_rows(path: str, mask: Iterable[bool]) -> tuple[list[str] | None, np.nd
     nonblank line gives (:func:`_layout`), as :func:`read_matrix` parses
     them. The lines are parsed as they are read, and only their ids are
     kept. Raises ValueError if a line is not UTF-8 or does not parse."""
-    rows = _lines(path)
-    head = next(rows, "")
-    has_ids, _, kw = _layout(head, True)
+    has_ids, _, kw = _layout(next(_lines(path), ""), True)
     ids: list[str] = []
-    lines = itertools.compress(itertools.chain([head], rows), mask)
+    lines = _lines(path, mask)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no line selected warns
         p = np.loadtxt((ids.append(_id(line)) or line for line in lines) if has_ids else lines,
@@ -470,7 +455,8 @@ def cmd_combine(args) -> int:
     except DegenerateInputError as exc:
         raise CliError(f"{args.input}:{_row_line(args.input, exc.row)}: {exc}") from None
     try:
-        write_matrix(args.out, read_ids(args.input) if has_ids else None, values)
+        # The ids come one at a time, so that they never all exist as strings.
+        write_matrix(args.out, map(_id, _lines(args.input)) if has_ids else None, values)
     except ValueError:
         raise CliError(f"{args.input}: changed while it was read") from None
     return 0

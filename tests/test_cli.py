@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from pcfdr import _fork, cli, simulation
-from pcfdr.cli import CliError, read_ids, read_matrix, run, write_matrix
+from pcfdr.cli import CliError, read_matrix, run, write_matrix
 
 REFERENCE = Path(__file__).resolve().parent.parent / "scenarios" / "reference.json"
 # The verify report on REFERENCE as the one-replicate-at-a-time Monte Carlo
@@ -71,18 +71,18 @@ class TestReadWriteMatrix:
         path = write(tmp_path, "m.csv", "geneA,0.1\ngeneB,0.2\n")
         has_ids, rows = read_matrix(path)
         assert has_ids is True
-        assert list(read_ids(path)) == ["geneA", "geneB"]
+        assert [*map(cli._id, cli._lines(path))] == ["geneA", "geneB"]
         assert rows.tolist() == [[0.1], [0.2]]
 
     def test_ids_decode_alike_one_by_one_and_in_blocks(self, tmp_path):
         names = [f" g\u00e8ne{i} " if i % 7 else f"g{i}" for i in range(9000)]
         path = write(tmp_path, "m.csv", "".join(f"{name},0.5\n" for name in names))
         has_ids, rows = read_matrix(path)
-        ids = list(read_ids(path))
+        ids = [*map(cli._id, cli._lines(path))]
         assert has_ids and ids == [n.strip() for n in names]
         for i in (0, 1, 4095, 4096, 8999):
-            assert list(read_ids(path, np.arange(9000) == i)) == [ids[i]]
-        assert list(read_ids(path, np.arange(9000) % 7 == 3)) == ids[3::7]
+            assert [*map(cli._id, cli._lines(path, np.arange(9000) == i))] == [ids[i]]
+        assert [*map(cli._id, cli._lines(path, np.arange(9000) % 7 == 3))] == ids[3::7]
         assert rows.shape == (9000, 1)
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
@@ -93,7 +93,7 @@ class TestReadWriteMatrix:
         path = write(tmp_path, "i.csv", "\ufeffgeneA,0.1\r\ngeneB,0.2\r\n")
         has_ids, rows = read_matrix(path)
         assert has_ids is True
-        assert list(read_ids(path)) == ["geneA", "geneB"]
+        assert [*map(cli._id, cli._lines(path))] == ["geneA", "geneB"]
         assert rows.tolist() == [[0.1], [0.2]]
 
     def test_byte_order_mark_keeps_combined_values(self, tmp_path, capsys):
@@ -116,7 +116,7 @@ class TestReadWriteMatrix:
         assert has_ids is True
         assert rows[:, 0].tolist() == values  # .17g is lossless for doubles
         second = tmp_path / "b.csv"
-        write_matrix(str(second), read_ids(str(first)), rows[:, 0].tolist())
+        write_matrix(str(second), map(cli._id, cli._lines(str(first))), rows[:, 0].tolist())
         assert first.read_text() == second.read_text()
         for ids in (["r1"] * 3, ["r1"] * 5):
             with pytest.raises(ValueError):
@@ -317,11 +317,12 @@ def matrix_text(ids, newline, bom, final, rows=60, long_last=False):
 
 
 class TestChunkedParse:
-    """A file of two or more _MIN_CHUNK bytes is parsed in one range of
-    lines per usable core, the first in this process and each other one in
-    a forked child. The matrix is the one a single np.loadtxt gives, bit
-    for bit, failures give the single parse's message, and no child is
-    left behind."""
+    """A file of two or more _MIN_CHUNK bytes read with a reduction is cut
+    into size // _MIN_CHUNK ranges of lines, dealt out in runs, one per
+    usable core, the first in this process and each other one in a forked
+    child. The result is the one a single np.loadtxt gives, bit for bit,
+    failures give the single parse's message, and no child is left behind.
+    Read without a reduction, a file of any size is one np.loadtxt."""
 
     @pytest.fixture
     def split(self, monkeypatch):
@@ -353,15 +354,28 @@ class TestChunkedParse:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
-    def serial(split, path):
-        """The matrix of one path-fed np.loadtxt of the file: it is shorter
-        than _MIN_CHUNK while it is read, so that no range is cut."""
-        split(1)
-        chunk, cli._MIN_CHUNK = cli._MIN_CHUNK, os.path.getsize(path) + 1
-        try:
-            return read_matrix(path)
-        finally:
-            cli._MIN_CHUNK = chunk
+    def ranges(monkeypatch, path, k):
+        """Make a reduced read cut the file ``path`` into k ranges."""
+        monkeypatch.setattr(cli, "_MIN_CHUNK", path.stat().st_size // k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("pvalues", [True, False], ids=["pvalues", "weights"])
+    def test_a_read_without_a_reduction_is_one_loadtxt(self, tmp_path, split, k, pvalues):
+        # As pc-test reads its p-values and --weights its weights: a range
+        # stream parses more slowly per byte than the path-fed call, so a
+        # file of many _MIN_CHUNKs is not cut, whatever the core count.
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(pvalues, "\n", False, True).encode())
+        assert path.stat().st_size >= 8 * cli._MIN_CHUNK
+        kw = dict(dtype=[("id", "S")] * pvalues + [("p", float, (4,))], delimiter=",",
+                  comments=None, ndmin=1, encoding="utf-8-sig")
+        expected = np.loadtxt(str(path), **kw)["p"]
+        calls = split(k)
+        calls.update(forks=0, rows=0)
+        has_ids, mat = read_matrix(str(path), pvalues)
+        assert calls == {"forks": 0, "rows": 1}
+        assert (has_ids, mat.shape, mat.dtype) == (pvalues, (60, 4), expected.dtype)
+        assert mat.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("ids", [False, True], ids=["values", "ids"])
@@ -369,50 +383,56 @@ class TestChunkedParse:
                              ids=["lf", "crlf", "cr", "mixed"])
     @pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
     @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
-    def test_parse_equals_one_loadtxt(self, tmp_path, split, k, ids, newline, bom, final):
+    def test_parse_equals_one_loadtxt(self, tmp_path, monkeypatch, split, k, ids, newline, bom,
+                                      final):
         path = tmp_path / "m.csv"
         path.write_bytes(matrix_text(ids, newline, bom, final).encode())
         assert path.stat().st_size >= 3 * 1024
-        has_ids, expected = self.serial(split, str(path))
+        has_ids, expected = read_matrix(str(path))
         calls = split(k)
+        # One range per core, each copied where it is parsed.
+        self.ranges(monkeypatch, path, k)
         calls.update(forks=0, rows=0)
-        got_ids, mat = read_matrix(str(path))
+        got_ids, mat = read_matrix(str(path), reduce=np.copy)
         assert calls == {"forks": k - 1, "rows": 1}  # the first line, and no second parse
         assert (got_ids, mat.shape, mat.dtype) == (has_ids, expected.shape, expected.dtype)
         assert mat.tobytes() == expected.tobytes()
         assert mat.shape == (60, 4)
-        # With a reduction the file is cut into size // _MIN_CHUNK ranges,
-        # whatever the core count, each reduced where it is parsed.
+        # Ranges of _MIN_CHUNK bytes, more than there are cores, each
+        # reduced where it is parsed.
+        monkeypatch.setattr(cli, "_MIN_CHUNK", 512)
         calls.update(forks=0, rows=0)
         got_ids, sums = read_matrix(str(path), reduce=lambda rows: rows.sum(axis=1))
         assert calls == {"forks": k - 1, "rows": 1}
         assert (got_ids, sums.tobytes()) == (has_ids, expected.sum(axis=1).tobytes())
 
     @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
-    def test_cut_on_the_last_line(self, tmp_path, split, final):
+    def test_cut_on_the_last_line(self, tmp_path, monkeypatch, split, final):
         # The last line is longer than a third of the file, so the second
-        # cut falls on it and only two ranges are parsed.
+        # of three cuts falls on it and only two ranges are parsed.
         path = tmp_path / "m.csv"
         path.write_bytes(matrix_text(True, "\n", False, final, long_last=True).encode())
-        _, expected = self.serial(split, str(path))
+        _, expected = read_matrix(str(path))
         calls = split(3)
+        self.ranges(monkeypatch, path, 3)
         calls.update(forks=0, rows=0)
-        _, mat = read_matrix(str(path))
+        _, mat = read_matrix(str(path), reduce=np.copy)
         assert calls == {"forks": 1, "rows": 1}
         assert mat.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [2, 3])
-    def test_a_range_of_blank_lines_has_no_rows(self, tmp_path, split, k):
+    def test_a_range_of_blank_lines_has_no_rows(self, tmp_path, monkeypatch, split, k):
         # About the middle third (k = 3) or the last half (k = 2) of the
-        # file is blank lines, so one range holds no row.
+        # file is blank lines, so one of k ranges holds no row.
         head = matrix_text(True, "\n", False, True, rows=30)
         text = head + "\n" * len(head) + (head if k == 3 else "")
         path = tmp_path / "m.csv"
         path.write_bytes(text.encode())
-        _, expected = self.serial(split, str(path))
+        _, expected = read_matrix(str(path))
         calls = split(k)
+        self.ranges(monkeypatch, path, k)
         calls.update(forks=0, rows=0)
-        _, mat = read_matrix(str(path))
+        _, mat = read_matrix(str(path), reduce=np.copy)
         assert calls == {"forks": k - 1, "rows": 1}
         assert mat.tobytes() == expected.tobytes()
         assert len(mat) == 30 * (k - 1)
@@ -525,7 +545,7 @@ class TestChunkedParse:
     def test_a_child_that_dies_gives_the_serial_matrix(self, tmp_path, split, monkeypatch):
         path = tmp_path / "m.csv"
         path.write_bytes(matrix_text(True, "\n", False, True).encode())
-        _, expected = self.serial(split, str(path))
+        _, expected = read_matrix(str(path))
         load_range = cli._load_range
 
         def dying(kw, fd, start, end):
@@ -535,8 +555,9 @@ class TestChunkedParse:
 
         monkeypatch.setattr(cli, "_load_range", dying)
         calls = split(2)
+        self.ranges(monkeypatch, path, 2)
         calls.update(forks=0, rows=0)
-        _, mat = read_matrix(str(path))
+        _, mat = read_matrix(str(path), reduce=np.copy)
         assert calls == {"forks": 1, "rows": 2}  # the first line, then the second parse
         assert mat.tobytes() == expected.tobytes()
 
@@ -545,12 +566,13 @@ class TestChunkedParse:
         # parsed again in this process.
         path = tmp_path / "m.csv"
         path.write_bytes(matrix_text(True, "\n", False, True).encode())
-        _, expected = self.serial(split, str(path))
+        _, expected = read_matrix(str(path))
         exit = os._exit
         monkeypatch.setattr(os, "_exit", lambda status: exit(status or 7))
         calls = split(2)
+        self.ranges(monkeypatch, path, 2)
         calls.update(forks=0, rows=0)
-        _, mat = read_matrix(str(path))
+        _, mat = read_matrix(str(path), reduce=np.copy)
         assert calls == {"forks": 1, "rows": 2}
         assert mat.tobytes() == expected.tobytes()
 
@@ -567,22 +589,24 @@ class TestChunkedParse:
 
         monkeypatch.setattr(cli, "_load_range", interrupted)
         split(3)
+        self.ranges(monkeypatch, path, 3)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            read_matrix(str(path))
+            read_matrix(str(path), reduce=np.copy)
         assert time.monotonic() - t0 < 30
 
-    def test_another_thread_keeps_one_process(self, tmp_path, split):
+    def test_another_thread_keeps_one_process(self, tmp_path, monkeypatch, split):
         path = tmp_path / "m.csv"
         path.write_bytes(matrix_text(True, "\n", False, True).encode())
-        _, expected = self.serial(split, str(path))
+        _, expected = read_matrix(str(path))
         calls = split(2)
+        self.ranges(monkeypatch, path, 2)
         calls.update(forks=0)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(30,))
         other.start()
         try:
-            _, mat = read_matrix(str(path))
+            _, mat = read_matrix(str(path), reduce=np.copy)
         finally:
             release.set()
             other.join(30)

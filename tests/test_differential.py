@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcfdr import _fork, simulation
-from pcfdr.cli import CliError, _is_number, _json, read_ids, read_matrix, run
+from pcfdr.cli import CliError, _id, _is_number, _json, _lines, read_matrix, run
 from pcfdr.combine import (
     BONFERRONI,
     FISHER,
@@ -477,8 +477,8 @@ def cli_reader(path):
     has_ids, mat = read_matrix(path)
     if not has_ids:
         return None, mat
-    ids = list(read_ids(path))
-    assert list(read_ids(path, itertools.cycle([False, True]))) == ids[1::2]
+    ids = [*map(_id, _lines(path))]
+    assert [*map(_id, _lines(path, itertools.cycle([False, True])))] == ids[1::2]
     return ids, mat
 
 

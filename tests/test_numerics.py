@@ -123,3 +123,34 @@ def test_chi2_monotone_in_x_and_df():
     for x in (0.5, 3.0, 12.0):
         values = [chi_square_survival(x, df) for df in range(1, 40)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# The least int that float() refuses: it rounds to 2**1024.
+FLOAT_END = 2**1024 - 2**970
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (chi_square_survival, (3.0, 10**400), "df"),
+    (chi_square_survival, (3.0, FLOAT_END), "df"),
+    (chi_square_survival, (10**400, 2), "x"),
+    (chi_square_survival, (3.0, True), "df"),
+    (chi_square_survival, (True, 2), "x"),
+    (std_normal_cdf, (10**400,), "x"),
+    (std_normal_cdf, (-FLOAT_END,), "x"),
+    (std_normal_cdf, (True,), "x"),
+    (std_normal_quantile, (10**400,), "p"),
+    (std_normal_quantile, (False,), "p"),
+])
+def test_bool_and_int_beyond_the_float_range_are_refused(fn, args, name):
+    # These escaped as OverflowError, or were taken as 1 and 0.
+    with pytest.raises(ValueError, match=rf"^{fn.__name__}: {name} must be a number in the "
+                                         r"float range, not a bool$"):
+        fn(*args)
+
+
+def test_int_arguments_within_the_float_range_are_taken():
+    assert chi_square_survival(3.0, FLOAT_END - 1) == 1.0
+    assert chi_square_survival(FLOAT_END - 1, 2) == 0.0
+    assert chi_square_survival(3, 2) == chi_square_survival(3.0, 2.0)
+    assert std_normal_cdf(-2) == std_normal_cdf(-2.0)
+    assert std_normal_quantile(1) == math.inf

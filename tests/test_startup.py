@@ -69,8 +69,8 @@ atexit.register(lambda: print(json.dumps({"openblas": os.environ.get("OPENBLAS_N
 from pcfdr.cli import main
 main()
 """
-# Prepended to a script: read_matrix parses any matrix of 1 KB or more in
-# two ranges, and a Monte Carlo check splits its replicates in two, the
+# Prepended to a script: read_matrix parses any matrix of 1 KB or more that
+# it reduces in two ranges, and a Monte Carlo check splits its replicates in two, the
 # second part in a forked child; FORKS counts the forks.
 SPLIT = """
 import os
