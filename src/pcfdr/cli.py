@@ -16,7 +16,6 @@ a schema_version field. Exit status: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import codecs
 import collections
 import contextlib
 import dataclasses
@@ -54,8 +53,6 @@ _WRITE_BLOCK = 8192
 # that a process holds one range's rows at once. A range parses at about
 # 11 ms a MB, and a fork, its pipe and its reap take about 2 ms.
 _MIN_CHUNK = 1 << 20
-# _bounds reads this many bytes at a time.
-_SCAN_BLOCK = 1 << 16
 # The types the JSON encoder writes as objects and arrays.
 _CONTAINERS = (dict, list, tuple)
 
@@ -110,13 +107,14 @@ def read_matrix(path: str, pvalues: bool = True, reduce=None) -> tuple[bool, np.
     ``_MIN_CHUNK`` bytes parsed a range of lines at a time, on up to as
     many cores at once, so that the matrix is never held (:func:`_loadtxt`);
     without it, the file is one path-fed parse, as a range stream parses
-    more slowly per byte. ``np.loadtxt`` cannot skip a whitespace-only
-    line, and a range cannot say which line failed, so on any failure of
-    that pass, ``reduce``'s included, the nonblank lines are parsed again
-    in this process alone; only if that fails too is the file read once
-    more to locate the bad cell; if it has none, the file changed in
-    between. Then ``reduce`` of the whole matrix raises what it raises. Any
-    read's OSError is a CliError.
+    more slowly per byte. ``reduce`` is first called on an empty (0, width)
+    matrix, so that what the width alone decides fails before any parse.
+    ``np.loadtxt`` cannot skip a whitespace-only line, and a range cannot
+    say which line failed, so on any failure of that pass, ``reduce``'s
+    included, the nonblank lines are parsed again in this process alone;
+    only if that fails too is the file read once more to locate the bad
+    cell; if it has none, the file changed in between. Then ``reduce`` of
+    the whole matrix raises what it raises. Any read's OSError is a CliError.
     """
     try:
         if not stat.S_ISREG((st := os.stat(path)).st_mode):
@@ -125,9 +123,10 @@ def read_matrix(path: str, pvalues: bool = True, reduce=None) -> tuple[bool, np.
         if head is None:
             raise CliError(f"{path}:1:1: empty input")
         has_ids, width, kw = _layout(head, pvalues)
-        with contextlib.suppress(OSError, ValueError, CliError):  # parsed again below
+        with contextlib.suppress(OSError, ValueError):  # parsed again below
             if reduce is None:
                 return has_ids, _checked(np.loadtxt(path, **kw)["p"], pvalues)
+            reduce(np.empty((0, width)))  # a flag beyond the width fails here, unparsed
             return has_ids, _loadtxt(path, st.st_size, kw,
                                      lambda rows: reduce(_checked(rows["p"], pvalues)))
         try:
@@ -186,23 +185,15 @@ def _loadtxt(path: str, size: int, kw: dict, reduce) -> np.ndarray:
 
 def _bounds(fd: int, size: int, k: int) -> list[int]:
     """The byte offsets that cut the open file ``fd`` of ``size`` bytes
-    into at most k ranges of whole lines: the start of its text (past a
-    byte-order mark), for each 0 < i < k that has one the offset past the
-    first line end ("\\n", "\\r\\n" or "\\r", as ``open`` reads them)
-    that starts at or after i * size / k, and ``size``."""
-    cuts = {size}
-    for i in range(1, k):
-        pos = i * size // k
-        while block := os.pread(fd, _SCAN_BLOCK, pos):
-            if ends := [j for j in (block.find(b"\n"), block.find(b"\r")) if j >= 0]:
-                cut = pos + min(ends) + 1
-                if os.pread(fd, 2, cut - 1) == b"\r\n":
-                    cut += 1  # its "\n" may lie past the block
-                cuts.add(cut)
-                break
-            pos += len(block)
-    bom = os.pread(fd, len(codecs.BOM_UTF8), 0) == codecs.BOM_UTF8
-    return [len(codecs.BOM_UTF8) if bom else 0, *sorted(cuts)]
+    into at most k ranges of whole lines: 0, for each 0 < i < k the offset
+    past the line that :func:`_load_range`'s reader reads from i * size // k
+    (bytes that are not UTF-8 encode back as lone surrogates), and ``size``."""
+    cuts = {0, size}
+    for pos in (i * size // k for i in range(1, k)):
+        line = io.TextIOWrapper(io.BufferedReader(_Range(fd, pos, size)), encoding="utf-8",
+                                errors="surrogateescape", newline="").readline()
+        cuts.add(pos + len(line.encode("utf-8", "surrogateescape")))
+    return sorted(cuts)
 
 
 class _Range(io.RawIOBase):
@@ -225,8 +216,10 @@ class _Range(io.RawIOBase):
 def _load_range(kw: dict, fd: int, start: int, end: int) -> np.ndarray:
     """``np.loadtxt`` of bytes [start, end) of the open file ``fd``, read as
     UTF-8 text whose "\\n", "\\r\\n" and "\\r" end a line, as ``open`` reads
-    it. Range 0 starts past a byte-order mark, so any other U+FEFF is text."""
-    text = io.TextIOWrapper(io.BufferedReader(_Range(fd, start, end)), encoding="utf-8")
+    it. Range 0, from byte 0, drops a leading byte-order mark, as every
+    reader of the file does; a U+FEFF that starts another range is text."""
+    text = io.TextIOWrapper(io.BufferedReader(_Range(fd, start, end)),
+                            encoding="utf-8" if start else "utf-8-sig")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a range of blank lines warns
         return np.loadtxt(text, **kw)
@@ -437,8 +430,14 @@ def _json(obj, indent: str = "\n") -> Iterator[str]:
 
 
 def _row_line(path: str, row: int) -> int:
-    """Physical line number of 0-based matrix row ``row`` of ``path``."""
-    return next(itertools.islice(_rows(path), row, None))[0]
+    """Physical line number of 0-based matrix row ``row`` of ``path``; a
+    CliError if the file cannot be read or no longer has that row."""
+    try:
+        for ln_no, _ in itertools.islice(_rows(path), row, None):
+            return ln_no
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from None
+    raise CliError(f"{path}: changed while it was read")
 
 
 def cmd_combine(args) -> int:

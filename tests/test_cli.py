@@ -348,7 +348,6 @@ class TestChunkedParse:
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(cli, "_rows", counting_rows)
         monkeypatch.setattr(cli, "_MIN_CHUNK", 512)
-        monkeypatch.setattr(cli, "_SCAN_BLOCK", 7)  # so that _bounds scans in short blocks
         yield cores
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -470,17 +469,25 @@ class TestChunkedParse:
             line = 1 + lines.index(bad)
             assert expected[0].startswith(f"error: {path}:{line}:")
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", ["ascii", "chunk-edge", "non-ascii"])
     @pytest.mark.parametrize("newline", ["\r\n", "\r", "mixed"])
     @pytest.mark.parametrize("final", [True, False], ids=["final", "no-final"])
-    def test_every_cut_is_a_line_start(self, tmp_path, monkeypatch, block, newline, final):
+    def test_every_cut_is_a_line_start(self, tmp_path, kind, newline, final):
         # With k = size, _bounds cuts past the first line end at or after
         # every offset, so it returns every line start past offset 1 as
-        # bytes.splitlines splits, and none inside a "\r\n", though the
-        # scan's blocks end at any byte.
-        text = matrix_text(True, newline, False, final, rows=6).encode()
+        # bytes.splitlines splits, and none inside a "\r\n". "chunk-edge"
+        # leads with a line whose end ("\r\n", or "\r" before a blank
+        # line's "\r") lies 8,180 to 8,199 bytes past offsets 1 to 20,
+        # across the edge of the text reader's first 8 KiB chunk.
+        # "non-ascii" ids of 2-, 3- and 4-byte characters put offsets inside
+        # each; U+0085 and U+2028 end a line for str.splitlines, not here.
+        text = matrix_text(True, newline, False, final, rows=6)
+        if kind == "chunk-edge":
+            text = "g" * 8200 + ("\r" if newline == "\r" else "\r\n") + text
+        elif kind == "non-ascii":
+            text = text.replace("g", "\u00e8\u0085\u4e2d\u2028\U0001f600")
+        text = text.encode()
         starts = set(itertools.accumulate(map(len, text.splitlines(keepends=True))))
-        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
         (path := tmp_path / "m.csv").write_bytes(text)
         fd = os.open(path, os.O_RDONLY)
         try:
@@ -515,6 +522,32 @@ class TestChunkedParse:
         tail = np.loadtxt(text[start:].decode().splitlines(), **kw)
         assert len(arr) == len(tail) > 0
         assert arr["p"].tobytes() == tail["p"].tobytes()
+
+    @pytest.mark.parametrize("flags, err", [
+        (["combine", "--method", "simes", "--u", "5"], "--u 5 outside [1, 4]"),
+        (["combine", "--method", "fisher", "--u", "9"], "--u 9 outside [1, 4]"),
+        (["replicate", "--method", "simes", "--q", "0.1", "--rule", "column=4"],
+         "--rule column=4: column 4 outside [0, 4)"),
+    ], ids=["u-5", "u-9", "column-4"])
+    def test_a_flag_beyond_the_width_fails_before_any_parse(self, tmp_path, capsys,
+                                                             monkeypatch, split, flags, err):
+        # The reduction runs first on an empty matrix of the first line's
+        # width: the file, cut into three ranges on two cores, is neither
+        # forked over nor parsed, and the message is the one a parse of the
+        # whole matrix gave.
+        path = tmp_path / "m.csv"
+        path.write_bytes(matrix_text(True, "\n", False, True).encode())
+        parsed, load_range, loadtxt = [], cli._load_range, np.loadtxt
+        monkeypatch.setattr(cli, "_load_range",
+                            lambda *args: parsed.append("range") or load_range(*args))
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda *args, **kw: parsed.append("loadtxt") or loadtxt(*args, **kw))
+        calls = split(2)
+        self.ranges(monkeypatch, path, 3)
+        calls.update(forks=0, rows=0)
+        assert run([flags[0], str(path), *flags[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+        assert (calls, parsed) == ({"forks": 0, "rows": 1}, [])
 
     def test_a_byte_order_mark_that_starts_a_later_range_is_not_a_number(
             self, tmp_path, capsys, split):
@@ -746,9 +779,10 @@ class TestCombine:
         # error, not a shorter report.
         path = write(tmp_path, "m.csv", "a,0.1,0.2\nb,0.3,0.4\nc,0.5,0.6\n")
         row_values = cli._row_values
-        def truncating(*args, **kwargs):
-            Path(path).write_text("a,0.1,0.2\nb,0.3,0.4\n")
-            return row_values(*args, **kwargs)
+        def truncating(rows, *args, **kwargs):
+            if len(rows):  # not the check on an empty matrix before the parse
+                Path(path).write_text("a,0.1,0.2\nb,0.3,0.4\n")
+            return row_values(rows, *args, **kwargs)
         monkeypatch.setattr(cli, "_row_values", truncating)
         assert run(["combine", path, "--method", "fisher"]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
@@ -986,6 +1020,55 @@ class TestReplicate:
         assert run(["replicate", path, "--q", "0.1", "--method", "simes", "--rule", rule]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
         assert Path(path).stat().st_size == len("a,0.8,0.9\nhit,0.0001,0.0002\n")
+
+    @pytest.mark.parametrize("line", ["hit,0.0001,oops", "hit,0.0001"],
+                             ids=["not-a-number", "column-dropped"])
+    def test_selected_row_that_no_longer_parses_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                        line):
+        # Step 2 reads the selected row back, and it no longer parses.
+        path = write(tmp_path, "m.csv", "a,0.8,0.9\nhit,0.0001,0.0002\n")
+        out = tmp_path / "r.json"
+        out.write_text("kept\n")
+        selection = cli._selection
+        def changing(*args):
+            Path(path).write_text(f"a,0.8,0.9\n{line}\n")
+            return selection(*args)
+        monkeypatch.setattr(cli, "_selection", changing)
+        assert run(["replicate", path, "--q", "0.1", "--method", "simes", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("change", ["truncated", "removed"])
+    @pytest.mark.parametrize("argv, text, hook", [
+        (["combine", "--method", "stouffer"], "a,0.1,0.2\nb,0,1\n", "read_matrix"),
+        (["replicate", "--method", "stouffer", "--q", "0.1"], "a,0.1,0.2\nb,0,1\n",
+         "read_matrix"),
+        (["replicate", "--method", "stouffer", "--q", "0.1", "--rule", "column=1"],
+         "a,0.8,0.9\nb,1,0\n", "_khat_rows"),
+        (["replicate", "--method", "simes", "--q", "0.1"],
+         "g,0.0001,0.0002\n\ng,0.00001,0.5\nh,0.9,0.9\n", "_khat_rows"),
+    ], ids=["combine-degenerate", "step-1-degenerate", "step-2-degenerate", "shared-id"])
+    def test_row_gone_before_its_line_is_found_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                       argv, text, hook, change):
+        # A message names the line of a row that a read met: row 1, a
+        # Stouffer row with both 0 and 1, or a second selected row of id
+        # "g". The file keeps only its first line, or is gone, by the time
+        # the line is looked for: exit 2 with a message, not a traceback.
+        path = write(tmp_path, "m.csv", text)
+        real = getattr(cli, hook)
+        def changed(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            finally:
+                if change == "removed":
+                    os.remove(path)
+                else:
+                    Path(path).write_text(text.split("\n")[0] + "\n")
+        monkeypatch.setattr(cli, hook, changed)
+        assert run([argv[0], path, *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", "error: " + (
+            f"{path}: changed while it was read\n" if change == "truncated" else
+            f"cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"))
 
     @pytest.mark.parametrize("rule", sorted(GOLDEN_REPLICATE))
     def test_report_matches_golden_file(self, tmp_path, rule):
@@ -1471,9 +1554,10 @@ class TestOut:
         out = outdir / "out.csv"
         out.write_text("precious\n")
         row_values = cli._row_values
-        def truncating(*args, **kwargs):
-            Path(path).write_text("a,0.1,0.2\n")
-            return row_values(*args, **kwargs)
+        def truncating(rows, *args, **kwargs):
+            if len(rows):  # not the check on an empty matrix before the parse
+                Path(path).write_text("a,0.1,0.2\n")
+            return row_values(rows, *args, **kwargs)
         monkeypatch.setattr(cli, "_row_values", truncating)
         assert run(["combine", path, "--method", "fisher", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: changed while it was read\n"

@@ -11,7 +11,8 @@ without the freeze. ``main``, and only ``main``, caps OpenBLAS at one
 thread unless the caller set ``OPENBLAS_NUM_THREADS``, so a run that loads
 ``scipy.special`` starts no BLAS worker. A run that parses part of its matrix in a forked child
 loads no process pool, and its exit hooks and output happen once, as in a
-verify run whose Monte Carlo check forks."""
+verify run whose Monte Carlo check forks. Each compiled ufunc module that
+a split run calls is loaded once, in this process, before the fork."""
 
 import concurrent.futures
 import importlib
@@ -458,4 +459,18 @@ def test_forked_check_loads_each_compiled_module_once_before_its_fork(inputs, me
     (inputs / "plain.json").write_text(json.dumps(spec))
     assert python(SPLIT_LOADS, str(inputs / "loads.log"), "verify", "--scenario", "plain.json",
                   "--out", "r.json", cwd=inputs) == {
+        "code": 0, "forks": 1, "loads": [[name, True, 0] for name in loaded]}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["combine", "--method", "fisher", "--u", "2"], CXX),
+    (["combine", "--method", "stouffer"], [*CXX, "scipy.special._ufuncs"]),
+    (["replicate", "--method", "fisher", "--q", "0.1"], CXX),
+], ids=["fisher-combine", "stouffer-combine", "fisher-replicate"])
+def test_split_parse_loads_each_compiled_module_once_before_its_fork(tmp_path, argv, loaded):
+    # The reduction's check on an empty matrix, before the parse, loads
+    # the combiner's modules; the child finds them in sys.modules.
+    matrix = split_matrix(tmp_path)
+    assert python(SPLIT_LOADS, str(tmp_path / "loads.log"), argv[0], str(matrix), *argv[1:],
+                  "--out", str(tmp_path / "out"), cwd=tmp_path) == {
         "code": 0, "forks": 1, "loads": [[name, True, 0] for name in loaded]}

@@ -31,6 +31,14 @@ reciprocal-sum shape keeps the FDR at most alpha * m0 / m under any
 dependence (Benjamini & Yekutieli 2001, Thm 1.3); the identity shape
 exceeds that bound once m0 >= 2, so Benjamini-Hochberg is its negative
 control.
+
+With prior weights w (sum m) and unit penalty weights, null i is cut at its
+own thresholds alpha * w_i * beta(r) / m, so the nulls are not exchangeable
+and the program has one variable per vector of their cells, (m + 1)^m0 of
+them. The reciprocal-sum shape keeps the FDR at most alpha times the null
+weight sum over m (Blanchard & Roquain 2008); the identity shape exceeds
+it, and so does a reciprocal-sum step-up that cuts every null at the
+unweighted alpha * beta(r) / m when the null weights are small.
 """
 
 import itertools
@@ -45,6 +53,7 @@ from pcfdr.procedures import (
     RECIPROCAL_SUM,
     ShapeFunction,
     ThresholdCollection,
+    WeightScheme,
     _step_up_rows,
 )
 
@@ -117,3 +126,56 @@ def test_benjamini_yekutieli_with_alternatives_stays_within_alpha_m0_over_m(m, m
 @pytest.mark.parametrize("m, m1", [(m, m1) for m, m1 in ALTERNATIVES if m - m1 >= 2])
 def test_benjamini_hochberg_with_alternatives_exceeds_alpha_m0_over_m(m, m1):
     assert worst_case_fdr(m, IDENTITY, m1) > ALPHA * (m - m1) / m + 1e-4
+
+
+def weighted_worst_case_fdr(w, shape, m1):
+    """The supremum over joint laws with U(0, 1) marginals of the FDR of
+    the step-up at ALPHA with shape ``shape``, prior weights ``w`` and unit
+    penalty weights on m = len(w) hypotheses, the last m1 of them
+    alternatives at p = 0. Null i's p-value is cut at its own thresholds
+    alpha * w_i * beta(r) / m (capped at 1), so the nulls are not
+    exchangeable: one variable per vector of their cells, (m + 1)^m0 in
+    all, with each null's share of each of its cells fixed at its width."""
+    m, m0 = len(w), len(w) - m1
+    levels = np.minimum(ALPHA * shape(np.arange(1, m + 1), m) / m * w[:m0, None], 1.0)
+    edges = np.hstack([np.zeros((m0, 1)), levels, np.ones((m0, 1))])  # (m0, m + 2)
+    mids, widths = (edges[:, :-1] + edges[:, 1:]) / 2, np.diff(edges)
+    cells = np.array(list(itertools.product(range(m + 1), repeat=m0)))  # (N, m0)
+    p = np.hstack([mids[np.arange(m0), cells], np.zeros((len(cells), m1))])
+    tc = ThresholdCollection(alpha=ALPHA, m=m, weights=WeightScheme(w, np.ones(m)), shape=shape)
+    rejected = _step_up_rows(p, tc)
+    fdp = rejected[:, :m0].sum(axis=1) / np.maximum(rejected.sum(axis=1), 1)
+    share = np.vstack([*(cells.T[:, None] == np.arange(m + 1)[:, None]).reshape(-1, len(cells)),
+                       np.ones(len(cells))])
+    result = linprog(-fdp, A_eq=share, b_eq=[*widths.ravel(), 1.0], bounds=(0, None),
+                     method="highs")
+    assert result.status == 0, result.message
+    assert len(cells) == (m + 1) ** m0
+    return -result.fun
+
+
+def seeded_weights(seed, m):
+    """Prior weights drawn from U(0.25, 2), scaled to sum to m."""
+    w = np.random.default_rng(seed).uniform(0.25, 2.0, m)
+    return w * (m / w.sum())
+
+
+# Per case m, m1 and the prior weights; the nulls come first. In the last,
+# four nulls of weight 0.1 face one alternative of weight 4.6: a step-up
+# that cut every null at the unweighted alpha * beta(r) / m would reject a
+# null whenever the alternative is rejected, which is always.
+WEIGHTED = [pytest.param(m, m1, seeded_weights(seed, m), id=f"m{m}-m1_{m1}-seed{seed}")
+            for seed in range(2) for m in range(3, 6) for m1 in range(m - 1)] + [
+    pytest.param(5, 1, np.array([0.1, 0.1, 0.1, 0.1, 4.6]), id="small-null-weights")]
+
+
+@pytest.mark.parametrize("m, m1, w", WEIGHTED)
+def test_weighted_benjamini_yekutieli_stays_within_alpha_null_weight_over_m(m, m1, w):
+    bound = ALPHA * w[:m - m1].sum() / m
+    assert weighted_worst_case_fdr(w, RECIPROCAL_SUM, m1) <= bound + 1e-9
+
+
+@pytest.mark.parametrize("m, m1, w", WEIGHTED)
+def test_weighted_benjamini_hochberg_exceeds_alpha_null_weight_over_m(m, m1, w):
+    bound = ALPHA * w[:m - m1].sum() / m
+    assert weighted_worst_case_fdr(w, IDENTITY, m1) > bound + 1e-4
