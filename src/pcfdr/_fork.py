@@ -1,5 +1,5 @@
-"""Work split over the usable cores: this process works the first span and
-a forked child each other span, whose rows come back through a pipe.
+"""Work split over the usable cores: this process works the first run of
+items and a forked child each other run, whose rows come back through a pipe.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def processes(most: int) -> int:
+def _processes(most: int) -> int:
     """How many processes to split work over: the usable cores, at most
     ``most`` and at least 1; 1 without ``os.fork`` or with another Python
     thread alive, which a child would lack."""
@@ -31,15 +31,16 @@ def processes(most: int) -> int:
     return max(1, min(_cores(), most))
 
 
-def map_rows(fn: Callable[..., np.ndarray], spans: Sequence) -> np.ndarray:
-    """The rows of ``fn(span)`` for every span, in span order, as one array.
-    This process computes the first span and a forked child each other
-    span, whose rows come back through a pipe into the first span's array,
-    grown by realloc, so that no second array holds them all. ``fn``
-    returns a new array of the same dtype and row shape for every span. If
-    this process raises, every child is killed; all are reaped before the
-    call ends. Raises ChildProcessError if a child exits other than 0 or
-    sends too few rows, and OSError if a pipe or a fork fails.
+def map_rows(fn: Callable[..., np.ndarray], items: Sequence, most: int) -> np.ndarray:
+    """The rows of ``fn(run)`` for every run, in item order, as one array:
+    ``items`` is cut into :func:`_processes` (min(most, len(items))) runs of
+    consecutive items. This process computes the first run and a forked child
+    each other run, whose rows come back through a pipe into the first run's
+    array, grown by realloc, so that no second array holds them all. ``fn``
+    returns a new array of the same dtype and row shape for every run. If this
+    process raises, every child is killed; all are reaped before the call ends.
+    Raises ChildProcessError if a child exits other than 0 or sends too few
+    rows, and OSError if a pipe or a fork fails.
 
     A child holds one thread (numpy's OpenBLAS joins its worker before a
     fork). It disables the garbage collector, which could run a finalizer
@@ -47,18 +48,20 @@ def map_rows(fn: Callable[..., np.ndarray], spans: Sequence) -> np.ndarray:
     parent, and leaves by ``os._exit``: it runs no exit hook and flushes no
     buffer inherited from the parent.
     """
+    p = _processes(min(most, n := len(items)))
+    runs = [items[i * n // p:(i + 1) * n // p] for i in range(p)]
     pids, reads = [], []
     try:
-        for span in spans[1:]:
+        for run in runs[1:]:
             r, w = os.pipe()
             reads.append(r)
             try:
                 if (pid := os.fork()) == 0:
-                    _child(fn, span, w, reads)
+                    _child(fn, run, w, reads)
             finally:
                 os.close(w)
             pids.append(pid)
-        own = fn(spans[0])
+        own = fn(runs[0])
         counts = [int(_read_into(r, np.empty(1, np.int64))[0]) for r in reads]
         first = len(own)
         own.resize((first + sum(counts), *own.shape[1:]), refcheck=False)
@@ -78,15 +81,15 @@ def map_rows(fn: Callable[..., np.ndarray], spans: Sequence) -> np.ndarray:
     return own
 
 
-def _child(fn, span, out: int, reads: list[int]) -> NoReturn:
-    """In a forked child: write the row count and values of ``fn(span)``
+def _child(fn, run, out: int, reads: list[int]) -> NoReturn:
+    """In a forked child: write the row count and values of ``fn(run)``
     to the pipe ``out``. Exits 0 once all is written, else 1."""
     status = 1
     try:
         gc.disable()
         for r in reads:
             os.close(r)
-        arr = np.ascontiguousarray(fn(span))
+        arr = np.ascontiguousarray(fn(run))
         with open(out, "wb") as fh:
             fh.write(np.array([len(arr)], np.int64))
             fh.write(arr)

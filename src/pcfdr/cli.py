@@ -163,9 +163,9 @@ def _loadtxt(path: str, size: int, kw: dict, reduce) -> np.ndarray:
     ``path``, the same array bit for bit, as ``reduce`` maps each row
     alone. The file is cut into k = size // _MIN_CHUNK byte ranges that
     each end a line (:func:`_bounds`), each parsed from its own bytes
-    (:func:`_load_range`). They are dealt out in runs of consecutive
-    ranges, one run per process (:func:`_fork.map_rows`), and each range
-    is reduced before the next is parsed. A k below 2 is one path-fed
+    (:func:`_load_range`). :func:`_fork.map_rows` deals them out in runs
+    of consecutive ranges, one run per process, and each range is reduced
+    before the next is parsed. A k below 2 is one path-fed
     ``np.loadtxt``. Raises what a parse or ``reduce`` in this process
     raises, and OSError if a child, a pipe or a fork fails.
     """
@@ -174,11 +174,8 @@ def _loadtxt(path: str, size: int, kw: dict, reduce) -> np.ndarray:
     fd = os.open(path, os.O_RDONLY)
     try:
         bounds = _bounds(fd, size, k)
-        ranges = [*zip(bounds, bounds[1:])]
-        p = _fork.processes(len(ranges))
-        runs = [ranges[i * len(ranges) // p:(i + 1) * len(ranges) // p] for i in range(p)]
         return _fork.map_rows(lambda run: np.concatenate(
-            [reduce(_load_range(kw, fd, *span)) for span in run]), runs)
+            [reduce(_load_range(kw, fd, *span)) for span in run]), [*zip(bounds, bounds[1:])], k)
     finally:
         os.close(fd)
 

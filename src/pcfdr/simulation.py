@@ -211,26 +211,24 @@ def _map_chunks(s: SimulationScenario, fn: Callable[[np.ndarray], np.ndarray]) -
     at a time, each a float array with a row per replicate, concatenated.
     ``fn`` must accept an empty (0, m, n) stack: a dry run on one, before any
     draw, has the code that applies each argument check it, and is returned
-    at reps = 0. Replicates go in k = min(usable cores, reps, drawn values //
-    _MIN_DRAWS) spans to :func:`_fork.map_rows`; if a child, a pipe or a fork
-    fails, this process maps them all again, so that an error raises as here."""
+    at reps = 0. :func:`_fork.map_rows` splits the replicates, one process
+    per _MIN_DRAWS drawn values at most; if a child, a pipe or a fork fails,
+    this process maps them all again, so that an error raises as here."""
     dry = fn(np.empty((0, s.m, s.n)))
     if not s.reps:
         return dry
-    k = _fork.processes(min(s.reps, s.reps * s.m * s.n // _MIN_DRAWS))
-    cuts = [s.reps * i // k for i in range(k + 1)]
     step = max(1, _CHUNK_ROWS // s.m)
 
-    def mapped(span):
-        return np.concatenate([fn(_draw(s, r0, min(span[1], r0 + step)))
-                               for r0 in range(*span, step)])
+    def mapped(run):
+        return np.concatenate([fn(_draw(s, r0, min(run.stop, r0 + step)))
+                               for r0 in run[::step]])
 
     from ._special import ufunc
     ufunc("ndtr")  # the draw's compiled module, loaded before any fork, not in each child
     try:
-        return _fork.map_rows(mapped, [*zip(cuts, cuts[1:])])
+        return _fork.map_rows(mapped, range(s.reps), s.reps * s.m * s.n // _MIN_DRAWS)
     except OSError:  # a failed child, pipe or fork
-        return mapped((0, s.reps))
+        return mapped(range(s.reps))
 
 
 def mc_fdr_pc(s: SimulationScenario, u: int, method: CombiningMethod,

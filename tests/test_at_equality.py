@@ -20,13 +20,14 @@ reciprocal-sum shape in Step 2 when every k_i >= 1 (then |S| = m). The
 weighted step-up with alternatives at p = 0 and iid U(0, 1) nulls has FDR
 exactly alpha * sum_{H0} w * v / m (Blanchard & Roquain 2008). A check
 that only bounds the error from above would pass a procedure that
-under-reports k_hat; these gate |z| <= Z on both sides.
+under-reports k_hat; these gate |z| <= Z on both sides. Hommel, Bonferroni
+and Simes-Storey are conservative per feature and are gated from above.
 """
 
 import numpy as np
 import pytest
 
-from pcfdr.combine import FISHER, SIMES, STOUFFER
+from pcfdr.combine import BONFERRONI, FISHER, HOMMEL, SIMES, STOUFFER, simes_storey
 from pcfdr.procedures import (
     IDENTITY,
     RECIPROCAL_SUM,
@@ -40,6 +41,10 @@ from pcfdr.simulation import SimulationScenario, mc_replicability_error
 
 M, N, Q, REPS, MU, Z = 200, 5, 0.1, 4000, 40.0, 4.0
 METHODS = {"simes": SIMES, "fisher": FISHER, "stouffer": STOUFFER}
+# Conservative per feature: P^{(k_i+1)/n} is stochastically larger than
+# U(0, 1), so the error is at most q and is checked one-sided.
+CONSERVATIVE = {"hommel": HOMMEL, "bonferroni": BONFERRONI,
+                "simes-storey": simes_storey(0.5)}
 STEP_UP = SelectionRule("step_up_on_combined", alpha=Q)
 # k = 1, 2, 3, 4 in turn: every feature is selected and |S| = m.
 IN_TURN = tuple(1 + i % 4 for i in range(M))
@@ -48,6 +53,8 @@ IN_TURN = tuple(1 + i % 4 for i in range(M))
 IN_TURN_10 = IN_TURN[:10]
 # 140 features with no effect, which Step 1 must select at its own rate.
 MIXED = (0,) * 140 + (2,) * 60
+LAWS = pytest.mark.parametrize("true_k", [IN_TURN, IN_TURN_10, MIXED],
+                               ids=["k-1-to-4", "k-1-to-4-m-10", "140-k0-60-k2"])
 
 
 def z_score(est, expected):
@@ -62,10 +69,19 @@ def error(true_k, method, ws=None, beta=IDENTITY):
 
 
 @pytest.mark.parametrize("name", METHODS)
-@pytest.mark.parametrize("true_k", [IN_TURN, IN_TURN_10, MIXED],
-                         ids=["k-1-to-4", "k-1-to-4-m-10", "140-k0-60-k2"])
+@LAWS
 def test_replicability_error_is_q(name, true_k):
     assert abs(z_score(error(true_k, METHODS[name]), Q)) <= Z
+
+
+@pytest.mark.parametrize("name", CONSERVATIVE)
+@LAWS
+def test_conservative_replicability_error_is_at_most_q(name, true_k):
+    # A Bonferroni without its factor k errs far above q. A Hommel taken
+    # as plain Simes, without its factor H_k, passes: Simes is exact at
+    # this law, so its error is q itself (z about -0.6), and only a
+    # two-sided check could tell the two apart.
+    assert z_score(error(true_k, CONSERVATIVE[name]), Q) <= Z
 
 
 def test_reciprocal_sum_error_is_q_over_h_m():

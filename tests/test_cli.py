@@ -658,7 +658,8 @@ class TestChunkedParse:
 
     @pytest.mark.parametrize("case", [
         "plain", "no-ids", "no-final", "whitespace-only", "short-row", "cr", "crlf", "mixed",
-        "bom", "not-utf-8", "p-above-1", "stouffer-0-and-1", "shared-id"])
+        "bom", "not-utf-8", "p-above-1", "stouffer-0-and-1", "stouffer-0-and-1-late",
+        "shared-id"])
     def test_edge_cases_give_the_results_of_one_parse(self, tmp_path, capsys, split,
                                                       monkeypatch, case):
         # Each command's exit status, message and report are the same when
@@ -682,6 +683,9 @@ class TestChunkedParse:
             # Column 1 holds the 0, so the column rule selects the row and
             # Step 2 meets it; the other rules meet it in Step 1.
             lines[0], method = "g0,1,0,0.5,0.5", "stouffer"
+        elif case == "stouffer-0-and-1-late":
+            # Line 76 of 80 is in the last range, which a child parses.
+            lines[75], method = "g75,1,0,0.5,0.5", "stouffer"
         elif case == "shared-id":
             lines[5] = lines[5].replace("g5,", "hit,")  # selected by each rule
             lines[70] = "hit,1e-09,2e-09,3e-09,4e-09"
@@ -716,9 +720,10 @@ class TestChunkedParse:
             assert codes == [0, 0, 0]
             name = b'"5"' if case == "no-ids" else b'"g5"'
             assert all(name in report for _, _, report in whole[1:])  # a row was selected
-        elif case == "stouffer-0-and-1":
+        elif case.startswith("stouffer-0-and-1"):
+            line = 76 if case.endswith("late") else 1
             assert {err for _, err, _ in whole} == {
-                f"error: {path}:1: Stouffer combiner with both p=0 and p=1\n"}
+                f"error: {path}:{line}: Stouffer combiner with both p=0 and p=1\n"}
         elif case == "shared-id":
             assert codes == [0, 2, 2]
             assert whole[1][1] == f"error: {path}:71: selected id 'hit' also names line 6\n"
